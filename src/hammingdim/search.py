@@ -14,8 +14,30 @@ suffix) vertices can repair all deficient block pairs.  Pruning never
 changes a verdict, only the work done; it can be disabled to check
 that.
 
+The feasibility test of one color depends only on that color's block
+counts, the suffix start and the picks left.  The walker carries each
+color's counts as one integer code and asks ``_color_feasible`` once
+per distinct (color, code, suffix start, picks left) within a search
+call; every later check of the same key is a dict lookup.  The 4x4x4
+size-7 search makes about 5 million checks on about 2,600 keys.  The
+memo lives for one call and nothing is cached across calls.
+
+Candidates are checked without a pass over the vertices.  Non-landmarks
+whose landmark signatures coincide form collision classes, kept as
+vertex bitmasks while they hold two or more members; each pick refines
+the parent's classes, and a set resolves exactly when none is left.
+With one pick to go, each class yields the bitmask of final picks x
+that clear it: a pair needs x to share a coordinate with exactly one
+member (or be one), a triple needs x inside it splitting the other two,
+and four or more members always collide.  The AND of those masks over
+the parent's classes answers every final pick at once.  Leaves are
+still counted one by one in tree order, so counts and candidate budgets
+trip exactly where a per-leaf check would.
+
 Budgets are explicit and trip a BudgetExceeded error rather than
-silently truncating.  Nonexistence certificates report the exact number
+silently truncating.  The wall-time budget is one absolute deadline,
+shared by parallel workers, read every 4,096 leaves and every 256
+last-level parents.  Nonexistence certificates report the exact number
 of candidates examined, which is independent of worker count because
 subtree results are always combined in tree order.
 """
@@ -140,18 +162,30 @@ def _color_feasible(cnt, avail, t) -> bool:
 
 
 class _Budget:
-    __slots__ = ("max_candidates", "deadline", "leaves", "pruned", "t0",
+    __slots__ = ("max_candidates", "deadline", "leaves", "pruned", "nodes", "t0",
                  "progress", "progress_every", "next_report")
 
-    def __init__(self, opts: SearchOptions, already: int = 0):
+    def __init__(self, opts: SearchOptions, already: int = 0,
+                 deadline: float | None = None):
         self.max_candidates = opts.max_candidates
         self.t0 = time.monotonic()
-        self.deadline = None if opts.max_seconds is None else self.t0 + opts.max_seconds
+        if deadline is None and opts.max_seconds is not None:
+            deadline = self.t0 + opts.max_seconds
+        self.deadline = deadline
         self.leaves = already
         self.pruned = 0
+        self.nodes = 0
         self.progress = opts.progress
         self.progress_every = max(1, opts.progress_every)
         self.next_report = already + self.progress_every
+
+    def _check_clock(self):
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceeded(
+                "wall-time budget exceeded",
+                bound="max_seconds",
+                candidates_examined=self.leaves,
+            )
 
     def leaf(self):
         self.leaves += 1
@@ -161,106 +195,216 @@ class _Budget:
                 bound="max_candidates",
                 candidates_examined=self.leaves - 1,
             )
-        if self.leaves % 4096 == 0 and self.deadline is not None:
-            if time.monotonic() > self.deadline:
-                raise BudgetExceeded(
-                    "wall-time budget exceeded",
-                    bound="max_seconds",
-                    candidates_examined=self.leaves,
-                )
+        if self.leaves % 4096 == 0:
+            self._check_clock()
         if self.progress is not None and self.leaves >= self.next_report:
             self.next_report += self.progress_every
             self.progress(SearchProgress(
                 self.leaves, self.pruned, time.monotonic() - self.t0))
 
+    def node(self):
+        """Count one last-level parent, reading the clock every 256: a
+        well-pruned search can go a long time between leaves."""
+        self.nodes += 1
+        if self.nodes % 256 == 0:
+            self._check_clock()
 
-def _subset_search(g, s, fixed, start, opts: SearchOptions, already: int = 0):
+
+class _Memo(dict):
+    """``fn(key)``, computed on a key's first lookup and kept after."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class _ClassFinals(dict):
+    """Collision class bitmask -> bitmask of the last picks x after which
+    no two of its members collide.
+
+    A pair survives x unless both or neither share a coordinate with x;
+    a triple survives only an x inside it that splits the other two;
+    four or more members always keep two together.  Only pairs and
+    triples are kept: larger classes are the most numerous keys and
+    answer 0 without any work.
+    """
+
+    __slots__ = ("share",)
+
+    def __init__(self, share: list[int]):
+        super().__init__()
+        self.share = share
+
+    def __missing__(self, m: int) -> int:
+        if m.bit_count() > 3:
+            return 0
+        share = self.share
+        members = [i for i in range(len(share)) if m >> i & 1]
+        if len(members) == 2:
+            u, v = members
+            finals = share[u] ^ share[v] | m
+        else:
+            u, v, w = members
+            finals = ((share[v] ^ share[w]) & 1 << u
+                      | (share[u] ^ share[w]) & 1 << v
+                      | (share[u] ^ share[v]) & 1 << w)
+        self[m] = finals
+        return finals
+
+
+def _share_masks(cols, total: int) -> list[int]:
+    """share[u]: bitmask of the vertices agreeing with u in some coordinate."""
+    c1, c2, c3 = cols
+    return [
+        sum(1 << v for v in range(total)
+            if c1[u] == c1[v] or c2[u] == c2[v] or c3[u] == c3[v])
+        for u in range(total)
+    ]
+
+
+def _subset_search(g, s, fixed, start, opts: SearchOptions, already: int = 0,
+                   deadline: float | None = None):
     """Walk all size-s supersets of ``fixed`` drawn from indices >= start.
 
     Returns (found_members_or_None, leaves_examined, pruned_subtrees).
+    ``deadline`` is an absolute ``time.monotonic()`` instant that
+    overrides ``opts.max_seconds``.
     """
     n = g.dims[0]
-    verts, (c1, c2, c3), suffix = _prepare(g)
+    verts, cols, suffix = _prepare(g)
     total = len(verts)
-    cnt = [[0] * n for _ in range(3)]
+    rows = len(suffix)
+    share = _share_masks(cols, total)
+
+    # Color i's block counts travel as one integer, i * span + code with
+    # code = sum(cnt[i][a] * base**a); no count exceeds s, so base s + 1
+    # keeps codes distinct and below span.  A feasibility key adds
+    # (t * rows + j) * 3 * span for suffix start j and t picks left.
+    base = s + 1
+    span = base ** n
+
+    def color_feasible(key: int) -> bool:
+        rest, code = divmod(key, span)
+        rest, i = divmod(rest, 3)
+        t, j = divmod(rest, rows)
+        cnt = [code // base ** a % base for a in range(n)]
+        return _color_feasible(cnt, suffix[j][i], t)
+
+    feasible = _Memo(color_feasible)
+    # s1, s2, s3[idx]: what picking idx adds to each color's code
+    s1, s2, s3 = ([base ** c[idx] for idx in range(total)] for c in cols)
+    # offsets[t][idx]: key offset after picking idx with t picks left
+    offsets = [[(t * rows + idx + 1) * 3 * span for idx in range(total)]
+               for t in range(s)]
+
+    # Collision classes: non-landmarks with equal signatures, kept as
+    # bitmasks and only while they hold two or more vertices.  A set
+    # resolves exactly when no class is left.  A new landmark x splits
+    # each class into the members sharing a coordinate with x and the
+    # rest, and x itself leaves its class.
+    sharing = [share[x] & ~(1 << x) for x in range(total)]
+    apart = [~share[x] for x in range(total)]
+
+    def refine(classes: list[int], x: int) -> list[int]:
+        """The classes once x joins the landmarks."""
+        a_mask = sharing[x]
+        b_mask = apart[x]
+        out = []
+        keep = out.append
+        for m in classes:
+            a = m & a_mask
+            if a & (a - 1):
+                keep(a)
+            b = m & b_mask
+            if b & (b - 1):
+                keep(b)
+        return out
+
+    finals = _ClassFinals(share)
+    everyone = (1 << total) - 1
+    codes = [i * span for i in range(3)]
+    classes = [everyone]
     for idx in fixed:
-        cnt[0][c1[idx]] += 1
-        cnt[1][c2[idx]] += 1
-        cnt[2][c3[idx]] += 1
+        codes = [k + inc[idx] for k, inc in zip(codes, (s1, s2, s3))]
+        classes = refine(classes, idx)
     chosen = list(fixed)
-    budget = _Budget(opts, already)
+    budget = _Budget(opts, already, deadline)
     prune = opts.prune
     found: list | None = None
 
-    def leaf_resolves() -> bool:
-        m1 = [0] * n
-        m2 = [0] * n
-        m3 = [0] * n
-        bit = 1
-        for idx in chosen:
-            m1[c1[idx]] |= bit
-            m2[c2[idx]] |= bit
-            m3[c3[idx]] |= bit
-            bit <<= 1
-        in_w = set(chosen)
-        seen = set()
-        for idx in range(total):
-            if idx in in_w:
-                continue
-            sig = m1[c1[idx]] | m2[c2[idx]] | m3[c3[idx]]
-            if sig in seen:
-                return False
-            seen.add(sig)
-        return True
-
-    def rec(lo: int, t: int) -> bool:
+    def last(lo: int, k1: int, k2: int, k3: int, classes: list[int]) -> bool:
+        """One pick left: the parent's classes decide every final pick."""
         nonlocal found
-        if t == 0:
+        budget.node()
+        good = everyone
+        for m in classes:
+            good &= finals[m]
+        off = offsets[0]
+        for idx in range(lo, total):
+            if prune:
+                o = off[idx]
+                if not (feasible[o + k1 + s1[idx]] and feasible[o + k2 + s2[idx]]
+                        and feasible[o + k3 + s3[idx]]):
+                    budget.pruned += 1
+                    continue
             budget.leaf()
-            if leaf_resolves():
+            if good >> idx & 1:
+                chosen.append(idx)
                 found = [verts[i] for i in chosen]
                 return True
-            return False
-        hi = total - t + 1
-        for idx in range(lo, hi):
-            a1, a2, a3 = c1[idx], c2[idx], c3[idx]
-            cnt[0][a1] += 1
-            cnt[1][a2] += 1
-            cnt[2][a3] += 1
-            chosen.append(idx)
-            take = True
-            if prune:
-                av = suffix[idx + 1]
-                take = (
-                    _color_feasible(cnt[0], av[0], t - 1)
-                    and _color_feasible(cnt[1], av[1], t - 1)
-                    and _color_feasible(cnt[2], av[2], t - 1)
-                )
-                if not take:
-                    budget.pruned += 1
-            if take and rec(idx + 1, t - 1):
-                return True
-            chosen.pop()
-            cnt[0][a1] -= 1
-            cnt[1][a2] -= 1
-            cnt[2][a3] -= 1
         return False
 
-    rec(start, s - len(fixed))
+    def rec(lo: int, t: int, k1: int, k2: int, k3: int, classes: list[int]) -> bool:
+        if t == 1:
+            return last(lo, k1, k2, k3, classes)
+        off = offsets[t - 1]
+        for idx in range(lo, total - t + 1):
+            a = k1 + s1[idx]
+            b = k2 + s2[idx]
+            c = k3 + s3[idx]
+            if prune:
+                o = off[idx]
+                if not (feasible[o + a] and feasible[o + b] and feasible[o + c]):
+                    budget.pruned += 1
+                    continue
+            chosen.append(idx)
+            if rec(idx + 1, t - 1, a, b, c, refine(classes, idx)):
+                return True
+            chosen.pop()
+        return False
+
+    try:
+        if s > len(fixed):
+            rec(start, s - len(fixed), *codes, classes)
+        else:
+            # nothing left to pick: the fixed set is the one candidate
+            budget.leaf()
+            if not classes:
+                found = [verts[i] for i in chosen]
+    finally:
+        # rec reaches itself through its closure, so this frame is freed
+        # only by a cyclic collection; empty the memos now instead
+        feasible.clear()
+        finals.clear()
     return found, budget.leaves - already, budget.pruned
 
 
 def _subtree_task(args):
-    dims, s, fixed, start, opts_tuple = args
+    dims, s, fixed, start, opts_tuple, deadline = args
     g = GhgParams(dims, frozenset({3}))
     opts = SearchOptions(
         prune=opts_tuple[0],
         normalize=opts_tuple[1],
         max_candidates=opts_tuple[2],
-        max_seconds=opts_tuple[3],
     )
     try:
-        return ("ok", _subset_search(g, s, fixed, start, opts))
+        return ("ok", _subset_search(g, s, fixed, start, opts, deadline=deadline))
     except BudgetExceeded as e:
         return ("budget", (e.bound, e.candidates_examined))
 
@@ -303,12 +447,16 @@ def exists_resolving_of_size(
     if t == 0:
         found, leaves, pruned = _subset_search(g, s, fixed, start, opts)
         return _search_certificate(g, s, found, leaves, mode)
-    opts_tuple = (opts.prune, opts.normalize, opts.max_candidates, opts.max_seconds)
+    # One absolute deadline, read by every forked worker, so subtrees do
+    # not each restart the wall-time budget.
+    t0 = time.monotonic()
+    deadline = None if opts.max_seconds is None else t0 + opts.max_seconds
+    opts_tuple = (opts.prune, opts.normalize, opts.max_candidates)
     tasks = [
-        (g.dims, s, fixed + (idx,), idx + 1, opts_tuple)
+        (g.dims, s, fixed + (idx,), idx + 1, opts_tuple, deadline)
         for idx in range(start, total - t + 1)
     ]
-    leaves_total = 0
+    leaves_total = pruned_total = 0
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(opts.workers) as pool:
         for kind, payload in pool.imap(_subtree_task, tasks):
@@ -322,6 +470,10 @@ def exists_resolving_of_size(
                 )
             found, leaves, pruned = payload
             leaves_total += leaves
+            pruned_total += pruned
+            if opts.progress is not None:
+                opts.progress(SearchProgress(
+                    leaves_total, pruned_total, time.monotonic() - t0))
             if opts.max_candidates is not None and leaves_total > opts.max_candidates:
                 pool.terminate()
                 raise BudgetExceeded(

@@ -84,7 +84,7 @@ def test_criterion_03_no_seven_set_at_n4():
     cert = exists_resolving_of_size(g, 7, SearchOptions(workers=2))
     elapsed = time.monotonic() - t0
     ok = (cert.verdict is Verdict.DIMENSION
-          and 0 < cert.candidates_examined <= 67945521)
+          and cert.candidates_examined == 326844)
     report(3, ok,
            f"no 7-landmark resolving set at n=4; pruned search examined "
            f"{cert.candidates_examined} of C(63,6) = 67945521 candidates "

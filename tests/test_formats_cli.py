@@ -156,6 +156,11 @@ def test_cli_dimension(capsys):
     assert doc["candidates_examined"] > 0
 
 
+def test_cli_dimension_verbose_parallel(capsys):
+    assert main(["dimension", "--graph", "3x3x3", "--workers", "2", "--verbose"]) == 0
+    assert "progress:" in capsys.readouterr().err
+
+
 def test_cli_dimension_budget(capsys, monkeypatch):
     assert main(["dimension", "--graph", "3x3x3", "--budget", "50"]) == 3
     assert "budget" in capsys.readouterr().err

@@ -6,6 +6,7 @@ s=5, and the full space has C(27,5) = 80,730.
 """
 
 import itertools
+import time
 
 import pytest
 
@@ -24,8 +25,10 @@ from hammingdim import (
     metric_basis,
     metric_dimension,
 )
+from hammingdim.search import _subset_search
 
 G3 = hamming_graph(3, 3, 3)
+G4 = hamming_graph(4, 4, 4)
 
 
 def test_no_five_set_normalized_unpruned():
@@ -88,6 +91,50 @@ def test_wall_time_budget():
             G3, 5, SearchOptions(prune=False, max_seconds=0.0)
         )
     assert exc.value.bound == "max_seconds"
+
+
+def test_wall_time_budget_is_one_deadline_across_workers():
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded) as exc:
+        exists_resolving_of_size(G4, 7, SearchOptions(workers=2, max_seconds=0.5))
+    assert exc.value.bound == "max_seconds"
+    assert time.monotonic() - t0 < 1.5
+
+
+def test_parallel_progress_reports_running_totals():
+    serial = exists_resolving_of_size(G3, 5)
+    reports = []
+    cert = exists_resolving_of_size(
+        G3, 5, SearchOptions(workers=2, progress=reports.append, progress_every=1)
+    )
+    assert reports
+    counts = [p.candidates_examined for p in reports]
+    assert counts == sorted(counts)
+    assert counts[-1] == serial.candidates_examined == cert.candidates_examined
+
+
+def walk_counts(g, s, normalize):
+    fixed = (0,) if normalize else ()
+    found, leaves, pruned = _subset_search(
+        g, s, fixed, len(fixed), SearchOptions(normalize=normalize)
+    )
+    return leaves, pruned
+
+
+@pytest.mark.parametrize("s, normalize, counts", [
+    (4, True, (0, 24)),
+    (4, False, (0, 24)),
+    (5, True, (1040, 2670)),
+    (5, False, (5616, 16103)),
+    (6, True, (13828, 6038)),
+    (6, False, (13828, 6038)),
+])
+def test_pruned_walk_counts_n3(s, normalize, counts):
+    assert walk_counts(G3, s, normalize) == counts
+
+
+def test_pruned_walk_counts_n4_size8():
+    assert walk_counts(G4, 8, True) == (60735, 173606)
 
 
 def test_search_domain_errors():
