@@ -21,7 +21,7 @@ import os
 import sys
 
 from .construct import FIXTURE_NAMES, fixture, metric_basis
-from .errors import BudgetExceeded, HammingDimError, NotApplicable
+from .errors import BudgetExceeded, HammingDimError, NotApplicable, ParseError
 from .formats import FORMATS, emit_landmarks, parse_landmarks
 from .hamming import GhgParams
 from .landmark import build_landmark_graph, classify, forbidden_scan, predict_resolving
@@ -94,7 +94,11 @@ def _cmd_dimension(args: argparse.Namespace) -> int:
     elif args.exhaustive:
         budget = None
     else:
-        budget = int(os.environ.get(BUDGET_ENV, DEFAULT_BUDGET))
+        text = os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET))
+        try:
+            budget = int(text)
+        except ValueError:
+            raise ParseError(f"{BUDGET_ENV}={text!r} is not an integer") from None
     opts = SearchOptions(
         max_candidates=budget,
         workers=args.workers,
@@ -103,6 +107,13 @@ def _cmd_dimension(args: argparse.Namespace) -> int:
     cert = metric_dimension(g, opts)
     sys.stdout.write(cert.to_json())
     return EXIT_OK
+
+
+def _cycles_json(cycles) -> list[dict]:
+    return [
+        {"landmarks": [_fmt_vertex(v) for v in c.landmarks], "colors": list(c.colors)}
+        for c in cycles
+    ]
 
 
 def _scan_report(W) -> dict:
@@ -116,18 +127,9 @@ def _scan_report(W) -> dict:
     if cls.loop_vertex is not None:
         doc["loop_vertex"] = _fmt_vertex(cls.loop_vertex)
     report = forbidden_scan(build_landmark_graph(W))
-    doc["c4"] = [
-        {"landmarks": [_fmt_vertex(v) for v in c.landmarks], "colors": list(c.colors)}
-        for c in report.c4
-    ]
-    doc["c6"] = [
-        {"landmarks": [_fmt_vertex(v) for v in c.landmarks], "colors": list(c.colors)}
-        for c in report.c6
-    ]
-    doc["rainbow_triangles"] = [
-        {"landmarks": [_fmt_vertex(v) for v in c.landmarks], "colors": list(c.colors)}
-        for c in report.rainbow_triangles
-    ]
+    doc["c4"] = _cycles_json(report.c4)
+    doc["c6"] = _cycles_json(report.c6)
+    doc["rainbow_triangles"] = _cycles_json(report.rainbow_triangles)
     try:
         cert = predict_resolving(W)
     except NotApplicable as exc:

@@ -107,7 +107,10 @@ class GhgParams:
                 )
             if min(self.dims) >= 3:
                 return 1 if hamming_discrepancy(x, y) == self.r else 2
-        return self._bfs_distance(x, y)
+        d = self.bfs_distances_from(x).get(y)
+        if d is None:
+            raise Unreachable(f"{y!r} is not reachable from {x!r} in {self.format()}")
+        return d
 
     def neighbors(self, x: Vertex):
         """Iterate the neighbors of a vertex (generated, not scanned)."""
@@ -124,26 +127,6 @@ class GhgParams:
                     for i, c in zip(subset, replacement):
                         y[i] = c
                     yield tuple(y)
-
-    def _bfs_distance(self, x: Vertex, y: Vertex) -> int:
-        if self.vertex_count() > BFS_VERTEX_LIMIT:
-            raise Unsupported(
-                f"no closed form for K={sorted(self.k)} and "
-                f"{self.vertex_count()} vertices exceeds the breadth-first "
-                f"fallback limit of {BFS_VERTEX_LIMIT}"
-            )
-        seen = {x: 0}
-        queue = deque([x])
-        while queue:
-            v = queue.popleft()
-            d = seen[v]
-            for w in self.neighbors(v):
-                if w not in seen:
-                    if w == y:
-                        return d + 1
-                    seen[w] = d + 1
-                    queue.append(w)
-        raise Unreachable(f"{y!r} is not reachable from {x!r} in {self.format()}")
 
     def bfs_distances_from(self, source: Vertex) -> dict[Vertex, int]:
         """All distances from one source by breadth-first search (desk scale)."""

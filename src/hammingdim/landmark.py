@@ -20,6 +20,15 @@ three colors, a 6-cycle whose opposite edges repeat colors (a b c a b c),
 and, for triple-looped systems only, a triangle with all three colors.
 ``predict_resolving`` applies that characterization without ever
 computing a distance or a code.
+
+Each landmark has at most one plain-edge partner per color, so color c
+acts on the landmarks as a partial involution sigma_c.  A forbidden
+cycle is then a closed walk of a short color word, and five words find
+them all: (1,2,1,3), (2,1,2,3) and (3,1,3,2) for the 4-cycles, one per
+repeated color, since a cycle a b a c read from the other side of its
+repeated color is a c a b; (1,2,3,1,2,3) for the 6-cycles and (1,2,3)
+for the triangles, since such a cycle reads 1, 2, 3 in one of its two
+directions.
 """
 
 from __future__ import annotations
@@ -51,15 +60,6 @@ class LandmarkGraph:
     def edges_of_color(self, color: int) -> tuple[Hyperedge, ...]:
         return tuple(e for e in self.hyperedges if e.color == color)
 
-    def plain_edges(self) -> tuple[Hyperedge, ...]:
-        return tuple(e for e in self.hyperedges if len(e.members) == 2)
-
-    def loops(self) -> tuple[Hyperedge, ...]:
-        return tuple(e for e in self.hyperedges if len(e.members) == 1)
-
-    def all_plain(self) -> bool:
-        return all(len(e.members) == 2 for e in self.hyperedges)
-
 
 def build_landmark_graph(W: LandmarkSet) -> LandmarkGraph:
     edges = []
@@ -82,18 +82,26 @@ class SystemClass:
 
 
 def _is_two_basic(W: LandmarkSet) -> bool:
-    g = W.graph
     for i in (1, 2, 3):
-        for a in range(1, g.dims[i - 1] + 1):
-            if len(W.block(i, a)) != 2:
-                return False
+        blocks = W.blocks_of_color(i)
+        if len(blocks) != W.graph.dims[i - 1] or any(len(b) != 2 for b in blocks.values()):
+            return False
+    # no two landmarks agree in two coordinates: every projection onto a
+    # pair of coordinates is injective
     mems = W.members
-    for p in range(len(mems)):
-        for q in range(p + 1, len(mems)):
-            agree = sum(1 for x, y in zip(mems[p], mems[q]) if x == y)
-            if agree >= 2:
-                return False
-    return True
+    return all(
+        len({(v[p], v[q]) for v in mems}) == len(mems)
+        for p, q in ((0, 1), (0, 2), (1, 2))
+    )
+
+
+def _without(W: LandmarkSet, u: Vertex) -> LandmarkSet:
+    """W less its loop vertex u, on the (n-1)-diagonal graph."""
+    n = W.graph.dims[0]
+    return LandmarkSet(
+        GhgParams((n - 1, n - 1, n - 1), W.graph.k),
+        [m for m in W.members if m != u],
+    )
 
 
 def classify(W: LandmarkSet) -> SystemClass:
@@ -105,11 +113,7 @@ def classify(W: LandmarkSet) -> SystemClass:
     if g.dims == (n, n, n) and n >= 4:
         u = (n, n, n)
         if u in W and all(max(m) <= n - 1 for m in W.members if m != u):
-            inner = LandmarkSet(
-                GhgParams((n - 1, n - 1, n - 1), g.k),
-                [m for m in W.members if m != u],
-            )
-            if _is_two_basic(inner):
+            if _is_two_basic(_without(W, u)):
                 return SystemClass(SystemKind.TRIPLE_LOOPED, loop_vertex=u)
     return SystemClass(SystemKind.OTHER)
 
@@ -119,11 +123,7 @@ def basic_part(W: LandmarkSet) -> LandmarkSet:
     cls = classify(W)
     if cls.kind is not SystemKind.TRIPLE_LOOPED:
         raise NotApplicable(f"{W!r} is {cls.kind.value}, not TRIPLE_LOOPED")
-    n = W.graph.dims[0]
-    return LandmarkSet(
-        GhgParams((n - 1, n - 1, n - 1), W.graph.k),
-        [m for m in W.members if m != cls.loop_vertex],
-    )
+    return _without(W, cls.loop_vertex)
 
 
 def extend_triple_looped(W: LandmarkSet) -> LandmarkSet:
@@ -172,17 +172,6 @@ class ForbiddenReport:
         return not (include_triangles and self.rainbow_triangles)
 
 
-def _plain_neighbor_maps(G: LandmarkGraph) -> dict[int, dict[Vertex, Vertex]]:
-    # Blocks of one color are disjoint, so each vertex has at most one
-    # plain edge per color.
-    nbr: dict[int, dict[Vertex, Vertex]] = {1: {}, 2: {}, 3: {}}
-    for e in G.plain_edges():
-        x, y = sorted(e.members)
-        nbr[e.color][x] = y
-        nbr[e.color][y] = x
-    return nbr
-
-
 def _canonical_cycle(cycle: tuple[Vertex, ...], colors: tuple[int, ...]):
     # Rotate the least vertex to the front, then take the lexicographically
     # smaller direction; colors travel with their edges.
@@ -195,54 +184,53 @@ def _canonical_cycle(cycle: tuple[Vertex, ...], colors: tuple[int, ...]):
     return min((fwd_v, fwd_c), (bwd_v, bwd_c))
 
 
-def _walk_cycles(nbr, pattern: tuple[int, ...], vertices) -> dict[tuple, CycleReport]:
-    """All simple closed walks realizing a color pattern, canonicalized."""
-    found: dict[tuple, CycleReport] = {}
-    k = len(pattern)
-    for start in vertices:
-        v = start
-        walk = [start]
-        ok = True
-        for color in pattern:
-            v = nbr[color].get(v)
-            if v is None:
-                ok = False
-                break
-            walk.append(v)
-        if not ok or walk[-1] != start:
-            continue
-        cycle = tuple(walk[:-1])
-        if len(set(cycle)) != k:
-            continue
-        canon_v, canon_c = _canonical_cycle(cycle, pattern)
-        found.setdefault((canon_v, canon_c), CycleReport(canon_v, canon_c))
-    return found
+def _closed_walks(sigma: list[list[int]], words, verts) -> tuple[CycleReport, ...]:
+    """Every simple cycle that some word walks, canonicalized and sorted."""
+    found = set()
+    for word in words:
+        k = len(word)
+        for start in range(len(verts)):
+            walk = []
+            v = start
+            for color in word:
+                walk.append(v)
+                v = sigma[color][v]
+                if v < 0:
+                    break
+            else:
+                if v == start and len(set(walk)) == k:
+                    found.add(_canonical_cycle(tuple(verts[i] for i in walk), word))
+    return tuple(CycleReport(*key) for key in sorted(found))
 
 
 def forbidden_scan(G: LandmarkGraph) -> ForbiddenReport:
     """Exhaustively list forbidden 4-cycles, 6-cycles, and rainbow triangles.
 
-    Walks color-constrained closed paths from every vertex: 4-cycles whose
-    opposite pair repeats a color while the other two edges bring in the
-    remaining two colors (pattern a b a c), 6-cycles with pattern
-    a b c a b c, and triangles with three distinct colors.  Only plain
-    (size-2) hyperedges participate; a graph with loops or larger blocks
-    is scanned anyway but flagged as not strictly applicable.
+    Only plain (size-2) hyperedges participate: sigma[c][x] is the
+    plain-edge partner of landmark x in color c, or -1.  Closed walks of
+    the words (1,2,1,3), (2,1,2,3), (3,1,3,2) give the 4-cycles a b a c
+    (one word per repeated color a; the cycle read from the far side of
+    its a-edges is a c a b), (1,2,3,1,2,3) gives the 6-cycles a b c a b c
+    and (1,2,3) the rainbow triangles (both read 1, 2, 3 in exactly one
+    direction).  A graph with loops or larger blocks is scanned anyway
+    but flagged as not strictly applicable.
     """
-    nbr = _plain_neighbor_maps(G)
     verts = G.vertices
-    c4: dict[tuple, CycleReport] = {}
-    c6: dict[tuple, CycleReport] = {}
-    tri: dict[tuple, CycleReport] = {}
-    for a, b, c in ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)):
-        c4.update(_walk_cycles(nbr, (a, b, a, c), verts))
-        c6.update(_walk_cycles(nbr, (a, b, c, a, b, c), verts))
-        tri.update(_walk_cycles(nbr, (a, b, c), verts))
+    index = {v: i for i, v in enumerate(verts)}
+    sigma = [[-1] * len(verts) for _ in range(4)]
+    applicable = True
+    for e in G.hyperedges:
+        if len(e.members) != 2:
+            applicable = False
+            continue
+        x, y = (index[v] for v in e.members)
+        sigma[e.color][x] = y
+        sigma[e.color][y] = x
     return ForbiddenReport(
-        applicable=G.all_plain(),
-        c4=tuple(c4[k] for k in sorted(c4)),
-        c6=tuple(c6[k] for k in sorted(c6)),
-        rainbow_triangles=tuple(tri[k] for k in sorted(tri)),
+        applicable=applicable,
+        c4=_closed_walks(sigma, ((1, 2, 1, 3), (2, 1, 2, 3), (3, 1, 3, 2)), verts),
+        c6=_closed_walks(sigma, ((1, 2, 3, 1, 2, 3),), verts),
+        rainbow_triangles=_closed_walks(sigma, ((1, 2, 3),), verts),
     )
 
 
@@ -275,7 +263,7 @@ def predict_resolving(W: LandmarkSet) -> Certificate:
         triangles = False
         scanned = "landmark graph of the 2-basic system"
     elif cls.kind is SystemKind.TRIPLE_LOOPED:
-        report = forbidden_scan(build_landmark_graph(basic_part(W)))
+        report = forbidden_scan(build_landmark_graph(_without(W, cls.loop_vertex)))
         triangles = True
         scanned = "landmark graph of the 2-basic part"
     else:

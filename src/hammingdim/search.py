@@ -409,6 +409,23 @@ def _subtree_task(args):
         return ("budget", (e.bound, e.candidates_examined))
 
 
+def _first_picks(g: GhgParams, fixed, candidates, t: int) -> list[int]:
+    """The picks added to ``fixed`` after which every color can still be
+    completed with t more picks, as the walk's feasibility prune decides."""
+    n = g.dims[0]
+    _, cols, suffix = _prepare(g)
+    picks = []
+    for idx in candidates:
+        chosen = fixed + (idx,)
+        if all(
+            _color_feasible([sum(1 for j in chosen if c[j] == a) for a in range(n)],
+                            suffix[idx + 1][i], t)
+            for i, c in enumerate(cols)
+        ):
+            picks.append(idx)
+    return picks
+
+
 def _check_search_graph(g: GhgParams, s: int) -> int:
     if g.r != 3 or g.k != frozenset({3}):
         raise Unsupported(f"search covers 3-coordinate graphs with K={{3}}, got {g.format()}")
@@ -438,28 +455,32 @@ def exists_resolving_of_size(
     start = 1 if fixed else 0
     mode = f"normalized={bool(fixed)}, pruned={opts.prune}"
 
-    if opts.workers <= 1:
+    t = s - len(fixed)
+    if opts.workers <= 1 or t == 0:
         found, leaves, pruned = _subset_search(g, s, fixed, start, opts)
         return _search_certificate(g, s, found, leaves, mode)
 
     # Split the tree at its first free level; combine results in order.
-    t = s - len(fixed)
-    if t == 0:
-        found, leaves, pruned = _subset_search(g, s, fixed, start, opts)
-        return _search_certificate(g, s, found, leaves, mode)
     # One absolute deadline, read by every forked worker, so subtrees do
     # not each restart the wall-time budget.
     t0 = time.monotonic()
+    # First picks the serial walk would prune never become tasks; each is
+    # counted as pruned where the walk would meet it: before the first
+    # task, or in the gap after the task before it.
+    first = range(start, total - t + 1)
+    picks = _first_picks(g, fixed, first, t - 1) if opts.prune else list(first)
+    gaps = [b - p - 1 for p, b in zip(picks, picks[1:] + [first.stop])]
     deadline = None if opts.max_seconds is None else t0 + opts.max_seconds
     opts_tuple = (opts.prune, opts.normalize, opts.max_candidates)
     tasks = [
         (g.dims, s, fixed + (idx,), idx + 1, opts_tuple, deadline)
-        for idx in range(start, total - t + 1)
+        for idx in picks
     ]
-    leaves_total = pruned_total = 0
+    leaves_total = 0
+    pruned_total = (picks[0] if picks else first.stop) - start
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(opts.workers) as pool:
-        for kind, payload in pool.imap(_subtree_task, tasks):
+        for (kind, payload), gap in zip(pool.imap(_subtree_task, tasks), gaps):
             if kind == "budget":
                 bound, examined = payload
                 pool.terminate()
@@ -470,7 +491,7 @@ def exists_resolving_of_size(
                 )
             found, leaves, pruned = payload
             leaves_total += leaves
-            pruned_total += pruned
+            pruned_total += pruned + (0 if found else gap)
             if opts.progress is not None:
                 opts.progress(SearchProgress(
                     leaves_total, pruned_total, time.monotonic() - t0))

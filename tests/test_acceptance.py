@@ -5,13 +5,11 @@ them).  Numbers quoted in the lines are recomputed, never hardcoded,
 except for the combinatorial space sizes they are compared against.
 
 Criterion 3 (the n=4 size-7 nonexistence search) walks a pruned space of
-a few hundred thousand candidates out of C(63,6) = 67,945,521 and is
-gated behind --run-long.
+a few hundred thousand candidates out of C(63,6) = 67,945,521, a few
+seconds with two workers.
 """
 
 import time
-
-import pytest
 
 from hammingdim import (
     FootprintShape,
@@ -77,7 +75,6 @@ def test_criterion_02_no_five_set_at_n3():
            f"{full.candidates_examined} = C(27,5)")
 
 
-@pytest.mark.long
 def test_criterion_03_no_seven_set_at_n4():
     g = hamming_graph(4, 4, 4)
     t0 = time.monotonic()

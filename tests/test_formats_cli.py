@@ -167,6 +167,10 @@ def test_cli_dimension_budget(capsys, monkeypatch):
     monkeypatch.setenv("HAMMINGDIM_BUDGET", "50")
     assert main(["dimension", "--graph", "3x3x3"]) == 3
     capsys.readouterr()
+    monkeypatch.setenv("HAMMINGDIM_BUDGET", "abc")
+    assert main(["dimension", "--graph", "3x3x3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "HAMMINGDIM_BUDGET" in err
 
 
 def test_cli_scan(tmp_path, capsys):

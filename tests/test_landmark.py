@@ -16,6 +16,7 @@ from hammingdim import (
     basic_part,
     build_landmark_graph,
     classify,
+    enumerate_two_basic,
     extend_triple_looped,
     fixture,
     footprint,
@@ -82,6 +83,11 @@ def test_classify():
     assert classify(LandmarkSet(G3, K4_SET)).kind is SystemKind.OTHER
     # n6 has one loop per color but on three distinct landmarks
     assert classify(fixture("n6")).kind is SystemKind.OTHER
+    # every block holds exactly two landmarks, but (1,1,1) and (1,1,2)
+    # agree in coordinates 1 and 2
+    pairs = LandmarkSet(G3, [(1, 1, 1), (1, 1, 2), (2, 2, 1), (2, 2, 3), (3, 3, 2), (3, 3, 3)])
+    assert all(len(pairs.block(i, a)) == 2 for i in (1, 2, 3) for a in (1, 2, 3))
+    assert classify(pairs).kind is SystemKind.OTHER
 
 
 def test_extend_and_basic_part_round_trip():
@@ -153,6 +159,27 @@ def test_scan_k4_regression():
     assert rep.c6 == ()
     assert len(rep.rainbow_triangles) == 4
     assert is_resolving(LandmarkSet(G3, K4_SET)).verdict is Verdict.UNRESOLVED
+
+
+def scan_totals(systems):
+    reports = [forbidden_scan(build_landmark_graph(W)) for W in systems]
+    assert all(r.applicable for r in reports)
+    for r in reports:
+        assert all(c.revalidates() for c in r.c4 + r.c6 + r.rainbow_triangles)
+    return (
+        sum(len(r.c4) for r in reports),
+        sum(len(r.c6) for r in reports),
+        sum(len(r.rainbow_triangles) for r in reports),
+        sum(r.clean(include_triangles=False) for r in reports),
+    )
+
+
+def test_scan_totals_pinned():
+    # totals recorded with the earlier 18-pattern walk
+    systems = list(enumerate_two_basic(3))
+    assert len(systems) == 144
+    assert scan_totals(systems) == (648, 108, 216, 0)
+    assert scan_totals(enumerate_two_basic(4, budget=500)) == (928, 471, 694, 55)
 
 
 def test_cycle_report_revalidates_rejects_corruption():

@@ -111,6 +111,9 @@ def test_parallel_progress_reports_running_totals():
     counts = [p.candidates_examined for p in reports]
     assert counts == sorted(counts)
     assert counts[-1] == serial.candidates_examined == cert.candidates_examined
+    # first picks the serial walk prunes are not dispatched but still counted
+    _, _, pruned = _subset_search(G3, 5, (0,), 1, SearchOptions())
+    assert reports[-1].pruned_subtrees == pruned == 2670
 
 
 def walk_counts(g, s, normalize):
