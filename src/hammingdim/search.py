@@ -38,12 +38,17 @@ Budgets are explicit and trip a BudgetExceeded error rather than
 silently truncating.  The wall-time budget is one absolute deadline,
 shared by parallel workers, read every 4,096 leaves and every 256
 last-level parents.  Nonexistence certificates report the exact number
-of candidates examined, which is independent of worker count because
-subtree results are always combined in tree order.
+of candidates examined, which is independent of worker count: with
+workers, each first-level pick is one task, walked by the same search
+with its top level capped at that pick, and task results are combined
+in tree order.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import itertools
 import multiprocessing
 import time
 from dataclasses import dataclass
@@ -70,9 +75,9 @@ class SearchOptions:
 
     ``max_candidates`` bounds the number of complete candidate subsets
     whose resolving check runs; ``max_seconds`` bounds wall time.  With
-    ``workers`` > 1 the enumeration tree is split at its first level
-    into independent subtrees; verdicts and counts do not depend on the
-    split.
+    ``workers`` > 1 each first-level pick is one task, the subtree below
+    it searched in a worker process; verdicts and counts do not depend
+    on the split.
     """
 
     prune: bool = True
@@ -82,6 +87,11 @@ class SearchOptions:
     workers: int = 1
     progress: Callable[[SearchProgress], None] | None = None
     progress_every: int = 1_000_000
+
+    def __post_init__(self):
+        if self.max_candidates is not None and self.max_candidates < 0:
+            raise Unsupported(
+                f"candidate budget must be non-negative, got {self.max_candidates}")
 
 
 def _prepare(g: GhgParams):
@@ -107,77 +117,48 @@ def _prepare(g: GhgParams):
 def _color_feasible(cnt, avail, t) -> bool:
     """Can t more picks bring every block pair of this color to sum >= 3?
 
-    Completion shapes: every block at least 2; or one designated block
-    frozen at its current size 0 or 1 with the rest raised to 3 or 2; or
-    a current-0 block raised to exactly 1 with the rest raised to 2.
-    Availability caps come from the lexicographic suffix.
+    Either every block reaches 2, or exactly one block a0 ends at a size
+    v in {0, 1}, no less than its count and within its availability, and
+    every other block reaches 3 - v.  Availability caps come from the
+    lexicographic suffix.
     """
     n = len(cnt)
-    # all blocks >= 2
-    cost = 0
-    ok = True
-    for a in range(n):
-        d = 2 - cnt[a]
-        if d > 0:
-            if d > avail[a]:
-                ok = False
-                break
-            cost += d
-    if ok and cost <= t:
-        return True
-    for a0 in range(n):
-        if cnt[a0] > 1:
-            continue
-        # frozen small block: the others must reach 3 - cnt[a0]
-        target = 3 - cnt[a0]
-        cost = 0
-        ok = True
+
+    def cost(target: int, skip: int = -1) -> int:
+        """Picks raising every block but ``skip`` to target; t + 1 if short."""
+        need = 0
         for a in range(n):
-            if a == a0:
-                continue
             d = target - cnt[a]
-            if d > 0:
+            if a != skip and d > 0:
                 if d > avail[a]:
-                    ok = False
-                    break
-                cost += d
-        if ok and cost <= t:
-            return True
-        if cnt[a0] == 0 and avail[a0] >= 1:
-            # raise the small block to exactly 1, others to 2
-            cost = 1
-            ok = True
-            for a in range(n):
-                if a == a0:
-                    continue
-                d = 2 - cnt[a]
-                if d > 0:
-                    if d > avail[a]:
-                        ok = False
-                        break
-                    cost += d
-            if ok and cost <= t:
-                return True
-    return False
+                    return t + 1
+                need += d
+        return need
+
+    return cost(2) <= t or any(
+        v - cnt[a0] + cost(3 - v, a0) <= t
+        for a0 in range(n)
+        for v in range(cnt[a0], 2)
+        if v - cnt[a0] <= avail[a0]
+    )
 
 
 class _Budget:
     __slots__ = ("max_candidates", "deadline", "leaves", "pruned", "nodes", "t0",
                  "progress", "progress_every", "next_report")
 
-    def __init__(self, opts: SearchOptions, already: int = 0,
-                 deadline: float | None = None):
+    def __init__(self, opts: SearchOptions, deadline: float | None = None):
         self.max_candidates = opts.max_candidates
         self.t0 = time.monotonic()
         if deadline is None and opts.max_seconds is not None:
             deadline = self.t0 + opts.max_seconds
         self.deadline = deadline
-        self.leaves = already
+        self.leaves = 0
         self.pruned = 0
         self.nodes = 0
         self.progress = opts.progress
         self.progress_every = max(1, opts.progress_every)
-        self.next_report = already + self.progress_every
+        self.next_report = self.progress_every
 
     def _check_clock(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -268,13 +249,14 @@ def _share_masks(cols, total: int) -> list[int]:
     ]
 
 
-def _subset_search(g, s, fixed, start, opts: SearchOptions, already: int = 0,
-                   deadline: float | None = None):
+def _subset_search(g, s, fixed, start, opts: SearchOptions,
+                   deadline: float | None = None, stop: int | None = None):
     """Walk all size-s supersets of ``fixed`` drawn from indices >= start.
 
     Returns (found_members_or_None, leaves_examined, pruned_subtrees).
     ``deadline`` is an absolute ``time.monotonic()`` instant that
-    overrides ``opts.max_seconds``.
+    overrides ``opts.max_seconds``.  ``stop`` caps the first free pick
+    below that index.
     """
     n = g.dims[0]
     verts, cols, suffix = _prepare(g)
@@ -327,6 +309,12 @@ def _subset_search(g, s, fixed, start, opts: SearchOptions, already: int = 0,
         return out
 
     finals = _ClassFinals(share)
+    # ends[t]: the loop limit for a pick with t picks left, the top one
+    # lowered to ``stop``; a list lookup keeps the cap free per node
+    ends = [total - t + 1 for t in range(s + 1)]
+    top = s - len(fixed)
+    if stop is not None:
+        ends[top] = min(ends[top], stop)
     everyone = (1 << total) - 1
     codes = [i * span for i in range(3)]
     classes = [everyone]
@@ -334,7 +322,7 @@ def _subset_search(g, s, fixed, start, opts: SearchOptions, already: int = 0,
         codes = [k + inc[idx] for k, inc in zip(codes, (s1, s2, s3))]
         classes = refine(classes, idx)
     chosen = list(fixed)
-    budget = _Budget(opts, already, deadline)
+    budget = _Budget(opts, deadline)
     prune = opts.prune
     found: list | None = None
 
@@ -346,7 +334,7 @@ def _subset_search(g, s, fixed, start, opts: SearchOptions, already: int = 0,
         for m in classes:
             good &= finals[m]
         off = offsets[0]
-        for idx in range(lo, total):
+        for idx in range(lo, ends[1]):
             if prune:
                 o = off[idx]
                 if not (feasible[o + k1 + s1[idx]] and feasible[o + k2 + s2[idx]]
@@ -364,7 +352,7 @@ def _subset_search(g, s, fixed, start, opts: SearchOptions, already: int = 0,
         if t == 1:
             return last(lo, k1, k2, k3, classes)
         off = offsets[t - 1]
-        for idx in range(lo, total - t + 1):
+        for idx in range(lo, ends[t]):
             a = k1 + s1[idx]
             b = k2 + s2[idx]
             c = k3 + s3[idx]
@@ -380,8 +368,8 @@ def _subset_search(g, s, fixed, start, opts: SearchOptions, already: int = 0,
         return False
 
     try:
-        if s > len(fixed):
-            rec(start, s - len(fixed), *codes, classes)
+        if top:
+            rec(start, top, *codes, classes)
         else:
             # nothing left to pick: the fixed set is the one candidate
             budget.leaf()
@@ -392,38 +380,64 @@ def _subset_search(g, s, fixed, start, opts: SearchOptions, already: int = 0,
         # only by a cyclic collection; empty the memos now instead
         feasible.clear()
         finals.clear()
-    return found, budget.leaves - already, budget.pruned
+    return found, budget.leaves, budget.pruned
 
 
 def _subtree_task(args):
-    dims, s, fixed, start, opts_tuple, deadline = args
-    g = GhgParams(dims, frozenset({3}))
-    opts = SearchOptions(
-        prune=opts_tuple[0],
-        normalize=opts_tuple[1],
-        max_candidates=opts_tuple[2],
-    )
+    g, s, fixed, idx, opts, deadline = args
     try:
-        return ("ok", _subset_search(g, s, fixed, start, opts, deadline=deadline))
+        return ("ok", _subset_search(g, s, fixed, idx, opts, deadline, stop=idx + 1))
     except BudgetExceeded as e:
         return ("budget", (e.bound, e.candidates_examined))
 
 
-def _first_picks(g: GhgParams, fixed, candidates, t: int) -> list[int]:
-    """The picks added to ``fixed`` after which every color can still be
-    completed with t more picks, as the walk's feasibility prune decides."""
-    n = g.dims[0]
-    _, cols, suffix = _prepare(g)
-    picks = []
-    for idx in candidates:
-        chosen = fixed + (idx,)
-        if all(
-            _color_feasible([sum(1 for j in chosen if c[j] == a) for a in range(n)],
-                            suffix[idx + 1][i], t)
-            for i, c in enumerate(cols)
-        ):
-            picks.append(idx)
-    return picks
+def _worker(tasks, todo, conn):
+    """Answer on conn for each task index taken off ``todo``, until the
+    parent, holding every result it needs, kills the worker."""
+    while True:
+        i = todo.get()
+        conn.send((i, _subtree_task(tasks[i])))
+
+
+def _subtree_results(tasks, workers: int) -> Iterator:
+    """``_subtree_task`` over tasks, yielded in task order.
+
+    Forked workers take task indices off one queue as they fall free,
+    and each answers on a pipe of its own.  The parent holds no lock a
+    worker takes, so closing the generator may kill the workers at any
+    point; ``Pool.terminate`` can hang joining its task thread when it
+    kills a worker halfway through sending a result.
+    """
+    # imported here: it loads subprocess and friends, 0.4 MB of RSS that
+    # serial callers never need
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    todo = ctx.SimpleQueue()
+    # at most n**3 = 64 small indices: they fit the pipe's buffer, so
+    # these puts return before any worker reads
+    for i in range(len(tasks)):
+        todo.put(i)
+    conns, procs = [], []
+    try:
+        for _ in range(workers):
+            conn, child = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker, args=(tasks, todo, child), daemon=True)
+            proc.start()
+            child.close()
+            conns.append(conn)
+            procs.append(proc)
+        done = {}
+        for i in range(len(tasks)):
+            while i not in done:
+                for conn in wait(conns):
+                    j, result = conn.recv()
+                    done[j] = result
+            yield done.pop(i)
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.join()
 
 
 def _check_search_graph(g: GhgParams, s: int) -> int:
@@ -456,34 +470,26 @@ def exists_resolving_of_size(
     mode = f"normalized={bool(fixed)}, pruned={opts.prune}"
 
     t = s - len(fixed)
-    if opts.workers <= 1 or t == 0:
+    if opts.workers <= 1 or t <= 1:
         found, leaves, pruned = _subset_search(g, s, fixed, start, opts)
         return _search_certificate(g, s, found, leaves, mode)
 
-    # Split the tree at its first free level; combine results in order.
+    # One task per first free pick, combined in tree order.  The walk
+    # prunes an infeasible pick itself, so totals match the serial walk.
     # One absolute deadline, read by every forked worker, so subtrees do
     # not each restart the wall-time budget.
     t0 = time.monotonic()
-    # First picks the serial walk would prune never become tasks; each is
-    # counted as pruned where the walk would meet it: before the first
-    # task, or in the gap after the task before it.
-    first = range(start, total - t + 1)
-    picks = _first_picks(g, fixed, first, t - 1) if opts.prune else list(first)
-    gaps = [b - p - 1 for p, b in zip(picks, picks[1:] + [first.stop])]
     deadline = None if opts.max_seconds is None else t0 + opts.max_seconds
-    opts_tuple = (opts.prune, opts.normalize, opts.max_candidates)
-    tasks = [
-        (g.dims, s, fixed + (idx,), idx + 1, opts_tuple, deadline)
-        for idx in picks
-    ]
+    task_opts = dataclasses.replace(opts, progress=None)
+    tasks = [(g, s, fixed, idx, task_opts, deadline)
+             for idx in range(start, total - t + 1)]
     leaves_total = 0
-    pruned_total = (picks[0] if picks else first.stop) - start
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(opts.workers) as pool:
-        for (kind, payload), gap in zip(pool.imap(_subtree_task, tasks), gaps):
+    pruned_total = 0
+    workers = min(opts.workers, len(tasks))
+    with contextlib.closing(_subtree_results(tasks, workers)) as results:
+        for kind, payload in results:
             if kind == "budget":
                 bound, examined = payload
-                pool.terminate()
                 raise BudgetExceeded(
                     f"{bound} budget exceeded in a parallel subtree",
                     bound=bound,
@@ -491,19 +497,17 @@ def exists_resolving_of_size(
                 )
             found, leaves, pruned = payload
             leaves_total += leaves
-            pruned_total += pruned + (0 if found else gap)
+            pruned_total += pruned
             if opts.progress is not None:
                 opts.progress(SearchProgress(
                     leaves_total, pruned_total, time.monotonic() - t0))
             if opts.max_candidates is not None and leaves_total > opts.max_candidates:
-                pool.terminate()
                 raise BudgetExceeded(
                     f"candidate budget of {opts.max_candidates} exceeded",
                     bound="max_candidates",
                     candidates_examined=leaves_total,
                 )
             if found is not None:
-                pool.terminate()
                 return _search_certificate(g, s, found, leaves_total, mode)
     return _search_certificate(g, s, None, leaves_total, mode)
 
@@ -605,7 +609,8 @@ def enumerate_two_basic(
     system arises from exactly (2n)! such labeled structures.
     """
     if n == 3:
-        yield from _enumerate_two_basic_exhaustive(3, budget)
+        yield from itertools.islice(_two_basic_systems(3),
+                                    None if budget is None else max(budget, 0))
         return
     if n not in (4, 5):
         raise Unsupported(f"2-basic enumeration is implemented for n in {{3, 4, 5}}")
@@ -642,60 +647,27 @@ def enumerate_two_basic(
         yield LandmarkSet(g, members)
 
 
-def _enumerate_two_basic_exhaustive(n: int, budget: int | None):
+def _two_basic_systems(n: int) -> Iterator[LandmarkSet]:
+    """Every 2-basic system on the n-diagonal graph, in lexicographic
+    member order.
+
+    Each first value holds exactly two landmarks, which differ in both
+    other coordinates.  Across rows no two landmarks share both, and
+    every second and third value is used exactly twice.  The product of
+    the per-row pairs runs in the same order as the members.
+    """
     g = hamming_graph(n, n, n)
-    verts, (c1, c2, c3), suffix = _prepare(g)
-    total = len(verts)
-    size = 2 * n
-    cnt = [[0] * n for _ in range(3)]
-    chosen: list[int] = []
-    yielded = 0
-
-    def compatible(idx: int) -> bool:
-        # block caps, then the no-two-shared-coordinates condition
-        if cnt[0][c1[idx]] >= 2 or cnt[1][c2[idx]] >= 2 or cnt[2][c3[idx]] >= 2:
-            return False
-        v = verts[idx]
-        for j in chosen:
-            w = verts[j]
-            if sum(1 for x, y in zip(v, w) if x == y) >= 2:
-                return False
-        return True
-
-    def deficits_fit(j: int, t: int) -> bool:
-        av = suffix[j]
-        for i in range(3):
-            for a in range(n):
-                if 2 - cnt[i][a] > av[i][a]:
-                    return False
-        return t >= 0
-
-    results: list[LandmarkSet] = []
-
-    def rec(lo: int, t: int):
-        nonlocal yielded
-        if budget is not None and yielded >= budget:
-            return
-        if t == 0:
-            results.append(LandmarkSet(g, [verts[i] for i in chosen]))
-            yielded += 1
-            return
-        for idx in range(lo, total - t + 1):
-            if not compatible(idx):
-                continue
-            cnt[0][c1[idx]] += 1
-            cnt[1][c2[idx]] += 1
-            cnt[2][c3[idx]] += 1
-            chosen.append(idx)
-            if deficits_fit(idx + 1, t - 1):
-                rec(idx + 1, t - 1)
-            chosen.pop()
-            cnt[0][c1[idx]] -= 1
-            cnt[1][c2[idx]] -= 1
-            cnt[2][c3[idx]] -= 1
-
-    rec(0, size)
-    yield from results
+    cells = itertools.product(range(1, n + 1), repeat=2)
+    pairs = [(x, y) for x, y in itertools.combinations(cells, 2)
+             if x[0] != y[0] and x[1] != y[1]]
+    twice = sorted([*range(1, n + 1)] * 2)
+    for rows in itertools.product(pairs, repeat=n):
+        picked = [cell for pair in rows for cell in pair]
+        if (len(set(picked)) == 2 * n
+                and sorted(b for b, _ in picked) == twice
+                and sorted(c for _, c in picked) == twice):
+            yield LandmarkSet(g, [(a, *cell)
+                                  for a, pair in enumerate(rows, 1) for cell in pair])
 
 
 __all__ = [

@@ -171,6 +171,13 @@ def test_cli_dimension_budget(capsys, monkeypatch):
     assert main(["dimension", "--graph", "3x3x3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "HAMMINGDIM_BUDGET" in err
+    # a negative budget is bad input, not an exhausted search
+    monkeypatch.setenv("HAMMINGDIM_BUDGET", "-1")
+    assert main(["dimension", "--graph", "3x3x3"]) == 2
+    assert "non-negative" in capsys.readouterr().err
+    monkeypatch.delenv("HAMMINGDIM_BUDGET")
+    assert main(["dimension", "--graph", "3x3x3", "--budget", "-1"]) == 2
+    assert "non-negative" in capsys.readouterr().err
 
 
 def test_cli_scan(tmp_path, capsys):

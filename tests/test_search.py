@@ -6,10 +6,16 @@ s=5, and the full space has C(27,5) = 80,730.
 """
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import hammingdim.search
 from hammingdim import (
     BudgetExceeded,
     GhgParams,
@@ -25,7 +31,7 @@ from hammingdim import (
     metric_basis,
     metric_dimension,
 )
-from hammingdim.search import _subset_search
+from hammingdim.search import _color_feasible, _subset_search
 
 G3 = hamming_graph(3, 3, 3)
 G4 = hamming_graph(4, 4, 4)
@@ -83,6 +89,8 @@ def test_candidate_budget():
         exists_resolving_of_size(
             G3, 5, SearchOptions(max_candidates=100, workers=2)
         )
+    with pytest.raises(Unsupported):
+        SearchOptions(max_candidates=-1)
 
 
 def test_wall_time_budget():
@@ -101,19 +109,85 @@ def test_wall_time_budget_is_one_deadline_across_workers():
     assert time.monotonic() - t0 < 1.5
 
 
-def test_parallel_progress_reports_running_totals():
-    serial = exists_resolving_of_size(G3, 5)
+@pytest.mark.parametrize("s, normalize, pruned", [
+    (5, True, 2670),
+    (5, False, 16103),
+    (6, True, 6038),  # found: the walk stops inside one task
+])
+def test_parallel_progress_reports_running_totals(s, normalize, pruned):
+    serial = exists_resolving_of_size(G3, s, SearchOptions(normalize=normalize))
     reports = []
-    cert = exists_resolving_of_size(
-        G3, 5, SearchOptions(workers=2, progress=reports.append, progress_every=1)
-    )
-    assert reports
+    cert = exists_resolving_of_size(G3, s, SearchOptions(
+        normalize=normalize, workers=2, progress=reports.append, progress_every=1))
+    assert cert.to_json() == serial.to_json()
     counts = [p.candidates_examined for p in reports]
     assert counts == sorted(counts)
-    assert counts[-1] == serial.candidates_examined == cert.candidates_examined
-    # first picks the serial walk prunes are not dispatched but still counted
-    _, _, pruned = _subset_search(G3, 5, (0,), 1, SearchOptions())
-    assert reports[-1].pruned_subtrees == pruned == 2670
+    assert counts[-1] == serial.candidates_examined
+    assert reports[-1].pruned_subtrees == walk_counts(G3, s, normalize)[1] == pruned
+
+
+def test_parallel_workers_are_capped_by_tasks(monkeypatch):
+    """A search never starts more workers than there are first picks."""
+    sizes = []
+
+    def inline(tasks, workers):
+        sizes.append(workers)
+        yield from map(hammingdim.search._subtree_task, tasks)
+
+    monkeypatch.setattr(hammingdim.search, "_subtree_results", inline)
+    cert = exists_resolving_of_size(G3, 5, SearchOptions(workers=1000))
+    assert sizes == [23]  # first picks 1..23 leave four more among 27
+    assert cert.candidates_examined == 1040
+
+
+STRESS = textwrap.dedent("""
+    from hammingdim import (BudgetExceeded, SearchOptions, exists_resolving_of_size,
+                            hamming_graph)
+
+    def run(s, **kw):
+        try:
+            return exists_resolving_of_size(G3, s, SearchOptions(**kw)).to_json()
+        except BudgetExceeded as e:
+            return (e.bound, e.candidates_examined)
+
+    G3 = hamming_graph(3, 3, 3)
+    cases = [(6, dict(prune=p, normalize=z)) for p in (True, False) for z in (True, False)]
+    cases += [(5, dict(max_candidates=k)) for k in (5, 500)]
+    first = [run(s, workers=4, **kw) for s, kw in cases]
+    assert first[:4] == [run(s, **kw) for s, kw in cases[:4]]
+    for _ in range(3):
+        assert [run(s, workers=4, **kw) for s, kw in cases] == first
+""")
+
+
+def test_parallel_early_stops_stress():
+    """More workers than cores, stopped early again and again by a hit or
+    a budget: hits equal the serial ones, every repeat gives the same
+    result, and the run ends."""
+    src = pathlib.Path(hammingdim.search.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", STRESS], env=env, check=True, timeout=120)
+
+
+def brute_force_feasible(cnt, avail):
+    """The fewest picks after which every block pair of a color sums to
+    at least 3, trying every final block size the suffix allows."""
+    best = None
+    for final in itertools.product(*(range(c, c + a + 1) for c, a in zip(cnt, avail))):
+        if all(x + y >= 3 for x, y in itertools.combinations(final, 2)):
+            cost = sum(final) - sum(cnt)
+            best = cost if best is None else min(best, cost)
+    return best
+
+
+def test_color_feasible_against_brute_force():
+    for n in (3, 4):
+        for cnt in itertools.product(range(4), repeat=n):
+            for avail in itertools.product(range(3), repeat=n):
+                least = brute_force_feasible(cnt, avail)
+                for t in range(6):
+                    expected = least is not None and least <= t
+                    assert _color_feasible(cnt, avail, t) == expected, (cnt, avail, t)
 
 
 def walk_counts(g, s, normalize):
@@ -201,12 +275,13 @@ def brute_force_two_basic(n):
 
 
 def test_enumerate_two_basic_n3_against_brute_force():
-    enumerated = [frozenset(W.members) for W in enumerate_two_basic(3)]
-    assert len(enumerated) == 144
-    assert len(set(enumerated)) == 144
-    oracle = brute_force_two_basic(3)
+    enumerated = [W.members for W in enumerate_two_basic(3)]
+    oracle = sorted(tuple(sorted(c)) for c in brute_force_two_basic(3))
     assert len(oracle) == 144
-    assert set(enumerated) == set(oracle)
+    # lexicographic order: budget truncation keeps the first systems
+    assert enumerated == oracle
+    for k in (0, 1, 7, 143, 144, 1000):
+        assert [W.members for W in enumerate_two_basic(3, budget=k)] == oracle[:k]
 
 
 def test_enumerate_two_basic_properties():
