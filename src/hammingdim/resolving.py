@@ -9,14 +9,20 @@ always carry distinct codes.
 
 Two independent verification routes are provided:
 
-* ``is_resolving`` hashes block-union signatures, one per non-landmark,
-  and reports the first collision.  O(|V|) signatures, never a pairwise
-  vertex comparison.
-* ``is_resolving_by_distance`` compares raw distance vectors computed
-  from the distance formula (or breadth-first search when there is no
-  closed form).  Slower, used as the oracle.
+* ``is_resolving`` gives each non-landmark a 64-bit key, a weighted sum
+  of its code taken by inclusion-exclusion over its three blocks.  One
+  key per vertex, never a |V| x |W| table or a pairwise vertex
+  comparison; graphs above CODE_VERTEX_LIMIT vertices are refused.
+* ``is_resolving_by_distance`` folds raw distance vectors, from the
+  distance formula (or breadth-first search when there is no closed
+  form), into keys the same way.  It never looks at codes: the oracle.
 
-Both report the lexicographically least colliding pair as witness.
+Both hand their keys to one kernel, ``_least_equal_pair``: a sort of the
+keys settles a set whose keys are distinct, and only vertices whose keys
+repeat are compared exactly, codes by ``LandmarkSet.code`` and distance
+vectors entry by entry.  A hash collision can cost time, never a wrong
+verdict.  Both report the lexicographically least colliding pair as
+witness.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -37,6 +45,10 @@ from .errors import (
 from .hamming import BFS_VERTEX_LIMIT, GhgParams, Vertex, hamming_graph
 
 DISTANCE_MATRIX_LIMIT = 10**6
+CODE_VERTEX_LIMIT = 3 * 10**7
+
+_WEIGHTS = np.empty(0, dtype=np.uint64)
+_FOLD_ENTRIES = 1 << 20  # distance entries built per slab of the oracle
 
 CERTIFICATE_SCHEMA = "hammingdim/certificate-v1"
 
@@ -193,13 +205,6 @@ def _require_diameter_two(g: GhgParams) -> None:
         )
 
 
-def _linear_index(g: GhgParams, v: Vertex) -> int:
-    idx = 0
-    for c, d in zip(v, g.dims):
-        idx = idx * d + (c - 1)
-    return idx
-
-
 def _vertex_at(g: GhgParams, idx: int) -> Vertex:
     out = []
     for d in reversed(g.dims):
@@ -208,93 +213,168 @@ def _vertex_at(g: GhgParams, idx: int) -> Vertex:
     return tuple(reversed(out))
 
 
-def _least_duplicate_row_pair(keys: np.ndarray, keep: np.ndarray):
-    """Least (by original row order) pair of equal rows among kept rows.
+def _weights(m: int) -> np.ndarray:
+    """Weights of landmark positions 0..m-1, from one table grown on demand.
 
-    Returns (i, j) original row indices with i < j, or None.  Relies on
-    lexsort stability so the first two rows of each duplicate run are the
-    two smallest original indices in that run.
+    Position p < 64 weighs 2**p, so a weighted sum over at most 64
+    landmarks is the exact bitmask of the set; later positions weigh the
+    terms of the splitmix64 sequence, uniform 64-bit numbers.
     """
-    idx = np.flatnonzero(keep)
-    if idx.size < 2:
+    global _WEIGHTS
+    if _WEIGHTS.size < m:
+        z = np.arange(1, max(m, 2 * _WEIGHTS.size, 1024) + 1, dtype=np.uint64)
+        z *= np.uint64(0x9E3779B97F4A7C15)
+        for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            z ^= z >> np.uint64(shift)
+            z *= np.uint64(factor)
+        z ^= z >> np.uint64(31)
+        z[:64] = np.uint64(1) << np.arange(64, dtype=np.uint64)
+        _WEIGHTS = z
+    return _WEIGHTS[:m]
+
+
+def _members_array(W: LandmarkSet) -> np.ndarray:
+    """Zero-based member coordinates, one row per coordinate: shape (3, m)."""
+    return np.array(tuple(zip(*W.members)), dtype=np.intp).reshape(3, -1) - 1
+
+
+@lru_cache(maxsize=64)
+def _block_layout(dims: tuple[int, int, int]):
+    """(spread, start, o) for the table of H1, H2, H3, P12, P13 and P23.
+
+    Table t of the six starts at o[t].  Zero-based members w, one column
+    each, add their weights at row t of spread @ w + start; row 6 holds
+    their vertex indices.
+    """
+    d1, d2, d3 = dims
+    o = tuple(accumulate((0, d1, d2, d3, d1 * d2, d1 * d3, d2 * d3)))
+    spread = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                       [d2, 1, 0], [d3, 0, 1], [0, d3, 1], [d2 * d3, d3, 1]])
+    start = np.array(o[:6] + (0,))[:, None]
+    spread.flags.writeable = start.flags.writeable = False  # shared by every call
+    return spread, start, o
+
+
+def _non_landmarks(n: int, at: np.ndarray) -> np.ndarray:
+    keep = np.ones(n, dtype=bool)
+    keep[at] = False
+    return keep
+
+
+def _least_equal_pair(keys: np.ndarray, keep: np.ndarray, row_of):
+    """Least pair (i, j), i < j, of kept indices with equal rows, or None.
+
+    keys[i] must be a function of row i, so distinct keys mean distinct
+    rows, and one sort of the kept keys settles a set without repeats.
+    Otherwise row_of(i) re-checks exactly.  Kept indices whose key repeats
+    are tried in increasing order; the first with an equal row at a later
+    index is the witness's first index, and the least such later index is
+    its second.  A repeat that is a hash collision only costs one more try.
+    """
+    # each |V|-sized temporary is dropped once spent, to bound the peak
+    kept = keys[keep]
+    kept.sort()
+    again = kept[1:] == kept[:-1]
+    again[1:] &= ~again[:-1]  # each repeated key once
+    repeated = kept[1:][again]
+    del kept, again
+    if repeated.size == 0:
         return None
-    sub = keys[idx]
-    if sub.shape[1] == 0:
-        return int(idx[0]), int(idx[1])  # zero columns: every row equal
-    order = np.lexsort(sub.T)
-    srt = sub[order]
-    eq = np.all(srt[1:] == srt[:-1], axis=1)
-    if not eq.any():
-        return None
-    best = None
-    positions = np.flatnonzero(eq)
-    for p in positions:
-        if p > 0 and eq[p - 1]:
-            continue  # inside a run, not its start
-        i = int(idx[order[p]])
-        j = int(idx[order[p + 1]])
-        if i > j:
-            i, j = j, i
-        if best is None or (i, j) < best:
-            best = (i, j)
-    return best
+    at = np.searchsorted(repeated, keys)
+    np.minimum(at, repeated.size - 1, out=at)
+    hit = repeated[at] == keys
+    del at
+    hit &= keep
+    candidates = hit.nonzero()[0]
+    del hit
+    ckeys = keys[candidates]
+    for t, i in enumerate(candidates):
+        row = row_of(int(i))
+        for j in candidates[t + 1:][ckeys[t + 1:] == ckeys[t]]:
+            if row_of(int(j)) == row:
+                return int(i), int(j)
+    return None
 
 
 def is_resolving(W: LandmarkSet) -> Certificate:
-    """Verify W by hashing block-union signatures of every non-landmark.
+    """Verify W by comparing the codes of all non-landmarks.
 
-    The signature of v = (a1, a2, a3) is the bitmask union of blocks
-    (1, a1), (2, a2), (3, a3) over member indices; two non-landmarks are
-    confused exactly when their signatures coincide.  The verdict is valid
-    for K = {3} and for the complement rule K = {1, 2}: in both regimes
-    equal block unions and equal distance vectors are the same thing.
+    Each non-landmark v = (a1, a2, a3) gets a 64-bit key, the weighted sum
+    of its code: with H_i[a] the weight of block (i, a) and P_ij[a, b] the
+    weight of the landmarks in both block (i, a) and block (j, b),
+
+        key(v) = H1[a1] + H2[a2] + H3[a3]
+                 - P12[a1, a2] - P13[a1, a3] - P23[a2, a3]   (mod 2**64),
+
+    which is inclusion-exclusion over v's three blocks, exact because no
+    landmark lies in all three.  Equal codes give equal keys; codes whose
+    keys repeat are re-checked exactly as sets of landmarks, so the verdict
+    and the witness never rest on the hash.  The only |V|-sized arrays are
+    one key and a few flags per vertex, and graphs above CODE_VERTEX_LIMIT
+    vertices are refused before anything is allocated.  The verdict is
+    valid for K = {3} and for the complement rule K = {1, 2}: in both
+    regimes equal codes and equal distance vectors are the same thing.
     """
     g = W.graph
     _require_diameter_two(g)
-    m = len(W)
-    lanes = max(1, (m + 63) // 64)
-    masks = [np.zeros((d, lanes), dtype=np.uint64) for d in g.dims]
-    for pos, w in enumerate(W.members):
-        lane, bit = divmod(pos, 64)
-        b = np.uint64(1 << bit)
-        for i in range(3):
-            masks[i][w[i] - 1, lane] |= b
-    sig = (
-        masks[0][:, None, None, :]
-        | masks[1][None, :, None, :]
-        | masks[2][None, None, :, :]
-    )
-    flat = sig.reshape(-1, lanes)
-    keep = np.ones(len(flat), dtype=bool)
-    for w in W.members:
-        keep[_linear_index(g, w)] = False
-    pair = _least_duplicate_row_pair(flat, keep)
-    if pair is None:
-        return Certificate(Verdict.RESOLVING, g, landmarks=W)
-    x, y = _vertex_at(g, pair[0]), _vertex_at(g, pair[1])
-    return Certificate(Verdict.UNRESOLVED, g, landmarks=W, witness=(x, y))
+    n = g.vertex_count()
+    if n > CODE_VERTEX_LIMIT:
+        raise Unsupported(f"{n} vertices exceeds the code verifier's {CODE_VERTEX_LIMIT} limit")
+    d1, d2, d3 = g.dims
+    w = _members_array(W)
+    spread, start, o = _block_layout(g.dims)
+    at = spread @ w + start
+    table = np.zeros(o[6], dtype=np.uint64)
+    # one value per index: numpy 2.4's add.at misreads values broadcast
+    # along the last axis of a 2-D index
+    np.add.at(table, at[:6].T.ravel(), _weights(w.shape[1]).repeat(6))
+    h1, h2, h3 = table[:o[1], None], table[o[1]:o[2]], table[o[2]:o[3]]
+    p12 = table[o[3]:o[4]].reshape(d1, d2)
+    p13 = table[o[4]:o[5]].reshape(d1, d3)
+    p23 = table[o[5]:].reshape(d2, d3)
+    left = h1 + h2 - p12  # H1[a1] + H2[a2] - P12[a1, a2]
+    right = h3 - p13  # H3[a3] - P13[a1, a3]
+    keys = left[:, :, None] + right[:, None, :]
+    keys -= p23
+    keep = _non_landmarks(n, at[6])
+    pair = _least_equal_pair(keys.reshape(-1), keep, lambda i: W.code(_vertex_at(g, i)))
+    return _certificate(W, pair)
 
 
 def is_resolving_by_distance(W: LandmarkSet) -> Certificate:
     """Verify W by comparing raw distance vectors, the independent oracle.
 
     Distances come from the diameter-2 formula when K = {3} with all dims
-    >= 3, else from per-landmark breadth-first search at desk scale.
+    >= 3, else from per-landmark breadth-first search at desk scale.  Each
+    vertex's distance vector is folded to a 64-bit key, a weighted sum of
+    its entries (under the formula, of its entries less one, which only
+    shifts every key by the same amount); vectors whose keys repeat are
+    compared exactly.  The formula's vectors are built and folded a slab
+    of first coordinates at a time, so no |V| x |W| matrix is held.
     """
     g = W.graph
     _require_diameter_two(g)
     n = g.vertex_count()
     if n > DISTANCE_MATRIX_LIMIT:
         raise Unsupported(f"{n} vertices exceeds the {DISTANCE_MATRIX_LIMIT} limit")
+    w = _members_array(W)
     m = len(W)
+    r = _weights(m)
     if g.closed_form_available():
-        coords = np.indices(g.dims).reshape(3, -1).T + 1
-        if m:
-            warr = np.array(W.members, dtype=np.int64)
-            share = (coords[:, None, :] == warr[None, :, :]).any(axis=2)
-            dist = np.where(share, 2, 1).astype(np.int8)
-        else:
-            dist = np.zeros((n, 0), dtype=np.int8)
+        # d(v, w) is 1 when v and w differ in every coordinate, else 2
+        near = [np.arange(d)[:, None] == w[i] for i, d in enumerate(g.dims)]
+        d1, d2, d3 = g.dims
+
+        def row_of(i):
+            # the landmarks at distance 2; all others are at distance 1
+            a = np.unravel_index(i, g.dims)
+            return (near[0][a[0]] | near[1][a[1]] | near[2][a[2]]).tobytes()
+
+        keys = np.empty((d1, d2 * d3), dtype=np.uint64)
+        step = max(1, _FOLD_ENTRIES // (d2 * d3 * max(m, 1)))
+        for lo in range(0, d1, step):
+            share = near[0][lo:lo + step, None, None] | near[1][:, None] | near[2]
+            keys[lo:lo + step] = share.reshape(len(share), d2 * d3, m) @ r
     else:
         if n > BFS_VERTEX_LIMIT:
             raise Unsupported(
@@ -302,20 +382,27 @@ def is_resolving_by_distance(W: LandmarkSet) -> Certificate:
                 f"the breadth-first limit of {BFS_VERTEX_LIMIT}"
             )
         verts = list(g.vertices())
-        dist = np.zeros((n, m), dtype=np.int8)
-        for j, w in enumerate(W.members):
-            table = g.bfs_distances_from(w)
+        dist = np.zeros((n, m), dtype=np.uint8)
+        for j, member in enumerate(W.members):
+            table = g.bfs_distances_from(member)
             if len(table) < n:
                 raise DisconnectedGraph(
                     f"{g.format()} is disconnected: {len(table)} of {n} "
-                    f"vertices reachable from {w!r}"
+                    f"vertices reachable from {member!r}"
                 )
             for row, v in enumerate(verts):
                 dist[row, j] = table[v]
-    keep = np.ones(n, dtype=bool)
-    for w in W.members:
-        keep[_linear_index(g, w)] = False
-    pair = _least_duplicate_row_pair(dist, keep)
+        keys = dist @ r
+
+        def row_of(i):
+            return dist[i].tobytes()
+
+    keep = _non_landmarks(n, np.ravel_multi_index(w, g.dims))
+    return _certificate(W, _least_equal_pair(keys.reshape(-1), keep, row_of))
+
+
+def _certificate(W: LandmarkSet, pair) -> Certificate:
+    g = W.graph
     if pair is None:
         return Certificate(Verdict.RESOLVING, g, landmarks=W)
     x, y = _vertex_at(g, pair[0]), _vertex_at(g, pair[1])
@@ -380,4 +467,5 @@ __all__ = [
     "hamming_graph",
     "CERTIFICATE_SCHEMA",
     "DISTANCE_MATRIX_LIMIT",
+    "CODE_VERTEX_LIMIT",
 ]

@@ -123,6 +123,13 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert main(["verify", "--graph", "3x3x3", "--in", ragged]) == 2
 
 
+def test_cli_verify_refuses_oversized_graph(tmp_path, capsys):
+    path = write(tmp_path, "one.tri", "1 1 1\n")
+    assert main(["verify", "--graph", "311x311x311", "--in", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "limit" in err
+
+
 def test_cli_verify_stdin(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(N3_SQUARE))
     assert main(["verify", "--graph", "3x3x3", "--in", "-"]) == 0

@@ -7,7 +7,9 @@ definition (code(v) = landmarks at distance 2) before being pinned.
 import itertools
 import json
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,8 @@ from hammingdim import (
     lower_bound,
     metric_basis,
 )
+from hammingdim import resolving
+from hammingdim.resolving import CODE_VERTEX_LIMIT
 
 G3 = hamming_graph(3, 3, 3)
 
@@ -143,6 +147,104 @@ def test_by_distance_size_cap():
     g = hamming_graph(101, 101, 101)
     with pytest.raises(Unsupported):
         is_resolving_by_distance(LandmarkSet(g, [(1, 1, 1)]))
+
+
+def test_code_verifier_size_cap():
+    # 311**3 is just above the limit; 310**3 would be accepted
+    g = hamming_graph(311, 311, 311)
+    assert g.vertex_count() > CODE_VERTEX_LIMIT >= 310**3
+    W = LandmarkSet(g, [(1, 1, 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(Unsupported, match="limit"):
+            is_resolving(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # refused before any vertex-sized allocation
+
+
+def least_pair_by_codes(W):
+    """The lexicographically least pair of non-landmarks with equal codes."""
+    classes: dict = {}
+    for v in W.graph.vertices():
+        if v not in W:
+            classes.setdefault(W.code(v), []).append(v)
+    return min(((vs[0], vs[1]) for vs in classes.values() if len(vs) > 1), default=None)
+
+
+# On 3x3x3 the least colliding pair (1,1,2), (1,3,2) encloses the pair
+# (1,2,1), (1,2,3) of another class: in index order the classes read
+# A, B, B, A.
+INTERLEAVED = ((1, 1, 1), (2, 2, 2), (2, 3, 2), (3, 2, 3))
+
+
+@pytest.fixture
+def zero_weights(monkeypatch):
+    # every key collides, so verdicts and witnesses rest on the exact re-check
+    monkeypatch.setattr(resolving, "_WEIGHTS", np.zeros(4096, dtype=np.uint64))
+
+
+def test_forced_collisions_match_brute_force(zero_weights):
+    W = LandmarkSet(G3, INTERLEAVED)
+    assert least_pair_by_codes(W) == ((1, 1, 2), (1, 3, 2))
+    assert W.code((1, 2, 1)) == W.code((1, 2, 3)) != W.code((1, 1, 2))
+    cases = [W]
+    rng = random.Random(20261018)
+    for g in (G3, hamming_graph(4, 4, 4), GhgParams((3, 3, 3), frozenset({1, 2}))):
+        verts = list(g.vertices())
+        cases += [LandmarkSet(g, rng.sample(verts, rng.randint(0, 14))) for _ in range(25)]
+    g5 = hamming_graph(5, 5, 5)
+    verts = list(g5.vertices())
+    cases.append(LandmarkSet(g5, rng.sample(verts, 70)))
+    cases.append(LandmarkSet(g5, [v for v in verts if v[0] <= 3][:70]))  # unresolved
+    assert least_pair_by_codes(cases[-1]) is not None
+    for W in cases:
+        want = least_pair_by_codes(W)
+        for verify in (is_resolving, is_resolving_by_distance):
+            cert = verify(W)
+            assert cert.witness == want
+            assert (cert.verdict is Verdict.RESOLVING) == (want is None)
+
+
+dims_and_members = st.tuples(st.integers(3, 6), st.integers(3, 6), st.integers(3, 6)).flatmap(
+    lambda dims: st.tuples(
+        st.just(dims),
+        st.sets(st.tuples(*(st.integers(1, d) for d in dims)), max_size=20),
+    )
+)
+
+
+@given(dims_and_members)
+@settings(max_examples=80, deadline=None)
+def test_unequal_dims_against_brute_force(case):
+    dims, members = case
+    W = LandmarkSet(GhgParams(dims, frozenset({3})), sorted(members))
+    assert is_resolving(W).witness == least_pair_by_codes(W)
+
+
+def test_many_lanes_against_brute_force():
+    B = metric_basis(35)
+    assert len(B) == 69  # keys mix exact bits and splitmix64 weights past 64
+    for W in (B, *(LandmarkSet(B.graph, B.members[:k] + B.members[k + 1:]) for k in (0, 40, 68))):
+        want = least_pair_by_codes(W)
+        assert is_resolving(W).witness == want
+        assert is_resolving_by_distance(W).witness == want
+
+
+# pinned from a dense-table implementation independent of the key kernel
+@pytest.mark.parametrize("k, witness", [
+    (0, ((1, 5, 2), (3, 5, 2))),
+    (1, ((1, 5, 65), (65, 5, 1))),
+    (64, ((1, 1, 3), (1, 5, 3))),
+    (100, ((16, 31, 65), (16, 65, 51))),
+    (128, ((1, 1, 33), (1, 65, 33))),
+])
+def test_metric_basis_65_less_one_witnesses(k, witness):
+    B = metric_basis(65)
+    W = LandmarkSet(B.graph, B.members[:k] + B.members[k + 1:])
+    assert is_resolving(W).witness == witness
+    assert is_resolving_by_distance(W).witness == witness
 
 
 @given(st.sets(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
