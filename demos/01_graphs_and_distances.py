@@ -20,15 +20,20 @@ w = (1, 2, 2)
 print(f"{u} vs {w}: differ in {hamming_discrepancy(u, w)} coordinates")
 print("distance:", g.distance(u, w))  # share coordinate 1, so two steps
 
-# With every dimension >= 3 and K = {3} the graph has diameter 2 and a
-# closed-form metric: distance 1 exactly when no coordinate is shared.
+# With every dimension >= 3, K = {3} and its complement K = {1,2} both
+# give diameter 2 and a closed-form metric: distance 1 exactly when
+# adjacent.  Under K = {3} that means no coordinate is shared, under
+# K = {1,2} that some coordinate is.
 print("\nclosed form available:", g.closed_form_available())
 
 comp = hamming_graph(3, 3, 3, k={1, 2})
+print(comp.format(), "closed form:", comp.closed_form_available())
 print(comp.format(), "distance", u, "->", v, "is", comp.distance(u, v))
+print(comp.format(), "distance", u, "->", w, "is", comp.distance(u, w))
 
 # One dimension equal to 2 pushes the diameter to 3; distances then come
-# from breadth-first search instead of the formula.
+# from breadth-first search instead of the formula, on graphs of at most
+# 10,000 vertices.
 narrow = hamming_graph(2, 3, 3)
 print("\n" + narrow.format(), "closed form:", narrow.closed_form_available())
 print("distance (1,1,1) -> (2,1,1):", narrow.distance((1, 1, 1), (2, 1, 1)))

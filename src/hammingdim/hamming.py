@@ -5,12 +5,13 @@ coordinates) and an adjacency rule parameterized by a set K of allowed
 discrepancies: two tuples are adjacent exactly when the number of
 coordinates in which they differ lies in K.
 
-The workhorse regime in this package is K = {r} with every dimension at
-least 3.  There the graph is connected with diameter 2, and distance has a
-closed form: two distinct vertices are at distance 1 when they share no
-coordinate, otherwise at distance 2.  A breadth-first fallback covers
-small graphs with other K, mainly so the closed form can be checked
-against an independent route.
+With every dimension at least 3, two rules give a connected graph of
+diameter 2: K = {r}, the paper's rule (adjacent when no coordinate is
+shared), and its complement K = {1, ..., r-1} (adjacent when some
+coordinate is shared).  In both, distance has a closed form: two distinct
+vertices are at distance 1 when adjacent, otherwise at distance 2.  A
+breadth-first fallback covers small graphs outside these two regimes,
+and is the independent route the closed form is checked against.
 """
 
 from __future__ import annotations
@@ -76,8 +77,10 @@ class GhgParams:
                 raise InvalidVertex(f"coordinate {i} of {x!r} outside 1..{d}")
 
     def closed_form_available(self) -> bool:
-        """True when K = {r} and all dims >= 3, the diameter-2 regime."""
-        return self.k == frozenset({self.r}) and min(self.dims) >= 3
+        """True in the two diameter-2 regimes: all dims >= 3 and K = {r}
+        or its complement K = {1, ..., r-1}."""
+        return min(self.dims) >= 3 and self.k in (
+            frozenset({self.r}), frozenset(range(1, self.r)))
 
     def adjacent(self, x: Vertex, y: Vertex) -> bool:
         self.validate_vertex(x)
@@ -89,24 +92,23 @@ class GhgParams:
     def distance(self, x: Vertex, y: Vertex) -> int:
         """Graph distance between two vertices.
 
-        Uses the diameter-2 closed form when K = {r} and all dims >= 3;
-        otherwise falls back to breadth-first search on graphs of at most
-        BFS_VERTEX_LIMIT vertices.
+        In the diameter-2 regimes (see closed_form_available) it is 1 for
+        adjacent vertices and 2 otherwise; elsewhere it comes from
+        breadth-first search on graphs of at most BFS_VERTEX_LIMIT vertices.
         """
         self.validate_vertex(x)
         self.validate_vertex(y)
         if x == y:
             return 0
-        if self.k == frozenset({self.r}):
-            if sum(1 for d in self.dims if d == 2) >= 2 or (
-                min(self.dims) == 1 and self.vertex_count() > 1
-            ):
-                raise DisconnectedGraph(
-                    f"{self.format()} is disconnected: no pair of vertices can "
-                    f"differ in all {self.r} coordinates"
-                )
-            if min(self.dims) >= 3:
-                return 1 if hamming_discrepancy(x, y) == self.r else 2
+        if self.closed_form_available():
+            return 1 if hamming_discrepancy(x, y) in self.k else 2
+        if self.k == frozenset({self.r}) and (
+            sum(1 for d in self.dims if d == 2) >= 2 or min(self.dims) == 1
+        ):
+            raise DisconnectedGraph(
+                f"{self.format()} is disconnected: no pair of vertices can "
+                f"differ in all {self.r} coordinates"
+            )
         d = self.bfs_distances_from(x).get(y)
         if d is None:
             raise Unreachable(f"{y!r} is not reachable from {x!r} in {self.format()}")

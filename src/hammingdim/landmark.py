@@ -247,29 +247,29 @@ def predict_resolving(W: LandmarkSet) -> Certificate:
 
     For a 2-basic system the verdict is: resolving exactly when the scan
     finds no forbidden 4-cycle and no forbidden 6-cycle.  For a
-    triple-looped system the scan runs on the 2-basic part and rainbow
-    triangles are forbidden as well.  Never computes a distance or code,
-    so an UNRESOLVED certificate names the forbidden configuration
-    instead of carrying a witness pair.
+    triple-looped system the same holds for its 2-basic part, and rainbow
+    triangles are forbidden as well; its loop vertex carries only loops,
+    so the scan of W finds exactly the 2-basic part's cycles.  Never
+    computes a distance or code, so an UNRESOLVED certificate names the
+    forbidden configuration instead of carrying a witness pair.
     """
     g = W.graph
     if g.k != frozenset({3}):
         raise NotApplicable(f"prediction is stated for K={{3}}, got {g.format()}")
     if len(set(g.dims)) != 1:
         raise NotApplicable(f"prediction needs a diagonal graph, got {g.format()}")
-    cls = classify(W)
-    if cls.kind is SystemKind.TWO_BASIC:
-        report = forbidden_scan(build_landmark_graph(W))
+    kind = classify(W).kind
+    if kind is SystemKind.TWO_BASIC:
         triangles = False
         scanned = "landmark graph of the 2-basic system"
-    elif cls.kind is SystemKind.TRIPLE_LOOPED:
-        report = forbidden_scan(build_landmark_graph(_without(W, cls.loop_vertex)))
+    elif kind is SystemKind.TRIPLE_LOOPED:
         triangles = True
         scanned = "landmark graph of the 2-basic part"
     else:
         raise NotApplicable(
             "prediction only covers TWO_BASIC and TRIPLE_LOOPED systems"
         )
+    report = forbidden_scan(build_landmark_graph(W))
     if report.clean(include_triangles=triangles):
         forbidden = "no three-colored 4-cycle, no 6-cycle with repeating colors"
         if triangles:

@@ -12,10 +12,14 @@ Two independent verification routes are provided:
 * ``is_resolving`` gives each non-landmark a 64-bit key, a weighted sum
   of its code taken by inclusion-exclusion over its three blocks.  One
   key per vertex, never a |V| x |W| table or a pairwise vertex
-  comparison; graphs above CODE_VERTEX_LIMIT vertices are refused.
+  comparison.
 * ``is_resolving_by_distance`` folds raw distance vectors, from the
-  distance formula (or breadth-first search when there is no closed
-  form), into keys the same way.  It never looks at codes: the oracle.
+  diameter-2 distance rule, into keys the same way.  It never looks at
+  codes: the oracle.
+
+Both accept the two diameter-2 regimes of ``GhgParams.closed_form_available``
+(K = {3} and its complement K = {1, 2}, every dimension >= 3), and both
+refuse graphs above VERTEX_LIMIT vertices before allocating anything.
 
 Both hand their keys to one kernel, ``_least_equal_pair``: a sort of the
 keys settles a set whose keys are distinct, and only vertices whose keys
@@ -35,17 +39,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import (
-    DisconnectedGraph,
-    InvalidBlock,
-    InvalidVertex,
-    IsLandmark,
-    Unsupported,
-)
-from .hamming import BFS_VERTEX_LIMIT, GhgParams, Vertex, hamming_graph
+from .errors import InvalidBlock, InvalidVertex, IsLandmark, Unsupported
+from .hamming import GhgParams, Vertex, hamming_graph
 
-DISTANCE_MATRIX_LIMIT = 10**6
-CODE_VERTEX_LIMIT = 3 * 10**7
+VERTEX_LIMIT = 3 * 10**7
 
 _WEIGHTS = np.empty(0, dtype=np.uint64)
 _FOLD_ENTRIES = 1 << 20  # distance entries built per slab of the oracle
@@ -192,17 +189,17 @@ def _fmt_vertex(v: Vertex) -> str:
     return ",".join(str(c) for c in v)
 
 
-def _require_diameter_two(g: GhgParams) -> None:
+def _checked_vertex_count(g: GhgParams) -> int:
     # Codes have distance meaning only in the two diameter-2 regimes.
-    if min(g.dims) < 3:
-        raise Unsupported(f"{g.format()}: need every dimension >= 3")
-    full = frozenset({g.r})
-    rest = frozenset(range(1, g.r))
-    if g.k != full and g.k != rest:
+    if not g.closed_form_available():
         raise Unsupported(
-            f"{g.format()}: resolving verdicts are implemented for K={{{g.r}}} "
-            f"and its complement rule only"
+            f"{g.format()}: resolving verdicts need every dimension >= 3 and "
+            f"K={{{g.r}}} or its complement rule"
         )
+    n = g.vertex_count()
+    if n > VERTEX_LIMIT:
+        raise Unsupported(f"{n} vertices exceeds the verifiers' {VERTEX_LIMIT} limit")
+    return n
 
 
 def _vertex_at(g: GhgParams, idx: int) -> Vertex:
@@ -310,16 +307,15 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     landmark lies in all three.  Equal codes give equal keys; codes whose
     keys repeat are re-checked exactly as sets of landmarks, so the verdict
     and the witness never rest on the hash.  The only |V|-sized arrays are
-    one key and a few flags per vertex, and graphs above CODE_VERTEX_LIMIT
+    one key and a few flags per vertex, and graphs above VERTEX_LIMIT
     vertices are refused before anything is allocated.  The verdict is
     valid for K = {3} and for the complement rule K = {1, 2}: in both
-    regimes equal codes and equal distance vectors are the same thing.
+    regimes a vertex's distance to a landmark is fixed by whether the two
+    share a coordinate, so equal codes and equal distance vectors are the
+    same thing.
     """
     g = W.graph
-    _require_diameter_two(g)
-    n = g.vertex_count()
-    if n > CODE_VERTEX_LIMIT:
-        raise Unsupported(f"{n} vertices exceeds the code verifier's {CODE_VERTEX_LIMIT} limit")
+    n = _checked_vertex_count(g)
     d1, d2, d3 = g.dims
     w = _members_array(W)
     spread, start, o = _block_layout(g.dims)
@@ -344,59 +340,34 @@ def is_resolving(W: LandmarkSet) -> Certificate:
 def is_resolving_by_distance(W: LandmarkSet) -> Certificate:
     """Verify W by comparing raw distance vectors, the independent oracle.
 
-    Distances come from the diameter-2 formula when K = {3} with all dims
-    >= 3, else from per-landmark breadth-first search at desk scale.  Each
-    vertex's distance vector is folded to a 64-bit key, a weighted sum of
-    its entries (under the formula, of its entries less one, which only
-    shifts every key by the same amount); vectors whose keys repeat are
-    compared exactly.  The formula's vectors are built and folded a slab
-    of first coordinates at a time, so no |V| x |W| matrix is held.
+    Distances come from the diameter-2 rule: d(v, w) is 1 when v and w
+    are adjacent and 2 otherwise.  Adjacency depends only on whether v and
+    w share a coordinate, so v's distance vector is a one-to-one function
+    of its "shares a coordinate" row over the landmarks (under K = {3} the
+    shared entries are at distance 2, under K = {1, 2} at distance 1), and
+    equal rows mean equal distance vectors.  Each row is folded to a 64-bit
+    key, a weighted sum of its entries; rows whose keys repeat are compared
+    exactly.  Rows are built and folded a slab of first coordinates at a
+    time, so no |V| x |W| matrix is held; the time grows as |V| * |W|.
     """
     g = W.graph
-    _require_diameter_two(g)
-    n = g.vertex_count()
-    if n > DISTANCE_MATRIX_LIMIT:
-        raise Unsupported(f"{n} vertices exceeds the {DISTANCE_MATRIX_LIMIT} limit")
+    n = _checked_vertex_count(g)
     w = _members_array(W)
     m = len(W)
     r = _weights(m)
-    if g.closed_form_available():
-        # d(v, w) is 1 when v and w differ in every coordinate, else 2
-        near = [np.arange(d)[:, None] == w[i] for i, d in enumerate(g.dims)]
-        d1, d2, d3 = g.dims
+    near = [np.arange(d)[:, None] == w[i] for i, d in enumerate(g.dims)]
+    d1, d2, d3 = g.dims
 
-        def row_of(i):
-            # the landmarks at distance 2; all others are at distance 1
-            a = np.unravel_index(i, g.dims)
-            return (near[0][a[0]] | near[1][a[1]] | near[2][a[2]]).tobytes()
+    def row_of(i):
+        # the landmarks sharing a coordinate with vertex i
+        a = np.unravel_index(i, g.dims)
+        return (near[0][a[0]] | near[1][a[1]] | near[2][a[2]]).tobytes()
 
-        keys = np.empty((d1, d2 * d3), dtype=np.uint64)
-        step = max(1, _FOLD_ENTRIES // (d2 * d3 * max(m, 1)))
-        for lo in range(0, d1, step):
-            share = near[0][lo:lo + step, None, None] | near[1][:, None] | near[2]
-            keys[lo:lo + step] = share.reshape(len(share), d2 * d3, m) @ r
-    else:
-        if n > BFS_VERTEX_LIMIT:
-            raise Unsupported(
-                f"no closed form for K={sorted(g.k)}; {n} vertices exceeds "
-                f"the breadth-first limit of {BFS_VERTEX_LIMIT}"
-            )
-        verts = list(g.vertices())
-        dist = np.zeros((n, m), dtype=np.uint8)
-        for j, member in enumerate(W.members):
-            table = g.bfs_distances_from(member)
-            if len(table) < n:
-                raise DisconnectedGraph(
-                    f"{g.format()} is disconnected: {len(table)} of {n} "
-                    f"vertices reachable from {member!r}"
-                )
-            for row, v in enumerate(verts):
-                dist[row, j] = table[v]
-        keys = dist @ r
-
-        def row_of(i):
-            return dist[i].tobytes()
-
+    keys = np.empty((d1, d2 * d3), dtype=np.uint64)
+    step = max(1, _FOLD_ENTRIES // (d2 * d3 * max(m, 1)))
+    for lo in range(0, d1, step):
+        share = near[0][lo:lo + step, None, None] | near[1][:, None] | near[2]
+        keys[lo:lo + step] = share.reshape(len(share), d2 * d3, m) @ r
     keep = _non_landmarks(n, np.ravel_multi_index(w, g.dims))
     return _certificate(W, _least_equal_pair(keys.reshape(-1), keep, row_of))
 
@@ -466,6 +437,5 @@ __all__ = [
     "loop_profile",
     "hamming_graph",
     "CERTIFICATE_SCHEMA",
-    "DISTANCE_MATRIX_LIMIT",
-    "CODE_VERTEX_LIMIT",
+    "VERTEX_LIMIT",
 ]

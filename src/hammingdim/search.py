@@ -489,24 +489,29 @@ def exists_resolving_of_size(
     with contextlib.closing(_subtree_results(tasks, workers)) as results:
         for kind, payload in results:
             if kind == "budget":
-                bound, examined = payload
-                raise BudgetExceeded(
-                    f"{bound} budget exceeded in a parallel subtree",
-                    bound=bound,
-                    candidates_examined=leaves_total + examined,
-                )
-            found, leaves, pruned = payload
+                (bound, leaves), found, pruned = payload, None, 0
+            else:
+                bound, (found, leaves, pruned) = None, payload
             leaves_total += leaves
             pruned_total += pruned
-            if opts.progress is not None:
-                opts.progress(SearchProgress(
-                    leaves_total, pruned_total, time.monotonic() - t0))
-            if opts.max_candidates is not None and leaves_total > opts.max_candidates:
+            # a serial walk always trips at leaf max_candidates + 1, so it
+            # reports exactly max_candidates
+            if bound == "max_candidates" or (
+                    opts.max_candidates is not None and leaves_total > opts.max_candidates):
                 raise BudgetExceeded(
                     f"candidate budget of {opts.max_candidates} exceeded",
                     bound="max_candidates",
+                    candidates_examined=opts.max_candidates,
+                )
+            if bound == "max_seconds":
+                raise BudgetExceeded(
+                    "wall-time budget exceeded",
+                    bound="max_seconds",
                     candidates_examined=leaves_total,
                 )
+            if opts.progress is not None:
+                opts.progress(SearchProgress(
+                    leaves_total, pruned_total, time.monotonic() - t0))
             if found is not None:
                 return _search_certificate(g, s, found, leaves_total, mode)
     return _search_certificate(g, s, None, leaves_total, mode)

@@ -9,6 +9,7 @@ a few hundred thousand candidates out of C(63,6) = 67,945,521, a few
 seconds with two workers.
 """
 
+import functools
 import time
 
 from hammingdim import (
@@ -88,6 +89,13 @@ def test_criterion_03_no_seven_set_at_n4():
            f"({elapsed:.0f}s)")
 
 
+@functools.lru_cache(maxsize=None)
+def _samples(n):
+    """One draw of SAMPLES 2-basic systems at n = 4 or 5, shared by
+    criteria 4 and 5 (each draw takes seconds)."""
+    return tuple(enumerate_two_basic(n, budget=SAMPLES))
+
+
 def _agreement(systems, expect_graph=None):
     checked = disagreements = 0
     resolving = []
@@ -109,7 +117,7 @@ def test_criterion_04_two_basic_oracle_equivalence():
     parts = [f"n=3 all {checked}"]
     total_bad = bad
     for n in (4, 5):
-        c, b, _ = _agreement(enumerate_two_basic(n, budget=SAMPLES))
+        c, b, _ = _agreement(_samples(n))
         parts.append(f"n={n} sampled {c}")
         total_bad += b
     report(4, total_bad == 0,
@@ -123,8 +131,8 @@ def test_criterion_05_triple_looped_oracle_equivalence():
     parts = []
     for n, systems in [
         (3, enumerate_two_basic(3)),
-        (4, enumerate_two_basic(4, budget=SAMPLES)),
-        (5, enumerate_two_basic(5, budget=SAMPLES)),
+        (4, _samples(4)),
+        (5, _samples(5)),
     ]:
         extended = (extend_triple_looped(W) for W in systems)
         c, b, _ = _agreement(extended)

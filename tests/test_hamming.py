@@ -89,6 +89,15 @@ def test_distance_closed_form():
     assert g.distance((1, 1, 1), (1, 1, 1)) == 0
     assert g.distance((1, 1, 1), (2, 2, 2)) == 1
     assert g.distance((1, 1, 1), (1, 2, 2)) == 2
+    comp = hamming_graph(3, 3, 3, k={1, 2})
+    assert comp.distance((1, 1, 1), (2, 2, 2)) == 2
+    assert comp.distance((1, 1, 1), (1, 2, 2)) == 1
+    # the two diameter-2 regimes, K = {r} and K = {1..r-1}, all dims >= 3
+    assert g.closed_form_available() and comp.closed_form_available()
+    assert hamming_graph(3, 4, k={1}).closed_form_available()
+    assert not hamming_graph(3, 3, 3, k={1}).closed_form_available()
+    assert not hamming_graph(2, 3, 3).closed_form_available()
+    assert not hamming_graph(2, 3, 3, k={1, 2}).closed_form_available()
 
 
 @pytest.mark.parametrize(
@@ -100,6 +109,9 @@ def test_distance_closed_form():
         ((3, 4), {2}),
         ((5, 6), {2}),
         ((3, 3, 3), {1, 2}),
+        ((4, 4, 4), {1, 2}),
+        ((3, 4, 5), {1, 2}),
+        ((3, 4), {1}),
         ((2, 3, 3), {3}),  # one dim 2: diameter 3, BFS route
     ],
 )
@@ -134,7 +146,8 @@ def test_disconnected_regimes():
 
 
 def test_bfs_fallback_size_cap():
-    g = GhgParams((30, 30, 30), frozenset({1, 2}))
+    g = GhgParams((30, 30, 30), frozenset({1}))  # no closed form
+    assert not g.closed_form_available()
     with pytest.raises(Unsupported):
         g.distance((1, 1, 1), (2, 2, 2))
 

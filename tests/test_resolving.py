@@ -33,7 +33,8 @@ from hammingdim import (
     metric_basis,
 )
 from hammingdim import resolving
-from hammingdim.resolving import CODE_VERTEX_LIMIT
+from hammingdim.hamming import BFS_VERTEX_LIMIT
+from hammingdim.resolving import VERTEX_LIMIT
 
 G3 = hamming_graph(3, 3, 3)
 
@@ -143,25 +144,68 @@ def test_verifiers_agree_and_complement_invariance():
                 assert a.witness == b.witness == c.witness == d.witness
 
 
-def test_by_distance_size_cap():
-    g = hamming_graph(101, 101, 101)
-    with pytest.raises(Unsupported):
-        is_resolving_by_distance(LandmarkSet(g, [(1, 1, 1)]))
-
-
-def test_code_verifier_size_cap():
+def refused_before_allocating(verify):
     # 311**3 is just above the limit; 310**3 would be accepted
     g = hamming_graph(311, 311, 311)
-    assert g.vertex_count() > CODE_VERTEX_LIMIT >= 310**3
+    assert g.vertex_count() > VERTEX_LIMIT >= 310**3
     W = LandmarkSet(g, [(1, 1, 1)])
     tracemalloc.start()
     try:
         with pytest.raises(Unsupported, match="limit"):
-            is_resolving(W)
+            verify(W)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # refused before any vertex-sized allocation
+
+
+def test_by_distance_size_cap():
+    # one limit for both verifiers: 101**3 is answered, 311**3 refused
+    W = LandmarkSet(hamming_graph(101, 101, 101), [(1, 1, 1)])
+    cert = is_resolving_by_distance(W)
+    assert cert.witness == is_resolving(W).witness == ((1, 1, 2), (1, 1, 3))
+    refused_before_allocating(is_resolving_by_distance)
+
+
+def test_code_verifier_size_cap():
+    refused_before_allocating(is_resolving)
+
+
+def least_pair_by_bfs(W):
+    """The least pair of non-landmarks with equal distance vectors, the
+    vectors taken from breadth-first search, not the diameter-2 rule."""
+    tables = [W.graph.bfs_distances_from(w) for w in W.members]
+    classes: dict = {}
+    for v in W.graph.vertices():
+        if v not in W:
+            classes.setdefault(tuple(t[v] for t in tables), []).append(v)
+    return min(((vs[0], vs[1]) for vs in classes.values() if len(vs) > 1), default=None)
+
+
+def test_complement_rule_against_bfs_reference():
+    rng = random.Random(20261019)
+    for dims in [(3, 3, 3), (4, 4, 4)]:
+        g = GhgParams(dims, frozenset({1, 2}))
+        verts = list(g.vertices())
+        for _ in range(30):
+            W = LandmarkSet(g, rng.sample(verts, rng.randint(0, 12)))
+            want = least_pair_by_bfs(W)
+            for verify in (is_resolving, is_resolving_by_distance):
+                cert = verify(W)
+                assert cert.witness == want
+                assert (cert.verdict is Verdict.RESOLVING) == (want is None)
+
+
+def test_complement_rule_above_bfs_limit():
+    g = GhgParams((25, 25, 25), frozenset({1, 2}))
+    assert g.vertex_count() > BFS_VERTEX_LIMIT
+    B = metric_basis(25)
+    for members, verdict in ((B.members, Verdict.RESOLVING),
+                             (B.members[:-1], Verdict.UNRESOLVED)):
+        W = LandmarkSet(g, members)
+        cert = is_resolving_by_distance(W)
+        assert cert.verdict is verdict
+        assert cert.to_json() == is_resolving(W).to_json()
 
 
 def least_pair_by_codes(W):
