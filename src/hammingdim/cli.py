@@ -24,7 +24,7 @@ from .construct import FIXTURE_NAMES, fixture, metric_basis
 from .errors import BudgetExceeded, HammingDimError, NotApplicable, ParseError
 from .formats import FORMATS, emit_landmarks, parse_landmarks
 from .hamming import GhgParams
-from .landmark import build_landmark_graph, classify, forbidden_scan, predict_resolving
+from .landmark import _prediction, build_landmark_graph, classify, forbidden_scan
 from .resolving import Verdict, _fmt_vertex, is_resolving, is_resolving_by_distance
 from .search import SearchOptions, enumerate_two_basic, metric_dimension
 
@@ -131,7 +131,7 @@ def _scan_report(W) -> dict:
     doc["c6"] = _cycles_json(report.c6)
     doc["rainbow_triangles"] = _cycles_json(report.rainbow_triangles)
     try:
-        cert = predict_resolving(W)
+        cert = _prediction(W, cls.kind, report)
     except NotApplicable as exc:
         doc["predict_resolving"] = None
         doc["predict_note"] = str(exc)
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="parallel subtree workers")
     p.add_argument("--verbose", action="store_true",
-                   help="progress lines on stderr")
+                   help="a progress line on stderr per first-level pick")
     p.set_defaults(func=_cmd_dimension)
 
     p = sub.add_parser("scan", help="forbidden configurations in landmark graph")

@@ -253,12 +253,17 @@ def predict_resolving(W: LandmarkSet) -> Certificate:
     computes a distance or code, so an UNRESOLVED certificate names the
     forbidden configuration instead of carrying a witness pair.
     """
+    return _prediction(W, classify(W).kind)
+
+
+def _prediction(W: LandmarkSet, kind: SystemKind,
+                report: ForbiddenReport | None = None) -> Certificate:
+    """``predict_resolving`` from W's class and, when made already, its scan."""
     g = W.graph
     if g.k != frozenset({3}):
         raise NotApplicable(f"prediction is stated for K={{3}}, got {g.format()}")
     if len(set(g.dims)) != 1:
         raise NotApplicable(f"prediction needs a diagonal graph, got {g.format()}")
-    kind = classify(W).kind
     if kind is SystemKind.TWO_BASIC:
         triangles = False
         scanned = "landmark graph of the 2-basic system"
@@ -269,7 +274,8 @@ def predict_resolving(W: LandmarkSet) -> Certificate:
         raise NotApplicable(
             "prediction only covers TWO_BASIC and TRIPLE_LOOPED systems"
         )
-    report = forbidden_scan(build_landmark_graph(W))
+    if report is None:
+        report = forbidden_scan(build_landmark_graph(W))
     if report.clean(include_triangles=triangles):
         forbidden = "no three-colored 4-cycle, no 6-cycle with repeating colors"
         if triangles:

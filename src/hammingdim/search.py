@@ -34,20 +34,27 @@ the parent's classes answers every final pick at once.  Leaves are
 still counted one by one in tree order, so counts and candidate budgets
 trip exactly where a per-leaf check would.
 
+A search is one loop over the first free picks, whatever the worker
+count.  The tables and memos are built once per search, into a
+``walk(pick, budget)`` that walks the subtree under one first pick.
+Serially the loop walks each pick on the search's one budget.  With
+workers, forked processes run the same inherited walk on pick indices,
+each pick on a budget of its own, and the parent adds each pick's
+leaves, pruned subtrees and tripped bound to the search's budget in
+tree order.  So candidate counts, budget errors and progress do not
+depend on the worker count: progress is one report per first free
+pick, and the last report holds the totals.
+
 Budgets are explicit and trip a BudgetExceeded error rather than
 silently truncating.  The wall-time budget is one absolute deadline,
 shared by parallel workers, read every 4,096 leaves and every 256
 last-level parents.  Nonexistence certificates report the exact number
-of candidates examined, which is independent of worker count: with
-workers, each first-level pick is one task, walked by the same search
-with its top level capped at that pick, and task results are combined
-in tree order.
+of candidates examined.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import itertools
 import multiprocessing
 import time
@@ -75,9 +82,10 @@ class SearchOptions:
 
     ``max_candidates`` bounds the number of complete candidate subsets
     whose resolving check runs; ``max_seconds`` bounds wall time.  With
-    ``workers`` > 1 each first-level pick is one task, the subtree below
-    it searched in a worker process; verdicts and counts do not depend
-    on the split.
+    ``workers`` > 1 the subtree under each first free pick is walked in
+    a worker process; verdicts, counts and budget errors do not depend
+    on the split.  ``progress`` gets one report per first free pick, in
+    tree order, with the running totals.
     """
 
     prune: bool = True
@@ -86,7 +94,6 @@ class SearchOptions:
     max_seconds: float | None = None
     workers: int = 1
     progress: Callable[[SearchProgress], None] | None = None
-    progress_every: int = 1_000_000
 
     def __post_init__(self):
         if self.max_candidates is not None and self.max_candidates < 0:
@@ -144,44 +151,49 @@ def _color_feasible(cnt, avail, t) -> bool:
 
 
 class _Budget:
-    __slots__ = ("max_candidates", "deadline", "leaves", "pruned", "nodes", "t0",
-                 "progress", "progress_every", "next_report")
+    """The leaf and pruned counts of a search, its bounds and its
+    progress reports: the only builder of ``BudgetExceeded`` and
+    ``SearchProgress`` here."""
 
-    def __init__(self, opts: SearchOptions, deadline: float | None = None):
-        self.max_candidates = opts.max_candidates
+    __slots__ = ("max_candidates", "deadline", "progress", "t0", "leaves", "pruned",
+                 "nodes")
+
+    def __init__(self, max_candidates: int | None, deadline: float | None,
+                 progress: Callable[[SearchProgress], None] | None = None):
+        self.max_candidates = max_candidates
+        self.deadline = deadline  # an absolute time.monotonic() instant
+        self.progress = progress
         self.t0 = time.monotonic()
-        if deadline is None and opts.max_seconds is not None:
-            deadline = self.t0 + opts.max_seconds
-        self.deadline = deadline
         self.leaves = 0
         self.pruned = 0
         self.nodes = 0
-        self.progress = opts.progress
-        self.progress_every = max(1, opts.progress_every)
-        self.next_report = self.progress_every
+
+    def _over_candidates(self):
+        # a walk trips at leaf max_candidates + 1, so the count examined
+        # is exactly max_candidates
+        raise BudgetExceeded(
+            f"candidate budget of {self.max_candidates} exceeded",
+            bound="max_candidates",
+            candidates_examined=self.max_candidates,
+        )
+
+    def _over_time(self):
+        raise BudgetExceeded(
+            "wall-time budget exceeded",
+            bound="max_seconds",
+            candidates_examined=self.leaves,
+        )
 
     def _check_clock(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded(
-                "wall-time budget exceeded",
-                bound="max_seconds",
-                candidates_examined=self.leaves,
-            )
+            self._over_time()
 
     def leaf(self):
         self.leaves += 1
         if self.max_candidates is not None and self.leaves > self.max_candidates:
-            raise BudgetExceeded(
-                f"candidate budget of {self.max_candidates} exceeded",
-                bound="max_candidates",
-                candidates_examined=self.leaves - 1,
-            )
+            self._over_candidates()
         if self.leaves % 4096 == 0:
             self._check_clock()
-        if self.progress is not None and self.leaves >= self.next_report:
-            self.next_report += self.progress_every
-            self.progress(SearchProgress(
-                self.leaves, self.pruned, time.monotonic() - self.t0))
 
     def node(self):
         """Count one last-level parent, reading the clock every 256: a
@@ -189,6 +201,32 @@ class _Budget:
         self.nodes += 1
         if self.nodes % 256 == 0:
             self._check_clock()
+
+    def alone(self, walk, pick: int) -> tuple:
+        """Walk one pick as a worker does, on a budget of its own with
+        these bounds: (found, leaves, pruned, tripped bound or None)."""
+        own = _Budget(self.max_candidates, self.deadline)
+        try:
+            return walk(pick, own), own.leaves, own.pruned, None
+        except BudgetExceeded as e:
+            return None, own.leaves, own.pruned, e.bound
+
+    def add(self, found, leaves: int, pruned: int, bound: str | None):
+        """Take in one pick walked by ``alone``, tripping where a walk on
+        this budget would have; returns the pick's ``found``."""
+        self.leaves += leaves
+        self.pruned += pruned
+        # a pick that tripped the candidate bound has more leaves than it
+        if self.max_candidates is not None and self.leaves > self.max_candidates:
+            self._over_candidates()
+        if bound is not None:
+            self._over_time()
+        return found
+
+    def report(self):
+        if self.progress is not None:
+            self.progress(SearchProgress(
+                self.leaves, self.pruned, time.monotonic() - self.t0))
 
 
 class _Memo(dict):
@@ -249,14 +287,16 @@ def _share_masks(cols, total: int) -> list[int]:
     ]
 
 
-def _subset_search(g, s, fixed, start, opts: SearchOptions,
-                   deadline: float | None = None, stop: int | None = None):
-    """Walk all size-s supersets of ``fixed`` drawn from indices >= start.
+@contextlib.contextmanager
+def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
+    """Yield (picks, walk) for the size-s supersets of ``fixed``, whose
+    other members follow its last index.
 
-    Returns (found_members_or_None, leaves_examined, pruned_subtrees).
-    ``deadline`` is an absolute ``time.monotonic()`` instant that
-    overrides ``opts.max_seconds``.  ``stop`` caps the first free pick
-    below that index.
+    ``picks`` are the first free picks; ``walk(pick, budget)`` walks the
+    subtree under one of them, counting on ``budget``, and returns the
+    members of its first resolving set in tree order, or None.  With
+    nothing left to pick, ``fixed`` is the one candidate and the only
+    pick.  The memos are emptied on exit.
     """
     n = g.dims[0]
     verts, cols, suffix = _prepare(g)
@@ -309,12 +349,10 @@ def _subset_search(g, s, fixed, start, opts: SearchOptions,
         return out
 
     finals = _ClassFinals(share)
-    # ends[t]: the loop limit for a pick with t picks left, the top one
-    # lowered to ``stop``; a list lookup keeps the cap free per node
+    # ends[t]: the loop limit for a pick with t picks left; walk lowers
+    # the top one to its pick, and a list lookup keeps that free per node
     ends = [total - t + 1 for t in range(s + 1)]
     top = s - len(fixed)
-    if stop is not None:
-        ends[top] = min(ends[top], stop)
     everyone = (1 << total) - 1
     codes = [i * span for i in range(3)]
     classes = [everyone]
@@ -322,13 +360,10 @@ def _subset_search(g, s, fixed, start, opts: SearchOptions,
         codes = [k + inc[idx] for k, inc in zip(codes, (s1, s2, s3))]
         classes = refine(classes, idx)
     chosen = list(fixed)
-    budget = _Budget(opts, deadline)
-    prune = opts.prune
-    found: list | None = None
+    budget: _Budget | None = None
 
-    def last(lo: int, k1: int, k2: int, k3: int, classes: list[int]) -> bool:
+    def last(lo: int, k1: int, k2: int, k3: int, classes: list[int]) -> list | None:
         """One pick left: the parent's classes decide every final pick."""
-        nonlocal found
         budget.node()
         good = everyone
         for m in classes:
@@ -343,12 +378,10 @@ def _subset_search(g, s, fixed, start, opts: SearchOptions,
                     continue
             budget.leaf()
             if good >> idx & 1:
-                chosen.append(idx)
-                found = [verts[i] for i in chosen]
-                return True
-        return False
+                return [verts[i] for i in chosen] + [verts[idx]]
+        return None
 
-    def rec(lo: int, t: int, k1: int, k2: int, k3: int, classes: list[int]) -> bool:
+    def rec(lo: int, t: int, k1: int, k2: int, k3: int, classes: list[int]) -> list | None:
         if t == 1:
             return last(lo, k1, k2, k3, classes)
         off = offsets[t - 1]
@@ -362,51 +395,48 @@ def _subset_search(g, s, fixed, start, opts: SearchOptions,
                     budget.pruned += 1
                     continue
             chosen.append(idx)
-            if rec(idx + 1, t - 1, a, b, c, refine(classes, idx)):
-                return True
+            if hit := rec(idx + 1, t - 1, a, b, c, refine(classes, idx)):
+                return hit
             chosen.pop()
-        return False
+        return None
+
+    def walk(pick: int, on: _Budget) -> list | None:
+        nonlocal budget
+        budget = on
+        del chosen[len(fixed):]  # a hit leaves its picks behind
+        if not top:
+            budget.leaf()
+            return None if classes else [verts[i] for i in chosen]
+        ends[top] = pick + 1
+        return rec(pick, top, *codes, classes)
 
     try:
-        if top:
-            rec(start, top, *codes, classes)
-        else:
-            # nothing left to pick: the fixed set is the one candidate
-            budget.leaf()
-            if not classes:
-                found = [verts[i] for i in chosen]
+        yield range(len(fixed), ends[top]) if top else range(1), walk
     finally:
         # rec reaches itself through its closure, so this frame is freed
         # only by a cyclic collection; empty the memos now instead
         feasible.clear()
         finals.clear()
-    return found, budget.leaves, budget.pruned
 
 
-def _subtree_task(args):
-    g, s, fixed, idx, opts, deadline = args
-    try:
-        return ("ok", _subset_search(g, s, fixed, idx, opts, deadline, stop=idx + 1))
-    except BudgetExceeded as e:
-        return ("budget", (e.bound, e.candidates_examined))
-
-
-def _worker(tasks, todo, conn):
-    """Answer on conn for each task index taken off ``todo``, until the
-    parent, holding every result it needs, kills the worker."""
+def _worker(walk, budget: _Budget, todo, conn):
+    """Answer on conn for each pick taken off ``todo``, until the parent,
+    holding every result it needs, kills the worker."""
     while True:
-        i = todo.get()
-        conn.send((i, _subtree_task(tasks[i])))
+        pick = todo.get()
+        conn.send((pick, budget.alone(walk, pick)))
 
 
-def _subtree_results(tasks, workers: int) -> Iterator:
-    """``_subtree_task`` over tasks, yielded in task order.
+def _forked(walk, picks, budget: _Budget, workers: int) -> Iterator:
+    """Each pick's ``walk`` result, from forked workers, its counts added
+    to ``budget`` in pick order.
 
-    Forked workers take task indices off one queue as they fall free,
-    and each answers on a pipe of its own.  The parent holds no lock a
-    worker takes, so closing the generator may kill the workers at any
-    point; ``Pool.terminate`` can hang joining its task thread when it
-    kills a worker halfway through sending a result.
+    The workers inherit ``walk`` with its tables and memos, take picks
+    off one queue as they fall free, and each answers on a pipe of its
+    own.  The parent holds no lock a worker takes, so closing the
+    generator may kill the workers at any point; ``Pool.terminate`` can
+    hang joining its task thread when it kills a worker halfway through
+    sending a result.
     """
     # imported here: it loads subprocess and friends, 0.4 MB of RSS that
     # serial callers never need
@@ -416,40 +446,40 @@ def _subtree_results(tasks, workers: int) -> Iterator:
     todo = ctx.SimpleQueue()
     # at most n**3 = 64 small indices: they fit the pipe's buffer, so
     # these puts return before any worker reads
-    for i in range(len(tasks)):
-        todo.put(i)
+    for pick in picks:
+        todo.put(pick)
     conns, procs = [], []
     try:
         for _ in range(workers):
             conn, child = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker, args=(tasks, todo, child), daemon=True)
+            conns.append(conn)
+            proc = ctx.Process(target=_worker, args=(walk, budget, todo, child), daemon=True)
             proc.start()
             child.close()
-            conns.append(conn)
             procs.append(proc)
         done = {}
-        for i in range(len(tasks)):
-            while i not in done:
+        for pick in picks:
+            while pick not in done:
                 for conn in wait(conns):
                     j, result = conn.recv()
                     done[j] = result
-            yield done.pop(i)
+            yield budget.add(*done.pop(pick))
     finally:
         for proc in procs:
             proc.kill()
             proc.join()
+        for conn in conns:
+            conn.close()
+        todo.close()
 
 
-def _check_search_graph(g: GhgParams, s: int) -> int:
+def _diagonal_n(g: GhgParams) -> int:
+    """n, for the n-diagonal graph with K={3} that exact dimensions cover."""
     if g.r != 3 or g.k != frozenset({3}):
-        raise Unsupported(f"search covers 3-coordinate graphs with K={{3}}, got {g.format()}")
+        raise Unsupported(f"dimension covers 3-coordinate graphs with K={{3}}, got {g.format()}")
     n = g.dims[0]
     if g.dims != (n, n, n) or n < 3:
-        raise Unsupported(f"search covers diagonal graphs with n >= 3, got {g.format()}")
-    if n > 4:
-        raise Unsupported(f"n={n}: exhaustive subset search is only tractable for n <= 4")
-    if not 1 <= s <= 2 * n:
-        raise Unsupported(f"size {s} outside 1..{2 * n}; beyond 2n the answer is known")
+        raise Unsupported(f"dimension covers diagonal graphs with n >= 3, got {g.format()}")
     return n
 
 
@@ -463,58 +493,26 @@ def exists_resolving_of_size(
     resolving set exists, with the exact candidate count examined.
     """
     opts = opts or SearchOptions()
-    _check_search_graph(g, s)
-    total = g.vertex_count()
-    fixed = (0,) if (opts.normalize and s >= 1) else ()
-    start = 1 if fixed else 0
+    n = _diagonal_n(g)
+    if n > 4:
+        raise Unsupported(f"n={n}: exhaustive subset search is only tractable for n <= 4")
+    if not 1 <= s <= 2 * n:
+        raise Unsupported(f"size {s} outside 1..{2 * n}; beyond 2n the answer is known")
+    fixed = (0,) if opts.normalize else ()
     mode = f"normalized={bool(fixed)}, pruned={opts.prune}"
-
-    t = s - len(fixed)
-    if opts.workers <= 1 or t <= 1:
-        found, leaves, pruned = _subset_search(g, s, fixed, start, opts)
-        return _search_certificate(g, s, found, leaves, mode)
-
-    # One task per first free pick, combined in tree order.  The walk
-    # prunes an infeasible pick itself, so totals match the serial walk.
-    # One absolute deadline, read by every forked worker, so subtrees do
-    # not each restart the wall-time budget.
-    t0 = time.monotonic()
-    deadline = None if opts.max_seconds is None else t0 + opts.max_seconds
-    task_opts = dataclasses.replace(opts, progress=None)
-    tasks = [(g, s, fixed, idx, task_opts, deadline)
-             for idx in range(start, total - t + 1)]
-    leaves_total = 0
-    pruned_total = 0
-    workers = min(opts.workers, len(tasks))
-    with contextlib.closing(_subtree_results(tasks, workers)) as results:
-        for kind, payload in results:
-            if kind == "budget":
-                (bound, leaves), found, pruned = payload, None, 0
-            else:
-                bound, (found, leaves, pruned) = None, payload
-            leaves_total += leaves
-            pruned_total += pruned
-            # a serial walk always trips at leaf max_candidates + 1, so it
-            # reports exactly max_candidates
-            if bound == "max_candidates" or (
-                    opts.max_candidates is not None and leaves_total > opts.max_candidates):
-                raise BudgetExceeded(
-                    f"candidate budget of {opts.max_candidates} exceeded",
-                    bound="max_candidates",
-                    candidates_examined=opts.max_candidates,
-                )
-            if bound == "max_seconds":
-                raise BudgetExceeded(
-                    "wall-time budget exceeded",
-                    bound="max_seconds",
-                    candidates_examined=leaves_total,
-                )
-            if opts.progress is not None:
-                opts.progress(SearchProgress(
-                    leaves_total, pruned_total, time.monotonic() - t0))
-            if found is not None:
-                return _search_certificate(g, s, found, leaves_total, mode)
-    return _search_certificate(g, s, None, leaves_total, mode)
+    deadline = None if opts.max_seconds is None else time.monotonic() + opts.max_seconds
+    budget = _Budget(opts.max_candidates, deadline, opts.progress)
+    found = None
+    with _walker(g, s, fixed, opts.prune) as (picks, walk):
+        workers = min(opts.workers, len(picks))
+        steps = (_forked(walk, picks, budget, workers) if workers > 1
+                 else (walk(pick, budget) for pick in picks))
+        with contextlib.closing(steps):
+            for found in steps:
+                budget.report()
+                if found is not None:
+                    break
+    return _search_certificate(g, s, found, budget.leaves, mode)
 
 
 def _search_certificate(g, s, found, leaves, mode) -> Certificate:
@@ -553,11 +551,7 @@ def metric_dimension(g: GhgParams, opts: SearchOptions | None = None) -> Certifi
     For n >= 5 the value 2n - 1 comes from the block bound matching the
     explicit construction, which is verified before certifying.
     """
-    if g.r != 3 or g.k != frozenset({3}):
-        raise Unsupported(f"dimension covers 3-coordinate graphs with K={{3}}, got {g.format()}")
-    n = g.dims[0]
-    if g.dims != (n, n, n) or n < 3:
-        raise Unsupported(f"dimension is implemented for diagonal graphs with n >= 3")
+    n = _diagonal_n(g)
     if n >= 5:
         basis = metric_basis(n)
         cert = is_resolving(basis)

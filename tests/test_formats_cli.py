@@ -147,7 +147,8 @@ def test_cli_construct_byte_stable(capsys):
 def test_cli_construct_formats(tmp_path, capsys):
     out = str(tmp_path / "w.tri")
     assert main(["construct", "--n", "4", "--out", out, "--format", "triples"]) == 0
-    text = open(out).read()
+    with open(out) as fh:
+        text = fh.read()
     assert text.startswith("# graph 4 4 4 3\n")
     assert main(["verify", "--graph", "4x4x4", "--in", out]) == 0
     capsys.readouterr()
@@ -164,8 +165,17 @@ def test_cli_dimension(capsys):
 
 
 def test_cli_dimension_verbose_parallel(capsys):
-    assert main(["dimension", "--graph", "3x3x3", "--workers", "2", "--verbose"]) == 0
-    assert "progress:" in capsys.readouterr().err
+    # one progress line per first free pick, serially and in parallel
+    runs = []
+    for extra in ([], ["--workers", "2"]):
+        assert main(["dimension", "--graph", "3x3x3", "--verbose", *extra]) == 0
+        runs.append(capsys.readouterr())
+    # the counts of each line, without its elapsed time
+    serial, parallel = ([line.rsplit(",", 1)[0] for line in run.err.splitlines()]
+                        for run in runs)
+    assert serial and all(line.startswith("progress:") for line in serial)
+    assert serial == parallel
+    assert runs[0].out == runs[1].out
 
 
 def test_cli_dimension_budget(capsys, monkeypatch):

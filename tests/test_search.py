@@ -6,6 +6,7 @@ s=5, and the full space has C(27,5) = 80,730.
 """
 
 import itertools
+import json
 import os
 import pathlib
 import subprocess
@@ -31,7 +32,7 @@ from hammingdim import (
     metric_basis,
     metric_dimension,
 )
-from hammingdim.search import _color_feasible, _subset_search
+from hammingdim.search import _color_feasible
 
 G3 = hamming_graph(3, 3, 3)
 G4 = hamming_graph(4, 4, 4)
@@ -114,32 +115,39 @@ def test_wall_time_budget_is_one_deadline_across_workers():
     assert time.monotonic() - t0 < 1.5
 
 
+def progress_counts(s, **kw):
+    """The (candidates, pruned) of every progress report, and the certificate."""
+    reports = []
+    cert = exists_resolving_of_size(G3, s, SearchOptions(progress=reports.append, **kw))
+    return [(p.candidates_examined, p.pruned_subtrees) for p in reports], cert.to_json()
+
+
 @pytest.mark.parametrize("s, normalize, pruned", [
     (5, True, 2670),
     (5, False, 16103),
-    (6, True, 6038),  # found: the walk stops inside one task
+    (6, True, 6038),  # found: the walk stops inside one first pick
 ])
 def test_parallel_progress_reports_running_totals(s, normalize, pruned):
-    serial = exists_resolving_of_size(G3, s, SearchOptions(normalize=normalize))
-    reports = []
-    cert = exists_resolving_of_size(G3, s, SearchOptions(
-        normalize=normalize, workers=2, progress=reports.append, progress_every=1))
-    assert cert.to_json() == serial.to_json()
-    counts = [p.candidates_examined for p in reports]
-    assert counts == sorted(counts)
-    assert counts[-1] == serial.candidates_examined
-    assert reports[-1].pruned_subtrees == walk_counts(G3, s, normalize)[1] == pruned
+    # one report per first free pick, the same for every worker count;
+    # size 6 is found under (1, 2, 2), the fourth
+    serial, cert = progress_counts(s, normalize=normalize)
+    assert len(serial) == {5: 23, 6: 4}[s]
+    assert serial == sorted(serial)
+    assert serial[-1] == (json.loads(cert)["candidates_examined"], pruned)
+    for workers in (2, 4):
+        assert progress_counts(s, normalize=normalize, workers=workers) == (serial, cert)
 
 
 def test_parallel_workers_are_capped_by_tasks(monkeypatch):
     """A search never starts more workers than there are first picks."""
     sizes = []
 
-    def inline(tasks, workers):
+    def inline(walk, picks, budget, workers):
         sizes.append(workers)
-        yield from map(hammingdim.search._subtree_task, tasks)
+        for pick in picks:
+            yield budget.add(*budget.alone(walk, pick))
 
-    monkeypatch.setattr(hammingdim.search, "_subtree_results", inline)
+    monkeypatch.setattr(hammingdim.search, "_forked", inline)
     cert = exists_resolving_of_size(G3, 5, SearchOptions(workers=1000))
     assert sizes == [23]  # first picks 1..23 leave four more among 27
     assert cert.candidates_examined == 1040
@@ -196,11 +204,10 @@ def test_color_feasible_against_brute_force():
 
 
 def walk_counts(g, s, normalize):
-    fixed = (0,) if normalize else ()
-    found, leaves, pruned = _subset_search(
-        g, s, fixed, len(fixed), SearchOptions(normalize=normalize)
-    )
-    return leaves, pruned
+    """(leaves, pruned) of the search's last progress report."""
+    reports = []
+    exists_resolving_of_size(g, s, SearchOptions(normalize=normalize, progress=reports.append))
+    return reports[-1].candidates_examined, reports[-1].pruned_subtrees
 
 
 @pytest.mark.parametrize("s, normalize, counts", [
