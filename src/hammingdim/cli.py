@@ -80,8 +80,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _progress(p) -> None:
     print(
-        f"progress: {p.candidates_examined} candidates, "
-        f"{p.pruned_subtrees} pruned subtrees, {p.elapsed_seconds:.0f}s",
+        f"progress: size {p.size}, {p.candidates_examined} candidates, "
+        f"{p.pruned_subtrees} pruned subtrees, {p.elapsed_seconds:.2f}s",
         file=sys.stderr,
     )
 

@@ -18,9 +18,10 @@ The feasibility test of one color depends only on that color's block
 counts, the suffix start and the picks left.  The walker carries each
 color's counts as one integer code and asks ``_color_feasible`` once
 per distinct (color, code, suffix start, picks left) within a search
-call; every later check of the same key is a dict lookup.  The 4x4x4
-size-7 search makes about 5 million checks on about 2,600 keys.  The
-memo lives for one call and nothing is cached across calls.
+call; every later check of the same key is a dict lookup.  The last
+pick has a memo of its own, below.  The 4x4x4 size-7 search makes about
+1.9 million lookups on about 2,200 keys.  The memos live for one call
+and nothing is cached across calls.
 
 Candidates are checked without a pass over the vertices.  Non-landmarks
 whose landmark signatures coincide form collision classes, kept as
@@ -29,10 +30,18 @@ the parent's classes, and a set resolves exactly when none is left.
 With one pick to go, each class yields the bitmask of final picks x
 that clear it: a pair needs x to share a coordinate with exactly one
 member (or be one), a triple needs x inside it splitting the other two,
-and four or more members always collide.  The AND of those masks over
-the parent's classes answers every final pick at once.  Leaves are
-still counted one by one in tree order, so counts and candidate budgets
-trip exactly where a per-leaf check would.
+and four or more members always collide.  The second-to-last pick does
+not build its refined classes: it splits each parent class in two and
+ANDs the final-pick masks of both halves into one mask, ``good``.
+
+The last pick is decided for every x at once, as bit operations on
+vertex masks.  With no pick left after it, a color's feasibility
+depends only on its code and x's value in that coordinate, so one memo
+gives the mask of final picks that keep a color feasible, and the AND
+of three such masks with the span of allowed indices is the mask of
+leaves.  The first hit is the lowest bit of ``good`` among them; the
+leaves and pruned picks up to it are counted as one run, and a budget
+trips on that run exactly where counting leaf by leaf would.
 
 A search is one loop over the first free picks, whatever the worker
 count.  The tables and memos are built once per search, into a
@@ -47,9 +56,9 @@ pick, and the last report holds the totals.
 
 Budgets are explicit and trip a BudgetExceeded error rather than
 silently truncating.  The wall-time budget is one absolute deadline,
-shared by parallel workers, read every 4,096 leaves and every 256
-last-level parents.  Nonexistence certificates report the exact number
-of candidates examined.
+shared by parallel workers, read whenever the leaf count crosses a
+multiple of 4,096 and every 256 last-level parents.  Nonexistence
+certificates report the exact number of candidates examined.
 """
 
 from __future__ import annotations
@@ -71,6 +80,7 @@ DEFAULT_SEED = 20240311
 
 @dataclass(frozen=True)
 class SearchProgress:
+    size: int  # the subset size being searched
     candidates_examined: int
     pruned_subtrees: int
     elapsed_seconds: float
@@ -85,7 +95,7 @@ class SearchOptions:
     ``workers`` > 1 the subtree under each first free pick is walked in
     a worker process; verdicts, counts and budget errors do not depend
     on the split.  ``progress`` gets one report per first free pick, in
-    tree order, with the running totals.
+    tree order, with the size searched and its running totals.
     """
 
     prune: bool = True
@@ -188,11 +198,15 @@ class _Budget:
         if self.deadline is not None and time.monotonic() > self.deadline:
             self._over_time()
 
-    def leaf(self):
-        self.leaves += 1
+    def count(self, leaves: int):
+        """Count a run of leaves, a hit only as the last of them: it trips
+        where counting them one by one would, the clock read whenever the
+        count crosses a multiple of 4,096."""
+        before = self.leaves
+        self.leaves += leaves
         if self.max_candidates is not None and self.leaves > self.max_candidates:
             self._over_candidates()
-        if self.leaves % 4096 == 0:
+        if self.leaves >> 12 != before >> 12:
             self._check_clock()
 
     def node(self):
@@ -223,10 +237,10 @@ class _Budget:
             self._over_time()
         return found
 
-    def report(self):
+    def report(self, size: int):
         if self.progress is not None:
             self.progress(SearchProgress(
-                self.leaves, self.pruned, time.monotonic() - self.t0))
+                size, self.leaves, self.pruned, time.monotonic() - self.t0))
 
 
 class _Memo(dict):
@@ -244,14 +258,14 @@ class _Memo(dict):
 
 
 class _ClassFinals(dict):
-    """Collision class bitmask -> bitmask of the last picks x after which
-    no two of its members collide.
+    """Vertex bitmask -> bitmask of the last picks x after which no two
+    of its members collide.
 
-    A pair survives x unless both or neither share a coordinate with x;
-    a triple survives only an x inside it that splits the other two;
-    four or more members always keep two together.  Only pairs and
-    triples are kept: larger classes are the most numerous keys and
-    answer 0 without any work.
+    An empty or one-member mask is no class: every x clears it.  A pair
+    survives x unless both or neither share a coordinate with x; a
+    triple survives only an x inside it that splits the other two; four
+    or more members always keep two together.  Larger masks are the
+    most numerous keys and answer 0 without any work or entry.
     """
 
     __slots__ = ("share",)
@@ -261,18 +275,21 @@ class _ClassFinals(dict):
         self.share = share
 
     def __missing__(self, m: int) -> int:
-        if m.bit_count() > 3:
+        size = m.bit_count()
+        if size > 3:
             return 0
         share = self.share
         members = [i for i in range(len(share)) if m >> i & 1]
-        if len(members) == 2:
-            u, v = members
-            finals = share[u] ^ share[v] | m
-        else:
+        if size == 3:
             u, v, w = members
             finals = ((share[v] ^ share[w]) & 1 << u
                       | (share[u] ^ share[w]) & 1 << v
                       | (share[u] ^ share[v]) & 1 << w)
+        elif size == 2:
+            u, v = members
+            finals = share[u] ^ share[v] | m
+        else:
+            finals = -1  # all ones
         self[m] = finals
         return finals
 
@@ -319,6 +336,27 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
         return _color_feasible(cnt, suffix[j][i], t)
 
     feasible = _Memo(color_feasible)
+    # coord[i][a]: the vertices whose coordinate i + 1 equals a + 1
+    coord = [[sum(1 << v for v in range(total) if c[v] == a) for a in range(n)]
+             for c in cols]
+
+    def final_picks(k: int) -> int:
+        """The last picks after which color code k is still feasible.
+
+        With no pick left after x, the feasibility test's answer does
+        not depend on availability, only on k and x's block.
+        """
+        i, code = divmod(k, span)
+        cnt = [code // base ** a % base for a in range(n)]
+        out = 0
+        for a in range(n):
+            cnt[a] += 1
+            if _color_feasible(cnt, [0] * n, 0):
+                out |= coord[i][a]
+            cnt[a] -= 1
+        return out
+
+    feasible_last = _Memo(final_picks)
     # s1, s2, s3[idx]: what picking idx adds to each color's code
     s1, s2, s3 = ([base ** c[idx] for idx in range(total)] for c in cols)
     # offsets[t][idx]: key offset after picking idx with t picks left
@@ -362,28 +400,35 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
     chosen = list(fixed)
     budget: _Budget | None = None
 
-    def last(lo: int, k1: int, k2: int, k3: int, classes: list[int]) -> list | None:
-        """One pick left: the parent's classes decide every final pick."""
+    def last(lo: int, k1: int, k2: int, k3: int, good: int) -> list | None:
+        """One pick left, decided for every x at once: ``good`` holds the
+        picks that resolve the set, the color masks those kept feasible."""
         budget.node()
-        good = everyone
-        for m in classes:
-            good &= finals[m]
-        off = offsets[0]
-        for idx in range(lo, ends[1]):
-            if prune:
-                o = off[idx]
-                if not (feasible[o + k1 + s1[idx]] and feasible[o + k2 + s2[idx]]
-                        and feasible[o + k3 + s3[idx]]):
-                    budget.pruned += 1
-                    continue
-            budget.leaf()
-            if good >> idx & 1:
-                return [verts[i] for i in chosen] + [verts[idx]]
+        leaves = allowed = (1 << ends[1]) - (1 << lo)
+        if prune:
+            leaves &= feasible_last[k1] & feasible_last[k2] & feasible_last[k3]
+        hit = good & leaves
+        if hit:
+            upto = hit ^ (hit - 1)  # the first hit and every pick before it
+            leaves &= upto
+            allowed &= upto
+        budget.pruned += allowed.bit_count() - leaves.bit_count()
+        budget.count(leaves.bit_count())
+        if hit:
+            return [verts[i] for i in chosen] + [verts[upto.bit_length() - 1]]
         return None
 
+    def cleared(classes: list[int], near: int, far: int) -> int:
+        """The final picks that clear both parts of every class, split
+        into its members in ``near`` and those in ``far``."""
+        good = everyone
+        for m in classes:
+            good &= finals[m & near] & finals[m & far]
+            if not good:
+                break
+        return good
+
     def rec(lo: int, t: int, k1: int, k2: int, k3: int, classes: list[int]) -> list | None:
-        if t == 1:
-            return last(lo, k1, k2, k3, classes)
         off = offsets[t - 1]
         for idx in range(lo, ends[t]):
             a = k1 + s1[idx]
@@ -395,7 +440,11 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
                     budget.pruned += 1
                     continue
             chosen.append(idx)
-            if hit := rec(idx + 1, t - 1, a, b, c, refine(classes, idx)):
+            if t == 2:
+                hit = last(idx + 1, a, b, c, cleared(classes, sharing[idx], apart[idx]))
+            else:
+                hit = rec(idx + 1, t - 1, a, b, c, refine(classes, idx))
+            if hit:
                 return hit
             chosen.pop()
         return None
@@ -405,9 +454,11 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
         budget = on
         del chosen[len(fixed):]  # a hit leaves its picks behind
         if not top:
-            budget.leaf()
+            budget.count(1)
             return None if classes else [verts[i] for i in chosen]
         ends[top] = pick + 1
+        if top == 1:
+            return last(pick, *codes, cleared(classes, everyone, 0))  # kept whole
         return rec(pick, top, *codes, classes)
 
     try:
@@ -416,6 +467,7 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
         # rec reaches itself through its closure, so this frame is freed
         # only by a cyclic collection; empty the memos now instead
         feasible.clear()
+        feasible_last.clear()
         finals.clear()
 
 
@@ -509,7 +561,7 @@ def exists_resolving_of_size(
                  else (walk(pick, budget) for pick in picks))
         with contextlib.closing(steps):
             for found in steps:
-                budget.report()
+                budget.report(s)
                 if found is not None:
                     break
     return _search_certificate(g, s, found, budget.leaves, mode)

@@ -5,8 +5,8 @@ them).  Numbers quoted in the lines are recomputed, never hardcoded,
 except for the combinatorial space sizes they are compared against.
 
 Criterion 3 (the n=4 size-7 nonexistence search) walks a pruned space of
-a few hundred thousand candidates out of C(63,6) = 67,945,521, a few
-seconds with two workers.
+a few hundred thousand candidates out of C(63,6) = 67,945,521, about a
+second with two workers.
 """
 
 import functools
@@ -86,7 +86,7 @@ def test_criterion_03_no_seven_set_at_n4():
     report(3, ok,
            f"no 7-landmark resolving set at n=4; pruned search examined "
            f"{cert.candidates_examined} of C(63,6) = 67945521 candidates "
-           f"({elapsed:.0f}s)")
+           f"({elapsed:.1f}s)")
 
 
 @functools.lru_cache(maxsize=None)

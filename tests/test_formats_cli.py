@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -165,17 +166,20 @@ def test_cli_dimension(capsys):
 
 
 def test_cli_dimension_verbose_parallel(capsys):
-    # one progress line per first free pick, serially and in parallel
+    # one progress line per first free pick of each searched size, the
+    # same at every worker count but for its elapsed time
     runs = []
-    for extra in ([], ["--workers", "2"]):
-        assert main(["dimension", "--graph", "3x3x3", "--verbose", *extra]) == 0
+    for workers in ("1", "2", "4"):
+        assert main(["dimension", "--graph", "3x3x3", "--verbose", "--workers", workers]) == 0
         runs.append(capsys.readouterr())
-    # the counts of each line, without its elapsed time
-    serial, parallel = ([line.rsplit(",", 1)[0] for line in run.err.splitlines()]
-                        for run in runs)
-    assert serial and all(line.startswith("progress:") for line in serial)
-    assert serial == parallel
-    assert runs[0].out == runs[1].out
+    line = re.compile(r"progress: size (\d), \d+ candidates, \d+ pruned subtrees, \d+\.\d\ds")
+    sizes = [line.fullmatch(text).group(1) for text in runs[0].err.splitlines()]
+    # size 5 has 23 first free picks; size 6 is found under its fourth
+    assert sizes == ["5"] * 23 + ["6"] * 4
+    serial, *parallel = ([text.rsplit(",", 1)[0] for text in run.err.splitlines()]
+                         for run in runs)
+    assert parallel == [serial, serial]
+    assert runs[0].out == runs[1].out == runs[2].out
 
 
 def test_cli_dimension_budget(capsys, monkeypatch):

@@ -99,18 +99,36 @@ def test_candidate_budget():
         SearchOptions(max_candidates=-1)
 
 
+@pytest.mark.parametrize("g, s, hit", [(G3, 6, 13828), (G4, 8, 60735)], ids=["n3s6", "n4s8"])
+def test_candidate_budget_at_a_hit(g, s, hit):
+    # the hit is leaf number ``hit``: one candidate less trips before it
+    # is examined, and a run of leaves counted at once must not overshoot
+    for workers in (1, 2):
+        with pytest.raises(BudgetExceeded) as exc:
+            exists_resolving_of_size(g, s, SearchOptions(max_candidates=hit - 1, workers=workers))
+        assert (exc.value.bound, exc.value.candidates_examined, str(exc.value)) == (
+            "max_candidates", hit - 1, f"candidate budget of {hit - 1} exceeded")
+        cert = exists_resolving_of_size(g, s, SearchOptions(max_candidates=hit, workers=workers))
+        assert cert.verdict is Verdict.RESOLVING
+        assert cert.candidates_examined == hit
+
+
 def test_wall_time_budget():
-    with pytest.raises(BudgetExceeded) as exc:
-        exists_resolving_of_size(
-            G3, 5, SearchOptions(prune=False, max_seconds=0.0)
-        )
-    assert exc.value.bound == "max_seconds"
+    # a deadline already past trips at the first clock read, the 256th
+    # last-level parent, inside the first pick at every worker count
+    for workers in (1, 2):
+        with pytest.raises(BudgetExceeded) as exc:
+            exists_resolving_of_size(
+                G3, 5, SearchOptions(prune=False, max_seconds=0.0, workers=workers)
+            )
+        assert exc.value.bound == "max_seconds"
+        assert exc.value.candidates_examined == 2244
 
 
 def test_wall_time_budget_is_one_deadline_across_workers():
     t0 = time.monotonic()
     with pytest.raises(BudgetExceeded) as exc:
-        exists_resolving_of_size(G4, 7, SearchOptions(workers=2, max_seconds=0.5))
+        exists_resolving_of_size(G4, 7, SearchOptions(workers=2, max_seconds=0.1))
     assert exc.value.bound == "max_seconds"
     assert time.monotonic() - t0 < 1.5
 
@@ -222,8 +240,12 @@ def test_pruned_walk_counts_n3(s, normalize, counts):
     assert walk_counts(G3, s, normalize) == counts
 
 
-def test_pruned_walk_counts_n4_size8():
-    assert walk_counts(G4, 8, True) == (60735, 173606)
+@pytest.mark.parametrize("s, counts", [
+    (7, (326844, 1661230)),
+    (8, (60735, 173606)),
+])
+def test_pruned_walk_counts_n4(s, counts):
+    assert walk_counts(G4, s, True) == counts
 
 
 def test_search_domain_errors():
