@@ -23,16 +23,19 @@ computing a distance or a code.
 
 Each landmark has at most one plain-edge partner per color, so color c
 acts on the landmarks as a partial involution sigma_c.  A forbidden
-cycle is then a closed walk of a short color word, and five words find
-them all: (1,2,1,3), (2,1,2,3) and (3,1,3,2) for the 4-cycles, one per
-repeated color, since a cycle a b a c read from the other side of its
-repeated color is a c a b; (1,2,3,1,2,3) for the 6-cycles and (1,2,3)
-for the triangles, since such a cycle reads 1, 2, 3 in one of its two
-directions.
+cycle is then a closed walk of a short color word.  With the landmarks
+indexed in sorted order, every cycle is walked once, from its least
+landmark, by one of twelve words: from any landmark, exactly one
+direction of a 4-cycle a b a c reads x y x z for some order x, y, z of
+the colors (six words), and exactly one direction of a 6-cycle
+a b c a b c or a triangle a b c reads a rotation of (1,2,3,1,2,3) or of
+(1,2,3) (three words each).  ``forbidden_scan`` lists every cycle;
+``predict_resolving`` stops at the first landmark that starts one.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -81,18 +84,17 @@ class SystemClass:
     loop_vertex: Vertex | None = None
 
 
-def _is_two_basic(W: LandmarkSet) -> bool:
-    for i in (1, 2, 3):
-        blocks = W.blocks_of_color(i)
-        if len(blocks) != W.graph.dims[i - 1] or any(len(b) != 2 for b in blocks.values()):
-            return False
-    # no two landmarks agree in two coordinates: every projection onto a
-    # pair of coordinates is injective
-    mems = W.members
-    return all(
-        len({(v[p], v[q]) for v in mems}) == len(mems)
-        for p, q in ((0, 1), (0, 2), (1, 2))
-    )
+def _is_two_basic(mems, dims) -> bool:
+    """Every value of every coordinate is held by exactly two of the
+    member tuples, and no two of them agree in two coordinates."""
+    d = dims[0]
+    if dims != (d, d, d) or len(mems) != 2 * d:
+        return False
+    cols = tuple(zip(*mems))
+    twice = [a for a in range(1, d + 1) for _ in (0, 1)]
+    # every projection onto a pair of coordinates is injective
+    return all(sorted(col) == twice for col in cols) and all(
+        len(set(zip(p, q))) == 2 * d for p, q in itertools.combinations(cols, 2))
 
 
 def _without(W: LandmarkSet, u: Vertex) -> LandmarkSet:
@@ -106,15 +108,15 @@ def _without(W: LandmarkSet, u: Vertex) -> LandmarkSet:
 
 def classify(W: LandmarkSet) -> SystemClass:
     """TWO_BASIC, TRIPLE_LOOPED (with its loop vertex), or OTHER."""
-    if _is_two_basic(W):
-        return SystemClass(SystemKind.TWO_BASIC)
     g = W.graph
+    if _is_two_basic(W.members, g.dims):
+        return SystemClass(SystemKind.TWO_BASIC)
     n = g.dims[0]
     if g.dims == (n, n, n) and n >= 4:
         u = (n, n, n)
-        if u in W and all(max(m) <= n - 1 for m in W.members if m != u):
-            if _is_two_basic(_without(W, u)):
-                return SystemClass(SystemKind.TRIPLE_LOOPED, loop_vertex=u)
+        # the other members must form a 2-basic system on the (n-1)-diagonal
+        if u in W and _is_two_basic([m for m in W.members if m != u], (n - 1,) * 3):
+            return SystemClass(SystemKind.TRIPLE_LOOPED, loop_vertex=u)
     return SystemClass(SystemKind.OTHER)
 
 
@@ -172,66 +174,91 @@ class ForbiddenReport:
         return not (include_triangles and self.rainbow_triangles)
 
 
-def _canonical_cycle(cycle: tuple[Vertex, ...], colors: tuple[int, ...]):
-    # Rotate the least vertex to the front, then take the lexicographically
-    # smaller direction; colors travel with their edges.
-    k = len(cycle)
-    s = min(range(k), key=lambda t: cycle[t])
-    fwd_v = tuple(cycle[(s + t) % k] for t in range(k))
-    fwd_c = tuple(colors[(s + t) % k] for t in range(k))
-    bwd_v = tuple(cycle[(s - t) % k] for t in range(k))
-    bwd_c = tuple(colors[(s - t - 1) % k] for t in range(k))
-    return min((fwd_v, fwd_c), (bwd_v, bwd_c))
+# Each kind of forbidden cycle, in the order the predictor looks for
+# them, with the color words that walk it (see the module docstring).
+_C4_WORDS = tuple((x, y, x, z) for x, y, z in itertools.permutations((1, 2, 3)))
+_C6_WORDS = ((1, 2, 3, 1, 2, 3), (2, 3, 1, 2, 3, 1), (3, 1, 2, 3, 1, 2))
+_C3_WORDS = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+_FORBIDDEN = (
+    ("three-colored 4-cycle", _C4_WORDS),
+    ("color-repeating 6-cycle", _C6_WORDS),
+    ("rainbow triangle", _C3_WORDS),
+)
 
 
-def _closed_walks(sigma: list[list[int]], words, verts) -> tuple[CycleReport, ...]:
-    """Every simple cycle that some word walks, canonicalized and sorted."""
-    found = set()
-    for word in words:
-        k = len(word)
-        for start in range(len(verts)):
-            walk = []
+def _partners(verts, blocks) -> tuple[list[list[int]], bool]:
+    """sigma[c][x], the plain-edge partner of verts[x] in color c or -1,
+    from ((color, value), members) blocks; and whether every block was plain."""
+    index = {v: i for i, v in enumerate(verts)}
+    sigma = [[-1] * len(verts) for _ in range(4)]
+    plain = True
+    for (color, _), mems in blocks:
+        if len(mems) != 2:
+            plain = False
+            continue
+        a, b = mems
+        x, y = index[a], index[b]
+        sigma[color][x] = y
+        sigma[color][y] = x
+    return sigma, plain
+
+
+def _cycles_by_start(sigma: list[list[int]], words):
+    """Per start index, in order, the simple cycles that some word walks
+    with start as their least index: each cycle once, as (indices,
+    colors) read from start in the direction whose second index is less.
+
+    A word is walked only while every landmark stays above the start,
+    so a cycle is met from its least landmark only, in the one direction
+    that reads as a word; that reading or its reverse is canonical.
+    """
+    steps = [(word, [sigma[c] for c in word[:-1]], sigma[word[-1]]) for word in words]
+    for start in range(len(sigma[1])):
+        hits = []
+        for word, body, close in steps:
+            walk = [start]
             v = start
-            for color in word:
-                walk.append(v)
-                v = sigma[color][v]
-                if v < 0:
+            for row in body:
+                v = row[v]
+                if v <= start:  # no partner (-1), or not above the start
                     break
+                walk.append(v)
             else:
-                if v == start and len(set(walk)) == k:
-                    found.add(_canonical_cycle(tuple(verts[i] for i in walk), word))
-    return tuple(CycleReport(*key) for key in sorted(found))
+                if close[v] == start and len(set(walk)) == len(walk):
+                    if walk[1] < walk[-1]:
+                        hits.append((tuple(walk), word))
+                    else:
+                        hits.append(((start, *walk[:0:-1]), word[::-1]))
+        yield hits
+
+
+def _cycle(verts, hit) -> CycleReport:
+    walk, colors = hit
+    return CycleReport(tuple(verts[i] for i in walk), colors)
 
 
 def forbidden_scan(G: LandmarkGraph) -> ForbiddenReport:
     """Exhaustively list forbidden 4-cycles, 6-cycles, and rainbow triangles.
 
     Only plain (size-2) hyperedges participate: sigma[c][x] is the
-    plain-edge partner of landmark x in color c, or -1.  Closed walks of
-    the words (1,2,1,3), (2,1,2,3), (3,1,3,2) give the 4-cycles a b a c
-    (one word per repeated color a; the cycle read from the far side of
-    its a-edges is a c a b), (1,2,3,1,2,3) gives the 6-cycles a b c a b c
-    and (1,2,3) the rainbow triangles (both read 1, 2, 3 in exactly one
-    direction).  A graph with loops or larger blocks is scanned anyway
-    but flagged as not strictly applicable.
+    plain-edge partner of landmark x in color c, or -1.  Landmarks are
+    indexed in sorted order and each cycle is walked once, from its
+    least landmark: the six words x y x z give the 4-cycles a b a c, the
+    three rotations of (1,2,3,1,2,3) the 6-cycles a b c a b c and those
+    of (1,2,3) the rainbow triangles.  Each list is sorted, every cycle
+    read from its least landmark towards its lesser neighbor.  A graph
+    with loops or larger blocks is scanned anyway but flagged as not
+    strictly applicable.
     """
-    verts = G.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    sigma = [[-1] * len(verts) for _ in range(4)]
-    applicable = True
-    for e in G.hyperedges:
-        if len(e.members) != 2:
-            applicable = False
-            continue
-        x, y = (index[v] for v in e.members)
-        sigma[e.color][x] = y
-        sigma[e.color][y] = x
-    return ForbiddenReport(
-        applicable=applicable,
-        c4=_closed_walks(sigma, ((1, 2, 1, 3), (2, 1, 2, 3), (3, 1, 3, 2)), verts),
-        c6=_closed_walks(sigma, ((1, 2, 3, 1, 2, 3),), verts),
-        rainbow_triangles=_closed_walks(sigma, ((1, 2, 3),), verts),
+    verts = sorted(G.vertices)
+    sigma, applicable = _partners(
+        verts, (((e.color, e.value), e.members) for e in G.hyperedges))
+    c4, c6, c3 = (
+        tuple(_cycle(verts, hit)
+              for hit in sorted(h for hits in _cycles_by_start(sigma, words) for h in hits))
+        for _, words in _FORBIDDEN
     )
+    return ForbiddenReport(applicable=applicable, c4=c4, c6=c6, rainbow_triangles=c3)
 
 
 def _describe_cycle(kind: str, c: CycleReport) -> str:
@@ -258,41 +285,49 @@ def predict_resolving(W: LandmarkSet) -> Certificate:
 
 def _prediction(W: LandmarkSet, kind: SystemKind,
                 report: ForbiddenReport | None = None) -> Certificate:
-    """``predict_resolving`` from W's class and, when made already, its scan."""
+    """``predict_resolving`` from W's class and, when made already, its scan.
+
+    Without a scan, the kinds are walked in order, 4-cycles, 6-cycles,
+    then triangles, each only up to the first start with a cycle: its
+    least cycle there is the least of its kind, the one a scan lists first.
+    """
     g = W.graph
     if g.k != frozenset({3}):
         raise NotApplicable(f"prediction is stated for K={{3}}, got {g.format()}")
     if len(set(g.dims)) != 1:
         raise NotApplicable(f"prediction needs a diagonal graph, got {g.format()}")
     if kind is SystemKind.TWO_BASIC:
-        triangles = False
+        sought = _FORBIDDEN[:2]
         scanned = "landmark graph of the 2-basic system"
     elif kind is SystemKind.TRIPLE_LOOPED:
-        triangles = True
+        sought = _FORBIDDEN
         scanned = "landmark graph of the 2-basic part"
     else:
         raise NotApplicable(
             "prediction only covers TWO_BASIC and TRIPLE_LOOPED systems"
         )
+    # the least cycle of each kind, or None; lazily, kind by kind
     if report is None:
-        report = forbidden_scan(build_landmark_graph(W))
-    if report.clean(include_triangles=triangles):
+        verts = sorted(W.members)
+        sigma, _ = _partners(verts, W.blocks().items())
+        least = (next((_cycle(verts, min(hits))
+                       for hits in _cycles_by_start(sigma, words) if hits), None)
+                 for _, words in sought)
+    else:
+        least = (cycles[0] if cycles else None
+                 for cycles in (report.c4, report.c6, report.rainbow_triangles))
+    found = next(((name, c) for (name, _), c in zip(sought, least) if c), None)
+    if found is None:
         forbidden = "no three-colored 4-cycle, no 6-cycle with repeating colors"
-        if triangles:
+        if kind is SystemKind.TRIPLE_LOOPED:
             forbidden += ", no rainbow triangle"
         return Certificate(
             Verdict.RESOLVING, g, landmarks=W,
             attestation=f"scan of the {scanned}: {forbidden}",
         )
-    if report.c4:
-        found = _describe_cycle("three-colored 4-cycle", report.c4[0])
-    elif report.c6:
-        found = _describe_cycle("color-repeating 6-cycle", report.c6[0])
-    else:
-        found = _describe_cycle("rainbow triangle", report.rainbow_triangles[0])
     return Certificate(
         Verdict.UNRESOLVED, g, landmarks=W,
-        attestation=f"scan of the {scanned} found a {found}",
+        attestation=f"scan of the {scanned} found a {_describe_cycle(*found)}",
     )
 
 

@@ -23,7 +23,7 @@ refuse graphs above VERTEX_LIMIT vertices before allocating anything.
 
 Both hand their keys to one kernel, ``_least_equal_pair``: a sort of the
 keys settles a set whose keys are distinct, and only vertices whose keys
-repeat are compared exactly, codes by ``LandmarkSet.code`` and distance
+repeat are compared exactly, codes as sets of landmarks and distance
 vectors entry by entry.  A hash collision can cost time, never a wrong
 verdict.  Both report the lexicographically least colliding pair as
 witness.
@@ -32,10 +32,12 @@ witness.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -105,6 +107,10 @@ class LandmarkSet:
             raise InvalidBlock(f"value {a} outside 1..{self.graph.dims[i - 1]}")
         return frozenset(self._blocks.get((i, a), ()))
 
+    def blocks(self) -> Mapping[tuple[int, int], tuple[Vertex, ...]]:
+        """Every nonempty block, keyed by (color, value); read-only."""
+        return MappingProxyType(self._blocks)
+
     def blocks_of_color(self, i: int) -> dict[int, tuple[Vertex, ...]]:
         """Nonempty blocks of one color, keyed by coordinate value."""
         if i not in (1, 2, 3):
@@ -116,10 +122,13 @@ class LandmarkSet:
         self.graph.validate_vertex(v)
         if v in self._member_set:
             raise IsLandmark(f"{v!r} is a landmark and has no code")
-        out: set[Vertex] = set()
-        for i in range(3):
-            out.update(self._blocks.get((i + 1, v[i]), ()))
-        return frozenset(out)
+        return self._code(v)
+
+    def _code(self, v: Vertex) -> frozenset:
+        """``code`` of a vertex known to be valid and not a landmark."""
+        blocks = self._blocks
+        return frozenset(blocks.get((1, v[0]), ()) + blocks.get((2, v[1]), ())
+                         + blocks.get((3, v[2]), ()))
 
 
 class Verdict(str, Enum):
@@ -149,8 +158,11 @@ class Certificate:
     dimension: int | None = None
     attestation: str | None = None
     candidates_examined: int | None = None
+    # set by the verifiers, whose witness vertices come from the graph's
+    # own vertex indices: their codes are compared without validating them
+    _kernel_witness: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _kernel_witness):
         if self.verdict is Verdict.UNRESOLVED:
             if self.landmarks is None:
                 raise Unsupported("UNRESOLVED certificate needs landmarks")
@@ -164,7 +176,8 @@ class Certificate:
             x, y = self.witness
             if x == y:
                 raise InvalidVertex(f"witness pair repeats {x!r}")
-            if self.landmarks.code(x) != self.landmarks.code(y):
+            code = self.landmarks._code if _kernel_witness else self.landmarks.code
+            if code(x) != code(y):
                 raise InvalidVertex(f"witness pair {x!r}, {y!r} has distinct codes")
 
     def to_json(self) -> str:
@@ -333,7 +346,7 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     keys = left[:, :, None] + right[:, None, :]
     keys -= p23
     keep = _non_landmarks(n, at[6])
-    pair = _least_equal_pair(keys.reshape(-1), keep, lambda i: W.code(_vertex_at(g, i)))
+    pair = _least_equal_pair(keys.reshape(-1), keep, lambda i: W._code(_vertex_at(g, i)))
     return _certificate(W, pair)
 
 
@@ -377,7 +390,8 @@ def _certificate(W: LandmarkSet, pair) -> Certificate:
     if pair is None:
         return Certificate(Verdict.RESOLVING, g, landmarks=W)
     x, y = _vertex_at(g, pair[0]), _vertex_at(g, pair[1])
-    return Certificate(Verdict.UNRESOLVED, g, landmarks=W, witness=(x, y))
+    return Certificate(Verdict.UNRESOLVED, g, landmarks=W, witness=(x, y),
+                       _kernel_witness=True)
 
 
 def lower_bound(n1: int, n2: int, n3: int) -> int:

@@ -56,8 +56,10 @@ pick, and the last report holds the totals.
 
 Budgets are explicit and trip a BudgetExceeded error rather than
 silently truncating.  The wall-time budget is one absolute deadline,
-shared by parallel workers, read whenever the leaf count crosses a
-multiple of 4,096 and every 256 last-level parents.  Nonexistence
+shared by parallel workers, read when each first free pick starts,
+whenever the leaf count crosses a multiple of 4,096 and every 256
+last-level parents.  So a deadline already past trips at the first pick,
+with the same count at every worker count.  Nonexistence
 certificates report the exact number of candidates examined.
 """
 
@@ -452,6 +454,7 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
     def walk(pick: int, on: _Budget) -> list | None:
         nonlocal budget
         budget = on
+        budget._check_clock()  # a deadline passed before any leaf trips here
         del chosen[len(fixed):]  # a hit leaves its picks behind
         if not top:
             budget.count(1)

@@ -5,6 +5,10 @@ keeping the first whose scan reports each configuration; their verdicts
 were cross-checked against the distance verifier before pinning.
 """
 
+import hashlib
+import json
+import re
+
 import pytest
 
 from hammingdim import (
@@ -27,7 +31,8 @@ from hammingdim import (
     metric_basis,
     predict_resolving,
 )
-from hammingdim.landmark import COLOR_NAMES, CycleReport, TWO_BASIC_SHAPES
+from hammingdim.cli import _scan_report
+from hammingdim.landmark import COLOR_NAMES, CycleReport, TWO_BASIC_SHAPES, _prediction
 
 G3 = hamming_graph(3, 3, 3)
 
@@ -180,6 +185,100 @@ def test_scan_totals_pinned():
     assert len(systems) == 144
     assert scan_totals(systems) == (648, 108, 216, 0)
     assert scan_totals(enumerate_two_basic(4, budget=500)) == (928, 471, 694, 55)
+
+
+def pinned_sets():
+    """All 144 n=3 systems and their lifts, 200 samples at n=4, and
+    metric_basis(4..12)."""
+    for W in enumerate_two_basic(3):
+        yield W
+        yield extend_triple_looped(W)
+    yield from enumerate_two_basic(4, budget=200)
+    for n in range(4, 13):
+        yield metric_basis(n)
+
+
+def cycles_by_dfs(W):
+    """The forbidden cycles of W's plain-edge graph from a depth-first
+    search of its simple 3-, 4- and 6-cycles, classified by their colors.
+
+    Every closed simple path is met from each of its vertices in both
+    directions; each is kept once, read from its least landmark towards
+    its lesser neighbor.
+    """
+    adj = {v: [] for v in W.members}
+    for i in (1, 2, 3):
+        for mems in W.blocks_of_color(i).values():
+            if len(mems) == 2:
+                x, y = mems
+                adj[x].append((y, i))
+                adj[y].append((x, i))
+    found = set()
+
+    def extend(path, colors):
+        for y, c in adj[path[-1]]:
+            if y == path[0] and len(path) in (3, 4, 6):
+                found.add(least_reading(tuple(path), (*colors, c)))
+            elif y not in path and len(path) < 6:
+                extend(path + [y], colors + [c])
+
+    for v in W.members:
+        extend([v], [])
+    c4, c6, c3 = [], [], []
+    for cycle, colors in sorted(found):
+        k, three = len(cycle), len(set(colors)) == 3
+        if k == 4 and three and (colors[0] == colors[2] or colors[1] == colors[3]):
+            c4.append((cycle, colors))
+        elif k == 6 and three and colors[:3] == colors[3:]:
+            c6.append((cycle, colors))
+        elif k == 3 and three:
+            c3.append((cycle, colors))
+    return c4, c6, c3
+
+
+def least_reading(cycle, colors):
+    """The cycle read from its least landmark towards its lesser
+    neighbor; colors[t] joins cycle[t] to the next landmark."""
+    k = len(cycle)
+    s = cycle.index(min(cycle))
+    fwd = (tuple(cycle[(s + t) % k] for t in range(k)),
+           tuple(colors[(s + t) % k] for t in range(k)))
+    bwd = (tuple(cycle[(s - t) % k] for t in range(k)),
+           tuple(colors[(s - t - 1) % k] for t in range(k)))
+    return min(fwd, bwd)
+
+
+def test_scan_equals_depth_first_search():
+    for W in pinned_sets():
+        rep = forbidden_scan(build_landmark_graph(W))
+        got = tuple([(c.landmarks, c.colors) for c in cycles]
+                    for cycles in (rep.c4, rep.c6, rep.rainbow_triangles))
+        assert got == cycles_by_dfs(W), W.members
+
+
+def test_prediction_equals_prediction_from_full_scan():
+    # predict_resolving stops at the first cycle it meets; scan reports
+    # from the full list: both must name the same cycle
+    for W in pinned_sets():
+        full = forbidden_scan(build_landmark_graph(W))
+        try:
+            want = _prediction(W, classify(W).kind, full)
+        except NotApplicable as exc:
+            with pytest.raises(NotApplicable, match=re.escape(str(exc))):
+                predict_resolving(W)
+            continue
+        got = predict_resolving(W)
+        assert (got.verdict, got.attestation) == (want.verdict, want.attestation)
+
+
+def test_scan_reports_pinned():
+    # sha256 over the scan JSON of pinned_sets(), recorded with the walk
+    # that read every cycle from each of its landmarks
+    digest = hashlib.sha256()
+    for W in pinned_sets():
+        digest.update((json.dumps(_scan_report(W), indent=2) + "\n").encode())
+    assert digest.hexdigest() == (
+        "cc87753aa0ac52e08f21914a40dc514f0cd4ac6d61ec6c2a23b159e27b218511")
 
 
 def test_cycle_report_revalidates_rejects_corruption():

@@ -72,6 +72,12 @@ def test_fixture_blocks():
     for i in (1, 2, 3):
         sizes = sum(len(W.block(i, a)) for a in (1, 2, 3))
         assert sizes == len(W.members)
+    # every nonempty block, read-only
+    blocks = W.blocks()
+    assert {key: frozenset(mems) for key, mems in blocks.items()} == {
+        (i, a): W.block(i, a) for i in (1, 2, 3) for a in (1, 2, 3) if W.block(i, a)}
+    with pytest.raises(TypeError):
+        blocks[(1, 3)] = ()
 
 
 def test_code_frozen_and_against_distance():
@@ -335,6 +341,25 @@ def test_certificate_construction_checks():
         # (3,3,3) has empty code, (1,1,2) does not
         Certificate(Verdict.UNRESOLVED, G3, landmarks=W,
                     witness=((1, 1, 2), (3, 3, 3)))
+
+
+def test_witness_recheck_survives_tampering():
+    # the verifiers' own witnesses skip vertex validation, not the code
+    # check; a caller-built certificate gets both
+    W = LandmarkSet(G3, K4_SET)
+    x, y = is_resolving(W).witness
+    assert Certificate(Verdict.UNRESOLVED, G3, landmarks=W, witness=(x, y)).witness == (x, y)
+    with pytest.raises(InvalidVertex):  # codes differ
+        Certificate(Verdict.UNRESOLVED, G3, landmarks=W, witness=(x, (3, 3, 3)))
+    with pytest.raises(InvalidVertex):  # codes differ, even from a verifier
+        Certificate(Verdict.UNRESOLVED, G3, landmarks=W, witness=(x, (3, 3, 3)),
+                    _kernel_witness=True)
+    with pytest.raises(InvalidVertex):  # outside the graph
+        Certificate(Verdict.UNRESOLVED, G3, landmarks=W, witness=(x, (1, 1, 4)))
+    with pytest.raises(InvalidVertex):  # not a vertex at all
+        Certificate(Verdict.UNRESOLVED, G3, landmarks=W, witness=(x, [1, 1, 3]))
+    with pytest.raises(IsLandmark):
+        Certificate(Verdict.UNRESOLVED, G3, landmarks=W, witness=(x, (1, 1, 1)))
 
 
 def test_certificate_json():

@@ -32,7 +32,7 @@ from hammingdim import (
     metric_basis,
     metric_dimension,
 )
-from hammingdim.search import _color_feasible
+from hammingdim.search import _Budget, _color_feasible
 
 G3 = hamming_graph(3, 3, 3)
 G4 = hamming_graph(4, 4, 4)
@@ -114,15 +114,58 @@ def test_candidate_budget_at_a_hit(g, s, hit):
 
 
 def test_wall_time_budget():
-    # a deadline already past trips at the first clock read, the 256th
-    # last-level parent, inside the first pick at every worker count
+    # a deadline already past trips when the first pick starts, before
+    # any leaf, at every worker count, pruned or not
+    for prune in (False, True):
+        for workers in (1, 2):
+            with pytest.raises(BudgetExceeded) as exc:
+                exists_resolving_of_size(
+                    G3, 5, SearchOptions(prune=prune, max_seconds=0.0, workers=workers)
+                )
+            assert exc.value.bound == "max_seconds"
+            assert exc.value.candidates_examined == 0
+
+
+def test_wall_time_read_inside_a_pick(monkeypatch):
+    # the clock passes the deadline at the first last-level parent, inside
+    # the first pick; the clock is next read at the 256th, at every worker
+    # count
+    now = [0.0]
+    node = _Budget.node
+
+    def late_node(budget):
+        now[0] = 2.0
+        node(budget)
+
+    monkeypatch.setattr(hammingdim.search.time, "monotonic", lambda: now[0])
+    monkeypatch.setattr(_Budget, "node", late_node)
     for workers in (1, 2):
+        now[0] = 0.0
         with pytest.raises(BudgetExceeded) as exc:
             exists_resolving_of_size(
-                G3, 5, SearchOptions(prune=False, max_seconds=0.0, workers=workers)
-            )
+                G3, 5, SearchOptions(prune=False, max_seconds=1.0, workers=workers))
         assert exc.value.bound == "max_seconds"
         assert exc.value.candidates_examined == 2244
+
+
+def test_wall_time_read_when_each_pick_starts(monkeypatch):
+    # the clock stands still until the third pick's report moves it past
+    # the deadline; the fourth pick's start reads it and trips with the
+    # count of the first three, before any leaf of its own
+    now = [0.0]
+    monkeypatch.setattr(hammingdim.search.time, "monotonic", lambda: now[0])
+    reports = []
+
+    def progress(p):
+        reports.append(p)
+        if len(reports) == 3:
+            now[0] = 2.0
+
+    with pytest.raises(BudgetExceeded) as exc:
+        exists_resolving_of_size(G3, 5, SearchOptions(max_seconds=1.0, progress=progress))
+    assert exc.value.bound == "max_seconds"
+    assert len(reports) == 3
+    assert exc.value.candidates_examined == reports[-1].candidates_examined > 0
 
 
 def test_wall_time_budget_is_one_deadline_across_workers():
