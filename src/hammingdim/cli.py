@@ -69,7 +69,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _emit(args: argparse.Namespace, W) -> None:
     text, used = emit_landmarks(W, args.format)
     if args.format is None and used != "pls":
-        print(f"note: set not pls-representable, emitting {used}", file=sys.stderr)
+        print(f"note: set has no unambiguous pls form, emitting {used}", file=sys.stderr)
     _write_text(args.out, text)
 
 

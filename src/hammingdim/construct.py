@@ -181,8 +181,6 @@ def metric_basis(n: int) -> LandmarkSet:
         return fixture("n3")
     if n == 4:
         return graph_to_landmarks(construct_cubic(4), 5)
-    if n == 5:
-        return extend_triple_looped(graph_to_landmarks(construct_cubic(4), 5))
     if n == 6:
         return fixture("n6")
     return extend_triple_looped(graph_to_landmarks(construct_cubic(n - 1), n))

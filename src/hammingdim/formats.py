@@ -9,7 +9,8 @@ Two formats are supported:
 * ``triples``, one ``i j k`` line per landmark with a
   ``# graph n1 n2 n3 K`` header line.
 
-Round trip: parsing an emitted document reproduces the landmark set.
+Round trip: parsing an emitted document reproduces the landmark set,
+with its format given or detected.
 """
 
 from __future__ import annotations
@@ -142,23 +143,39 @@ def parse_triples(text: str, g: GhgParams) -> LandmarkSet:
     return LandmarkSet(g, members)
 
 
-def detect_format(text: str) -> str:
+def detect_format(text: str, g: GhgParams | None = None) -> str:
     """Guess pls vs triples: a grid contains '.' cells or non-triple rows;
-    a triples document is all 3-field data lines."""
+    a triples document is all 3-field data lines.
+
+    Given the graph, a document that reads both ways is refused: one with
+    no ``# graph`` header and exactly n1 rows of three integers, when
+    n2 = 3, is a full grid as much as a list of triples.
+    """
+    rows = []
+    header = False
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line:
+            continue
+        if line.startswith("#"):
+            header = header or line[1:].split()[:1] == ["graph"]
             continue
         parts = line.split()
         if "." in parts or len(parts) != 3:
             return "pls"
+        rows.append(parts)
+    if (g is not None and not header and g.dims[1] == 3 and len(rows) == g.dims[0]
+            and all(f.lstrip("+-").isdigit() for parts in rows for f in parts)):
+        raise ParseError(
+            f"document reads as both a full pls grid and {len(rows)} triples; "
+            "name its format with --format")
     return "triples"
 
 
 def parse_landmarks(text: str, fmt: str | None, g: GhgParams) -> LandmarkSet:
     """Parse a landmark document; ``fmt`` is 'pls', 'triples', or None to sniff."""
     if fmt is None:
-        fmt = detect_format(text)
+        fmt = detect_format(text, g)
     if fmt == "pls":
         return parse_pls(text, g)
     if fmt == "triples":
@@ -169,14 +186,18 @@ def parse_landmarks(text: str, fmt: str | None, g: GhgParams) -> LandmarkSet:
 def emit_landmarks(W: LandmarkSet, fmt: str | None = None) -> tuple[str, str]:
     """Emit a landmark document; returns (text, format used).
 
-    With ``fmt`` None, prefers pls when representable, else triples.
+    With ``fmt`` None, prefers pls when representable and its text is
+    detected as pls, else triples: a full grid of three columns reads as
+    triples too.
     """
-    if fmt is None:
-        fmt = "pls" if pls_representable(W) else "triples"
+    if fmt is None and pls_representable(W):
+        text = emit_pls(W)
+        if detect_format(text) == "pls":
+            return text, "pls"
+    if fmt in (None, "triples"):
+        return emit_triples(W), "triples"
     if fmt == "pls":
         return emit_pls(W), "pls"
-    if fmt == "triples":
-        return emit_triples(W), "triples"
     raise Unsupported(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 

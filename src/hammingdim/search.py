@@ -56,11 +56,11 @@ pick, and the last report holds the totals.
 
 Budgets are explicit and trip a BudgetExceeded error rather than
 silently truncating.  The wall-time budget is one absolute deadline,
-shared by parallel workers, read when each first free pick starts,
-whenever the leaf count crosses a multiple of 4,096 and every 256
-last-level parents.  So a deadline already past trips at the first pick,
-with the same count at every worker count.  Nonexistence
-certificates report the exact number of candidates examined.
+shared by parallel workers.  One rule reads the clock: when each first
+free pick starts, and at every 256th run of leaves counted, before that
+run is added.  So a deadline already past trips at the first pick, with
+the same count at every worker count.  Nonexistence certificates report
+the exact number of candidates examined.
 """
 
 from __future__ import annotations
@@ -111,26 +111,8 @@ class SearchOptions:
         if self.max_candidates is not None and self.max_candidates < 0:
             raise Unsupported(
                 f"candidate budget must be non-negative, got {self.max_candidates}")
-
-
-def _prepare(g: GhgParams):
-    n = g.dims[0]
-    verts = list(g.vertices())
-    c1 = tuple(v[0] - 1 for v in verts)
-    c2 = tuple(v[1] - 1 for v in verts)
-    c3 = tuple(v[2] - 1 for v in verts)
-    total = len(verts)
-    # suffix[j][i][a]: vertices at index >= j whose coordinate i+1 equals a+1
-    suffix = []
-    cur = [[0] * n for _ in range(3)]
-    suffix.append([row[:] for row in cur])
-    for idx in range(total - 1, -1, -1):
-        cur[0][c1[idx]] += 1
-        cur[1][c2[idx]] += 1
-        cur[2][c3[idx]] += 1
-        suffix.append([row[:] for row in cur])
-    suffix.reverse()  # suffix[j] now matches indices >= j
-    return verts, (c1, c2, c3), suffix
+        if self.workers < 1:
+            raise Unsupported(f"worker count must be at least 1, got {self.workers}")
 
 
 def _color_feasible(cnt, avail, t) -> bool:
@@ -168,7 +150,7 @@ class _Budget:
     ``SearchProgress`` here."""
 
     __slots__ = ("max_candidates", "deadline", "progress", "t0", "leaves", "pruned",
-                 "nodes")
+                 "runs")
 
     def __init__(self, max_candidates: int | None, deadline: float | None,
                  progress: Callable[[SearchProgress], None] | None = None):
@@ -178,7 +160,7 @@ class _Budget:
         self.t0 = time.monotonic()
         self.leaves = 0
         self.pruned = 0
-        self.nodes = 0
+        self.runs = 0
 
     def _over_candidates(self):
         # a walk trips at leaf max_candidates + 1, so the count examined
@@ -202,21 +184,15 @@ class _Budget:
 
     def count(self, leaves: int):
         """Count a run of leaves, a hit only as the last of them: it trips
-        where counting them one by one would, the clock read whenever the
-        count crosses a multiple of 4,096."""
-        before = self.leaves
+        where counting them one by one would.  Every 256th run reads the
+        clock before it is added, so a well-pruned search, which can go a
+        long time between leaves, still reads it."""
+        self.runs += 1
+        if not self.runs % 256:
+            self._check_clock()
         self.leaves += leaves
         if self.max_candidates is not None and self.leaves > self.max_candidates:
             self._over_candidates()
-        if self.leaves >> 12 != before >> 12:
-            self._check_clock()
-
-    def node(self):
-        """Count one last-level parent, reading the clock every 256: a
-        well-pruned search can go a long time between leaves."""
-        self.nodes += 1
-        if self.nodes % 256 == 0:
-            self._check_clock()
 
     def alone(self, walk, pick: int) -> tuple:
         """Walk one pick as a worker does, on a budget of its own with
@@ -296,16 +272,6 @@ class _ClassFinals(dict):
         return finals
 
 
-def _share_masks(cols, total: int) -> list[int]:
-    """share[u]: bitmask of the vertices agreeing with u in some coordinate."""
-    c1, c2, c3 = cols
-    return [
-        sum(1 << v for v in range(total)
-            if c1[u] == c1[v] or c2[u] == c2[v] or c3[u] == c3[v])
-        for u in range(total)
-    ]
-
-
 @contextlib.contextmanager
 def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
     """Yield (picks, walk) for the size-s supersets of ``fixed``, whose
@@ -318,10 +284,14 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
     pick.  The memos are emptied on exit.
     """
     n = g.dims[0]
-    verts, cols, suffix = _prepare(g)
+    verts = list(g.vertices())
     total = len(verts)
-    rows = len(suffix)
-    share = _share_masks(cols, total)
+    rows = total + 1  # suffix starts, 0..total
+    # coord[i][a]: the vertices whose coordinate i + 1 equals a + 1
+    coord = [[sum(1 << v for v, x in enumerate(verts) if x[i] == a) for a in range(1, n + 1)]
+             for i in range(3)]
+    # share[u]: the vertices agreeing with u in some coordinate
+    share = [coord[0][x - 1] | coord[1][y - 1] | coord[2][z - 1] for x, y, z in verts]
 
     # Color i's block counts travel as one integer, i * span + code with
     # code = sum(cnt[i][a] * base**a); no count exceeds s, so base s + 1
@@ -335,12 +305,11 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
         rest, i = divmod(rest, 3)
         t, j = divmod(rest, rows)
         cnt = [code // base ** a % base for a in range(n)]
-        return _color_feasible(cnt, suffix[j][i], t)
+        # block a has this many vertices at index j or later
+        avail = [(m >> j).bit_count() for m in coord[i]]
+        return _color_feasible(cnt, avail, t)
 
     feasible = _Memo(color_feasible)
-    # coord[i][a]: the vertices whose coordinate i + 1 equals a + 1
-    coord = [[sum(1 << v for v in range(total) if c[v] == a) for a in range(n)]
-             for c in cols]
 
     def final_picks(k: int) -> int:
         """The last picks after which color code k is still feasible.
@@ -360,7 +329,7 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
 
     feasible_last = _Memo(final_picks)
     # s1, s2, s3[idx]: what picking idx adds to each color's code
-    s1, s2, s3 = ([base ** c[idx] for idx in range(total)] for c in cols)
+    s1, s2, s3 = ([base ** (x[i] - 1) for x in verts] for i in range(3))
     # offsets[t][idx]: key offset after picking idx with t picks left
     offsets = [[(t * rows + idx + 1) * 3 * span for idx in range(total)]
                for t in range(s)]
@@ -405,7 +374,6 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
     def last(lo: int, k1: int, k2: int, k3: int, good: int) -> list | None:
         """One pick left, decided for every x at once: ``good`` holds the
         picks that resolve the set, the color masks those kept feasible."""
-        budget.node()
         leaves = allowed = (1 << ends[1]) - (1 << lo)
         if prune:
             leaves &= feasible_last[k1] & feasible_last[k2] & feasible_last[k3]
@@ -662,9 +630,10 @@ def enumerate_two_basic(
     landmarks-to-be plus uniform value labels per color; every 2-basic
     system arises from exactly (2n)! such labeled structures.
     """
+    if budget is not None and budget < 0:
+        raise Unsupported(f"budget must be non-negative, got {budget}")
     if n == 3:
-        yield from itertools.islice(_two_basic_systems(3),
-                                    None if budget is None else max(budget, 0))
+        yield from itertools.islice(_two_basic_systems(3), budget)
         return
     if n not in (4, 5):
         raise Unsupported(f"2-basic enumeration is implemented for n in {{3, 4, 5}}")

@@ -31,6 +31,8 @@ from hammingdim.formats import (
 G3 = hamming_graph(3, 3, 3)
 
 N3_SQUARE = "1 2 3\n3 1 2\n. . .\n"
+# the cyclic Latin square: a full grid whose rows are three integers each
+LATIN = LandmarkSet(G3, [(i, j, (i + j) % 3 + 1) for i in (1, 2, 3) for j in (1, 2, 3)])
 
 
 def test_emit_pls_frozen():
@@ -52,6 +54,7 @@ def test_round_trips():
     sets = [fixture(n) for n in ("n3", "n6", "hg_5_7_11")]
     sets += [metric_basis(n) for n in range(3, 9)]
     sets += [LandmarkSet(G3, [(1, 1, 1), (1, 1, 2)])]  # pls-inexpressible
+    sets += [LATIN]  # its pls text reads as triples
     for W in sets:
         assert parse_triples(emit_triples(W), W.graph) == W
         if pls_representable(W):
@@ -100,6 +103,32 @@ def test_detect_format():
     assert detect_format(N3_SQUARE) == "pls"
     assert detect_format(emit_triples(fixture("n3"))) == "triples"
     assert detect_format(". 2 .\n") == "pls"
+
+
+def test_full_three_column_grid_is_ambiguous(tmp_path, capsys):
+    # no header, n1 rows of three integers, n2 = 3: a grid and a triples
+    # list alike, so auto-detection refuses it and emission avoids it
+    g435 = hamming_graph(4, 3, 5)
+    full = LandmarkSet(g435, [(i, j, (i + j) % 5 + 1) for i in range(1, 5) for j in (1, 2, 3)])
+    for W in (LATIN, full):
+        text = emit_pls(W)
+        assert detect_format(text) == "triples"
+        with pytest.raises(ParseError, match="--format"):
+            detect_format(text, W.graph)
+        with pytest.raises(ParseError, match="--format"):
+            parse_landmarks(text, None, W.graph)
+        assert parse_landmarks(text, "pls", W.graph) == W
+        assert emit_landmarks(W) == (emit_triples(W), "triples")
+    # a header, a row count other than n1 or a non-integer field settles it
+    for text in ("# graph 3 3 3 3\n1 2 3\n2 3 1\n3 1 2\n", "1 2 3\n2 3 1\n",
+                 "1 2 3\n2 3 1\n3 1 x\n"):
+        assert detect_format(text, G3) == "triples"
+    assert detect_format("1 2 3\n2 3 1\n3 1 2\n", hamming_graph(3, 4, 3)) == "triples"
+    path = write(tmp_path, "latin.pls", emit_pls(LATIN))
+    assert main(["verify", "--graph", "3x3x3", "--in", path]) == 2
+    assert "--format" in capsys.readouterr().err
+    assert main(["verify", "--graph", "3x3x3", "--in", path, "--format", "pls"]) == 0
+    capsys.readouterr()
 
 
 def write(tmp_path, name, text):
@@ -201,6 +230,13 @@ def test_cli_dimension_budget(capsys, monkeypatch):
     assert "non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_dimension_workers_below_one(capsys, workers):
+    assert main(["dimension", "--graph", "3x3x3", "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at least 1" in err
+
+
 def test_cli_scan(tmp_path, capsys):
     k4 = write(tmp_path, "k4.tri", "# graph 3 3 3 3\n1 1 1\n1 2 2\n2 1 2\n2 2 1\n")
     assert main(["scan", "--graph", "3x3x3", "--in", k4]) == 0
@@ -238,6 +274,13 @@ def test_cli_enumerate(capsys):
     first = capsys.readouterr().out
     assert main(["enumerate", "--n", "4", "--count", "3", "--seed", "9"]) == 0
     assert capsys.readouterr().out == first
+    # a negative count is bad input; a count of 0 emits nothing
+    for n, count in (("4", "-1"), ("3", "-2")):
+        assert main(["enumerate", "--n", n, "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-negative" in captured.err
+    assert main(["enumerate", "--n", "3", "--count", "0"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_module_entry_point():

@@ -99,6 +99,12 @@ def test_candidate_budget():
         SearchOptions(max_candidates=-1)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_count_below_one_refused(workers):
+    with pytest.raises(Unsupported, match="at least 1"):
+        SearchOptions(workers=workers)
+
+
 @pytest.mark.parametrize("g, s, hit", [(G3, 6, 13828), (G4, 8, 60735)], ids=["n3s6", "n4s8"])
 def test_candidate_budget_at_a_hit(g, s, hit):
     # the hit is leaf number ``hit``: one candidate less trips before it
@@ -127,18 +133,18 @@ def test_wall_time_budget():
 
 
 def test_wall_time_read_inside_a_pick(monkeypatch):
-    # the clock passes the deadline at the first last-level parent, inside
-    # the first pick; the clock is next read at the 256th, at every worker
-    # count
+    # the clock passes the deadline at the first run of leaves, inside the
+    # first pick; the clock is next read at the 256th run, before its
+    # leaves are added, at every worker count
     now = [0.0]
-    node = _Budget.node
+    count = _Budget.count
 
-    def late_node(budget):
+    def late_count(budget, leaves):
         now[0] = 2.0
-        node(budget)
+        count(budget, leaves)
 
     monkeypatch.setattr(hammingdim.search.time, "monotonic", lambda: now[0])
-    monkeypatch.setattr(_Budget, "node", late_node)
+    monkeypatch.setattr(_Budget, "count", late_count)
     for workers in (1, 2):
         now[0] = 0.0
         with pytest.raises(BudgetExceeded) as exc:
@@ -386,3 +392,7 @@ def test_enumerate_two_basic_domain():
         list(enumerate_two_basic(6))
     with pytest.raises(Unsupported):
         list(enumerate_two_basic(2))
+    for n, budget in ((3, -2), (4, -1)):
+        with pytest.raises(Unsupported, match="non-negative"):
+            list(enumerate_two_basic(n, budget=budget))
+    assert list(enumerate_two_basic(4, budget=0)) == []
