@@ -16,6 +16,8 @@ set, 2 usage or input error, 3 search budget exhausted.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -44,12 +46,13 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _write_text(path: str | None, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str | None):
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
 
 
 def _load_landmarks(args: argparse.Namespace):
@@ -70,7 +73,8 @@ def _emit(args: argparse.Namespace, W) -> None:
     text, used = emit_landmarks(W, args.format)
     if args.format is None and used != "pls":
         print(f"note: set has no unambiguous pls form, emitting {used}", file=sys.stderr)
-    _write_text(args.out, text)
+    with _output(args.out) as fh:
+        fh.write(text)
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -157,11 +161,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         kwargs["seed"] = args.seed
     systems = enumerate_two_basic(args.n, **kwargs)
-    out = []
-    for idx, W in enumerate(systems, start=1):
-        text, _ = emit_landmarks(W, "triples")
-        out.append(f"# system {idx}\n{text}")
-    _write_text(args.out, "\n".join(out))
+    # a refused request raises here, before the output file is opened
+    first = list(itertools.islice(systems, 1))
+    with _output(args.out) as fh:
+        for idx, W in enumerate(itertools.chain(first, systems), start=1):
+            text, _ = emit_landmarks(W, "triples")
+            fh.write(("\n" if idx > 1 else "") + f"# system {idx}\n{text}")
     return EXIT_OK
 
 

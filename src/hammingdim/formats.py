@@ -52,6 +52,8 @@ def pls_representable(W: LandmarkSet) -> bool:
 
 
 def parse_pls(text: str, g: GhgParams) -> LandmarkSet:
+    if g.r != 3:
+        raise Unsupported(f"pls grids need 3 coordinates, got r={g.r}")
     n1, n2, n3 = g.dims
     rows: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

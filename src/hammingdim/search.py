@@ -16,11 +16,14 @@ that.
 
 The feasibility test of one color depends only on that color's block
 counts, the suffix start and the picks left.  The walker carries each
-color's counts as one integer code and asks ``_color_feasible`` once
-per distinct (color, code, suffix start, picks left) within a search
-call; every later check of the same key is a dict lookup.  The last
-pick has a memo of its own, below.  The 4x4x4 size-7 search makes about
-1.9 million lookups on about 2,200 keys.  The memos live for one call
+color's counts as one integer code k; a pick fixes the suffix start
+after it, so whether pick idx keeps k feasible with t picks left after
+it depends only on (t, k, idx).  One memo, ``keep[t][k]``, holds the
+mask of such picks.  A node visits only the set bits of its index span
+AND its three codes' masks, and counts the skipped picks as pruned
+before each visit and at the end, as a pick by pick loop would, hit or
+not.  Without pruning every mask is all ones.  The 4x4x4 size-7 search
+makes about 500,000 lookups on 113 keys.  The memos live for one call
 and nothing is cached across calls.
 
 Candidates are checked without a pass over the vertices.  Non-landmarks
@@ -35,13 +38,11 @@ not build its refined classes: it splits each parent class in two and
 ANDs the final-pick masks of both halves into one mask, ``good``.
 
 The last pick is decided for every x at once, as bit operations on
-vertex masks.  With no pick left after it, a color's feasibility
-depends only on its code and x's value in that coordinate, so one memo
-gives the mask of final picks that keep a color feasible, and the AND
-of three such masks with the span of allowed indices is the mask of
-leaves.  The first hit is the lowest bit of ``good`` among them; the
-leaves and pruned picks up to it are counted as one run, and a budget
-trips on that run exactly where counting leaf by leaf would.
+vertex masks: the AND of the span of allowed indices with ``keep[0]``
+of the three codes is the mask of leaves.  The first hit is the lowest
+bit of ``good`` among them; the leaves and pruned picks up to it are
+counted as one run, and a budget trips on that run exactly where
+counting leaf by leaf would.
 
 A search is one loop over the first free picks, whatever the worker
 count.  The tables and memos are built once per search, into a
@@ -66,6 +67,7 @@ the exact number of candidates examined.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import multiprocessing
 import time
@@ -281,12 +283,11 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
     subtree under one of them, counting on ``budget``, and returns the
     members of its first resolving set in tree order, or None.  With
     nothing left to pick, ``fixed`` is the one candidate and the only
-    pick.  The memos are emptied on exit.
+    pick.  The memos are dropped on exit.
     """
     n = g.dims[0]
     verts = list(g.vertices())
     total = len(verts)
-    rows = total + 1  # suffix starts, 0..total
     # coord[i][a]: the vertices whose coordinate i + 1 equals a + 1
     coord = [[sum(1 << v for v, x in enumerate(verts) if x[i] == a) for a in range(1, n + 1)]
              for i in range(3)]
@@ -295,44 +296,34 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
 
     # Color i's block counts travel as one integer, i * span + code with
     # code = sum(cnt[i][a] * base**a); no count exceeds s, so base s + 1
-    # keeps codes distinct and below span.  A feasibility key adds
-    # (t * rows + j) * 3 * span for suffix start j and t picks left.
+    # keeps codes distinct and below span.
     base = s + 1
     span = base ** n
 
-    def color_feasible(key: int) -> bool:
-        rest, code = divmod(key, span)
-        rest, i = divmod(rest, 3)
-        t, j = divmod(rest, rows)
-        cnt = [code // base ** a % base for a in range(n)]
-        # block a has this many vertices at index j or later
-        avail = [(m >> j).bit_count() for m in coord[i]]
-        return _color_feasible(cnt, avail, t)
-
-    feasible = _Memo(color_feasible)
-
-    def final_picks(k: int) -> int:
-        """The last picks after which color code k is still feasible.
-
-        With no pick left after x, the feasibility test's answer does
-        not depend on availability, only on k and x's block.
-        """
+    def kept(t: int, k: int) -> int:
+        """The picks idx after which color code k plus idx's block is still
+        feasible with t more picks from idx + 1 on: in each block, a prefix,
+        as availability only falls as idx rises."""
         i, code = divmod(k, span)
         cnt = [code // base ** a % base for a in range(n)]
         out = 0
-        for a in range(n):
+        for a, block in enumerate(coord[i]):
             cnt[a] += 1
-            if _color_feasible(cnt, [0] * n, 0):
-                out |= coord[i][a]
+            while block:
+                low = block & -block
+                j = low.bit_length()  # the suffix start after this pick
+                if not _color_feasible(cnt, [(m >> j).bit_count() for m in coord[i]], t):
+                    break
+                out |= low
+                block ^= low
             cnt[a] -= 1
         return out
 
-    feasible_last = _Memo(final_picks)
+    # keep[t][k]: kept(t, k), or every pick when nothing is pruned
+    keep = ([_Memo(functools.partial(kept, t)) for t in range(s)] if prune
+            else [_Memo(lambda k: -1)] * s)
     # s1, s2, s3[idx]: what picking idx adds to each color's code
     s1, s2, s3 = ([base ** (x[i] - 1) for x in verts] for i in range(3))
-    # offsets[t][idx]: key offset after picking idx with t picks left
-    offsets = [[(t * rows + idx + 1) * 3 * span for idx in range(total)]
-               for t in range(s)]
 
     # Collision classes: non-landmarks with equal signatures, kept as
     # bitmasks and only while they hold two or more vertices.  A set
@@ -374,9 +365,8 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
     def last(lo: int, k1: int, k2: int, k3: int, good: int) -> list | None:
         """One pick left, decided for every x at once: ``good`` holds the
         picks that resolve the set, the color masks those kept feasible."""
-        leaves = allowed = (1 << ends[1]) - (1 << lo)
-        if prune:
-            leaves &= feasible_last[k1] & feasible_last[k2] & feasible_last[k3]
+        allowed = (1 << ends[1]) - (1 << lo)
+        leaves = allowed & keep[0][k1] & keep[0][k2] & keep[0][k3]
         hit = good & leaves
         if hit:
             upto = hit ^ (hit - 1)  # the first hit and every pick before it
@@ -399,24 +389,25 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
         return good
 
     def rec(lo: int, t: int, k1: int, k2: int, k3: int, classes: list[int]) -> list | None:
-        off = offsets[t - 1]
-        for idx in range(lo, ends[t]):
+        kt = keep[t - 1]
+        todo = kt[k1] & kt[k2] & kt[k3] & ((1 << ends[t]) - (1 << lo))
+        while todo:
+            idx = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            budget.pruned += idx - lo  # the picks skipped since the last visit
+            lo = idx + 1
             a = k1 + s1[idx]
             b = k2 + s2[idx]
             c = k3 + s3[idx]
-            if prune:
-                o = off[idx]
-                if not (feasible[o + a] and feasible[o + b] and feasible[o + c]):
-                    budget.pruned += 1
-                    continue
             chosen.append(idx)
             if t == 2:
-                hit = last(idx + 1, a, b, c, cleared(classes, sharing[idx], apart[idx]))
+                hit = last(lo, a, b, c, cleared(classes, sharing[idx], apart[idx]))
             else:
-                hit = rec(idx + 1, t - 1, a, b, c, refine(classes, idx))
+                hit = rec(lo, t - 1, a, b, c, refine(classes, idx))
             if hit:
                 return hit
             chosen.pop()
+        budget.pruned += ends[t] - lo
         return None
 
     def walk(pick: int, on: _Budget) -> list | None:
@@ -436,9 +427,8 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
         yield range(len(fixed), ends[top]) if top else range(1), walk
     finally:
         # rec reaches itself through its closure, so this frame is freed
-        # only by a cyclic collection; empty the memos now instead
-        feasible.clear()
-        feasible_last.clear()
+        # only by a cyclic collection; drop the memos now instead
+        keep.clear()
         finals.clear()
 
 

@@ -1,5 +1,6 @@
 """File formats and the command-line surface."""
 
+import hashlib
 import io
 import json
 import re
@@ -281,6 +282,30 @@ def test_cli_enumerate(capsys):
         assert captured.out == "" and "non-negative" in captured.err
     assert main(["enumerate", "--n", "3", "--count", "0"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_cli_enumerate_streams_same_bytes(tmp_path, capsys):
+    assert main(["enumerate", "--n", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fcf13e84f630fa1c66733d8ffb6cb7197aceeaddb67c8efc036a1161956346ba")
+    path = tmp_path / "systems.txt"
+    assert main(["enumerate", "--n", "3", "--out", str(path)]) == 0
+    assert path.read_text(encoding="utf-8") == out
+    # a refused request leaves no file behind
+    refused = tmp_path / "n6.txt"
+    assert main(["enumerate", "--n", "6", "--out", str(refused)]) == 2
+    assert not refused.exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("graph", ["3x3", "3x3x3x3"])
+@pytest.mark.parametrize("fmt", [["--format", "pls"], []])
+@pytest.mark.parametrize("command", ["verify", "scan"])
+def test_cli_pls_needs_three_coordinates(tmp_path, capsys, graph, fmt, command):
+    path = write(tmp_path, "grid.pls", "1 . .\n. 2 .\n. . 3\n")
+    assert main([command, "--graph", graph, "--in", path, *fmt]) == 2
+    assert "3 coordinates" in capsys.readouterr().err
 
 
 def test_cli_module_entry_point():

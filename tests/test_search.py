@@ -297,6 +297,28 @@ def test_pruned_walk_counts_n4(s, counts):
     assert walk_counts(G4, s, True) == counts
 
 
+# (candidates, pruned) after each of the 58 first picks of the serial 4x4x4
+# size-7 search; from the 31st on, each first pick is pruned whole
+N4S7_PROGRESS = [
+    (11520, 54691), (23040, 110265), (34560, 166862), (46080, 226017),
+    (69528, 336858), (92976, 449425), (116424, 563940), (127944, 626869),
+    (151392, 744704), (174840, 864219), (198288, 985682), (209808, 1051660),
+    (233256, 1175189), (256704, 1300386), (280152, 1428062), (282024, 1437608),
+    (285864, 1455063), (289704, 1472866), (293544, 1491093), (296760, 1507792),
+    (302880, 1536248), (308568, 1563227), (313824, 1588697), (315744, 1600099),
+    (319236, 1618300), (322296, 1634267), (324924, 1647993), (325548, 1652703),
+    (326412, 1658305), (326844, 1661202),
+] + [(326844, pruned) for pruned in range(1661203, 1661231)]
+
+
+def test_pruned_walk_progress_n4():
+    """Every running total, not only the last: a pick pruned or skipped
+    partway through a level moves the reports after it."""
+    reports = []
+    exists_resolving_of_size(G4, 7, SearchOptions(progress=reports.append))
+    assert [(p.candidates_examined, p.pruned_subtrees) for p in reports] == N4S7_PROGRESS
+
+
 def test_search_domain_errors():
     with pytest.raises(Unsupported):
         exists_resolving_of_size(hamming_graph(5, 5, 5), 9)
