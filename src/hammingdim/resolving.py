@@ -13,20 +13,21 @@ Two independent verification routes are provided:
   of its code taken by inclusion-exclusion over its three blocks.  One
   key per vertex, never a |V| x |W| table or a pairwise vertex
   comparison.
-* ``is_resolving_by_distance`` folds raw distance vectors, from the
-  diameter-2 distance rule, into keys the same way.  It never looks at
-  codes: the oracle.
+* ``is_resolving_by_distance`` packs raw distance vectors, from the
+  diameter-2 distance rule, 64 landmarks to a word and folds each
+  vertex's words into one key.  It never looks at codes: the oracle.
 
 Both accept the two diameter-2 regimes of ``GhgParams.closed_form_available``
 (K = {3} and its complement K = {1, 2}, every dimension >= 3), and both
 refuse graphs above VERTEX_LIMIT vertices before allocating anything.
 
 Both hand their keys to one kernel, ``_least_equal_pair``: a sort of the
-keys settles a set whose keys are distinct, and only vertices whose keys
-repeat are compared exactly, codes as sets of landmarks and distance
-vectors entry by entry.  A hash collision can cost time, never a wrong
-verdict.  Both report the lexicographically least colliding pair as
-witness.
+keys settles a set whose keys are distinct.  Otherwise a table of flags,
+about one per vertex, marks the repeated keys; one pass over all keys
+reads off the candidates, and only candidates whose key recurs later are
+compared exactly, codes as sets of landmarks and distance vectors word
+by word.  A hash collision can cost time, never a wrong verdict.  Both
+report the lexicographically least colliding pair as witness.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .hamming import GhgParams, Vertex, hamming_graph
 VERTEX_LIMIT = 3 * 10**7
 
 _WEIGHTS = np.empty(0, dtype=np.uint64)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # 2**64 over the golden ratio, odd
 _FOLD_ENTRIES = 1 << 20  # distance entries built per slab of the oracle
 
 CERTIFICATE_SCHEMA = "hammingdim/certificate-v1"
@@ -233,14 +235,20 @@ def _weights(m: int) -> np.ndarray:
     global _WEIGHTS
     if _WEIGHTS.size < m:
         z = np.arange(1, max(m, 2 * _WEIGHTS.size, 1024) + 1, dtype=np.uint64)
-        z *= np.uint64(0x9E3779B97F4A7C15)
-        for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-            z ^= z >> np.uint64(shift)
-            z *= np.uint64(factor)
-        z ^= z >> np.uint64(31)
+        z *= _GOLDEN
+        _mix(z)
         z[:64] = np.uint64(1) << np.arange(64, dtype=np.uint64)
         _WEIGHTS = z
     return _WEIGHTS[:m]
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, in place: a bijection of 64-bit words."""
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(factor)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _members_array(W: LandmarkSet) -> np.ndarray:
@@ -276,33 +284,39 @@ def _least_equal_pair(keys: np.ndarray, keep: np.ndarray, row_of):
 
     keys[i] must be a function of row i, so distinct keys mean distinct
     rows, and one sort of the kept keys settles a set without repeats.
-    Otherwise row_of(i) re-checks exactly.  Kept indices whose key repeats
-    are tried in increasing order; the first with an equal row at a later
-    index is the witness's first index, and the least such later index is
-    its second.  A repeat that is a hash collision only costs one more try.
+    Otherwise each repeated key sets a flag in a table of 2**ceil(log2 |V|)
+    flags, at the top bits of key * _GOLDEN, which depend on every bit of
+    the key (keys of up to 64 landmarks are bitmasks, with skewed low
+    bits).  One read of the table gives the candidates: the kept indices
+    whose key repeats, and about as many whose flag is set by chance.
+    They are tried in increasing order; the first with an equal row at a
+    later index is the witness's first index, and the least such later
+    index its second.  row_of(i) re-checks exactly, only where a later
+    candidate has the same key: a chance flag costs one key comparison,
+    a hash collision one more try.
     """
     # each |V|-sized temporary is dropped once spent, to bound the peak
     kept = keys[keep]
     kept.sort()
-    again = kept[1:] == kept[:-1]
-    again[1:] &= ~again[:-1]  # each repeated key once
-    repeated = kept[1:][again]
-    del kept, again
+    repeated = kept[1:][kept[1:] == kept[:-1]]
+    del kept
     if repeated.size == 0:
         return None
-    at = np.searchsorted(repeated, keys)
-    np.minimum(at, repeated.size - 1, out=at)
-    hit = repeated[at] == keys
-    del at
-    hit &= keep
-    candidates = hit.nonzero()[0]
-    del hit
+    bits = (keys.size - 1).bit_length()
+    flag = np.zeros(1 << bits, dtype=bool)
+    flag[(repeated * _GOLDEN) >> np.uint64(64 - bits)] = True
+    slot = keys * _GOLDEN
+    slot >>= np.uint64(64 - bits)
+    candidates = (flag[slot] & keep).nonzero()[0]
+    del slot
     ckeys = keys[candidates]
     for t, i in enumerate(candidates):
-        row = row_of(int(i))
-        for j in candidates[t + 1:][ckeys[t + 1:] == ckeys[t]]:
-            if row_of(int(j)) == row:
-                return int(i), int(j)
+        later = candidates[t + 1:][ckeys[t + 1:] == ckeys[t]]
+        if later.size:
+            row = row_of(int(i))
+            for j in later:
+                if row_of(int(j)) == row:
+                    return int(i), int(j)
     return None
 
 
@@ -358,31 +372,39 @@ def is_resolving_by_distance(W: LandmarkSet) -> Certificate:
     w share a coordinate, so v's distance vector is a one-to-one function
     of its "shares a coordinate" row over the landmarks (under K = {3} the
     shared entries are at distance 2, under K = {1, 2} at distance 1), and
-    equal rows mean equal distance vectors.  Each row is folded to a 64-bit
-    key, a weighted sum of its entries; rows whose keys repeat are compared
-    exactly.  Rows are built and folded a slab of first coordinates at a
-    time, so no |V| x |W| matrix is held; the time grows as |V| * |W|.
+    equal rows mean equal distance vectors.  A row is the OR of the
+    vertex's three coordinate rows, packed 64 landmarks to a word (bit p
+    of word k is landmark 64k + p), and is folded to a 64-bit key: one
+    word is its own key, and more are each put through the splitmix64
+    finalizer and summed with the weight of their first landmark, so that
+    structured rows do not cancel.  Rows whose keys repeat are compared
+    exactly, word by word.  Rows are built and folded over flat ranges of
+    vertex indices, at most _FOLD_ENTRIES distance entries at a time, so
+    no |V| x |W| matrix is held for any |W|; the time grows as
+    |V| * |W| / 64.
     """
     g = W.graph
     n = _checked_vertex_count(g)
     w = _members_array(W)
-    m = len(W)
-    r = _weights(m)
-    near = [np.arange(d)[:, None] == w[i] for i, d in enumerate(g.dims)]
-    d1, d2, d3 = g.dims
+    words = -(-len(W) // 64)
+    near = np.zeros((3, max(g.dims), 64 * words), dtype=bool)
+    near[np.arange(3)[:, None], w, np.arange(len(W))] = True
+    near = np.packbits(near, axis=-1, bitorder="little").view(np.uint64)
+    r = _weights(64 * words)[::64]  # the weight of each word's first landmark
 
     def row_of(i):
-        # the landmarks sharing a coordinate with vertex i
+        # the landmarks sharing a coordinate with vertex i, 64 to a word
         a = np.unravel_index(i, g.dims)
-        return (near[0][a[0]] | near[1][a[1]] | near[2][a[2]]).tobytes()
+        return (near[0].take(a[0], axis=0) | near[1].take(a[1], axis=0)
+                | near[2].take(a[2], axis=0))
 
-    keys = np.empty((d1, d2 * d3), dtype=np.uint64)
-    step = max(1, _FOLD_ENTRIES // (d2 * d3 * max(m, 1)))
-    for lo in range(0, d1, step):
-        share = near[0][lo:lo + step, None, None] | near[1][:, None] | near[2]
-        keys[lo:lo + step] = share.reshape(len(share), d2 * d3, m) @ r
+    keys = np.empty(n, dtype=np.uint64)
+    step = max(1, _FOLD_ENTRIES // (64 * max(words, 1)))
+    for lo in range(0, n, step):
+        share = row_of(np.arange(lo, min(lo + step, n)))
+        keys[lo:lo + step] = (_mix(share) if words > 1 else share) @ r
     keep = _non_landmarks(n, np.ravel_multi_index(w, g.dims))
-    return _certificate(W, _least_equal_pair(keys.reshape(-1), keep, row_of))
+    return _certificate(W, _least_equal_pair(keys, keep, lambda i: row_of(i).tobytes()))
 
 
 def _certificate(W: LandmarkSet, pair) -> Certificate:

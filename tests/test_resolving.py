@@ -111,9 +111,10 @@ def test_is_resolving_k4_witness():
 
 
 def test_is_resolving_empty():
-    cert = is_resolving(LandmarkSet(G3, []))
-    assert cert.verdict is Verdict.UNRESOLVED
-    assert cert.witness == ((1, 1, 1), (1, 1, 2))
+    for verify in (is_resolving, is_resolving_by_distance):  # no words to fold
+        cert = verify(LandmarkSet(G3, []))
+        assert cert.verdict is Verdict.UNRESOLVED
+        assert cert.witness == ((1, 1, 1), (1, 1, 2))
 
 
 def test_witness_is_lexicographically_least():
@@ -235,7 +236,21 @@ def zero_weights(monkeypatch):
     monkeypatch.setattr(resolving, "_WEIGHTS", np.zeros(4096, dtype=np.uint64))
 
 
-def test_forced_collisions_match_brute_force(zero_weights):
+@pytest.fixture
+def kept_keys(monkeypatch):
+    # the kept keys of every call into the shared pair kernel, in order
+    seen = []
+    kernel = resolving._least_equal_pair
+
+    def spy(keys, keep, row_of):
+        seen.append(keys[keep])
+        return kernel(keys, keep, row_of)
+
+    monkeypatch.setattr(resolving, "_least_equal_pair", spy)
+    return seen
+
+
+def test_forced_collisions_match_brute_force(zero_weights, kept_keys):
     W = LandmarkSet(G3, INTERLEAVED)
     assert least_pair_by_codes(W) == ((1, 1, 2), (1, 3, 2))
     assert W.code((1, 2, 1)) == W.code((1, 2, 3)) != W.code((1, 1, 2))
@@ -255,6 +270,70 @@ def test_forced_collisions_match_brute_force(zero_weights):
             cert = verify(W)
             assert cert.witness == want
             assert (cert.verdict is Verdict.RESOLVING) == (want is None)
+            # every kept key repeats, so the verdict came from the re-check
+            assert np.unique(kept_keys[-1]).size <= 1
+
+
+G_INVERSE = pow(int(resolving._GOLDEN), -1, 2**64)
+
+
+def one_flag_key(n, slot, low):
+    """A key whose flag in the kernel's table for n vertices is at slot:
+    keys with one slot and distinct low parts differ yet share a flag."""
+    bits = (n - 1).bit_length()
+    return (((slot % (1 << bits)) << (64 - bits)) | low % (1 << (64 - bits))) * G_INVERSE % 2**64
+
+
+def least_equal_pair_by_brute_force(rows, keep):
+    return next(((i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))
+                 if keep[i] and keep[j] and rows[i] == rows[j]), None)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Rows, keep flags and keys, each key a function of its row only."""
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.integers(0, draw(st.integers(0, n))), min_size=n, max_size=n))
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    word = st.integers(0, 2**64 - 1)
+    slot = draw(st.integers(0, 2**10))
+    key = draw(st.sampled_from([
+        word,
+        st.builds(lambda high: high << 20 | 0x5A5A5, st.integers(0, 2**44 - 1)),  # low bits shared
+        st.builds(lambda low: one_flag_key(n, slot, low), word),  # flag shared
+        st.just(draw(word)),  # every key equal
+        st.sampled_from(draw(st.lists(word, min_size=2, max_size=3, unique=True))),
+    ]))
+    key_of = {row: draw(key) for row in sorted(set(rows))}
+    return rows, keep, [key_of[row] for row in rows]
+
+
+@given(kernel_cases())
+@settings(max_examples=300, deadline=None)
+def test_least_equal_pair_against_brute_force(case):
+    rows, keep, keys = case
+    pair = resolving._least_equal_pair(np.array(keys, dtype=np.uint64),
+                                       np.array(keep, dtype=bool), rows.__getitem__)
+    assert pair == least_equal_pair_by_brute_force(rows, keep)
+
+
+def test_least_equal_pair_chance_flag_before_witness():
+    # index 0's key is unique but shares its flag with the repeated key of
+    # the witness (3, 6); indices 1 and 2 share a key by a hash collision
+    rows = [0, 1, 2, 3, 4, 5, 3, 6]
+    keys = [one_flag_key(8, 3, 1), 17, 17, one_flag_key(8, 3, 2), 90, 91,
+            one_flag_key(8, 3, 2), 92]
+    tried = []
+
+    def row_of(i):
+        tried.append(i)
+        return rows[i]
+
+    keep = np.ones(8, dtype=bool)
+    assert resolving._least_equal_pair(np.array(keys, dtype=np.uint64), keep, row_of) == (3, 6)
+    # rows are read only for candidates with a later equal key: not for
+    # index 0, nor again for index 2, the last of its key
+    assert tried == [1, 2, 3, 6]
 
 
 dims_and_members = st.tuples(st.integers(3, 6), st.integers(3, 6), st.integers(3, 6)).flatmap(
@@ -295,6 +374,53 @@ def test_metric_basis_65_less_one_witnesses(k, witness):
     W = LandmarkSet(B.graph, B.members[:k] + B.members[k + 1:])
     assert is_resolving(W).witness == witness
     assert is_resolving_by_distance(W).witness == witness
+
+
+@pytest.mark.parametrize("m", [63, 64, 65, 127, 128, 129])
+def test_oracle_word_boundaries(m):
+    rng = random.Random(m)
+    for dims in ((6, 6, 6), (5, 6, 7)):
+        g = GhgParams(dims, frozenset({3}))
+        W = LandmarkSet(g, rng.sample(list(g.vertices()), m))
+        assert is_resolving_by_distance(W).witness == least_pair_by_codes(W)
+    # metric_basis(n) has 2n - 1 landmarks; drop two at m = 63, 65, 127
+    # and 129, and one at m = 64; m = 128 is pinned on metric_basis(65)
+    if m != 128:
+        B = metric_basis(m // 2 + 1 + m % 2)
+        drop = rng.sample(range(len(B)), len(B) - m)
+        W = LandmarkSet(B.graph, [v for k, v in enumerate(B.members) if k not in drop])
+        assert len(W) == m and len(B) - m in (1, 2)
+        want = least_pair_by_codes(W)
+        assert want is not None  # the basis is a least resolving set
+        assert is_resolving_by_distance(W).witness == want
+
+
+@pytest.mark.parametrize("n", [65, 100])
+def test_basis_keys_never_collide(n, kept_keys):
+    # a fold that lets structured rows cancel repeats keys here
+    for verify in (is_resolving, is_resolving_by_distance):
+        assert verify(metric_basis(n)).verdict is Verdict.RESOLVING
+        assert np.unique(kept_keys[-1]).size == kept_keys[-1].size
+
+
+def test_oracle_slabs_bound_memory():
+    # a first-coordinate value of 30x30x30 holds 900 * 3,000 distance
+    # entries, 2.6 MB as bools, past one slab's budget
+    g = hamming_graph(30, 30, 30)
+    assert 900 * 3000 > resolving._FOLD_ENTRIES
+    verts = list(g.vertices())
+    for members in (random.Random(20261020).sample(verts, 3000),
+                    [v for v in verts if v[0] <= 4][:3000]):  # unresolved
+        W = LandmarkSet(g, members)
+        tracemalloc.start()
+        try:
+            cert = is_resolving_by_distance(W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert cert.witness == is_resolving(W).witness
+    assert cert.verdict is Verdict.UNRESOLVED
 
 
 @given(st.sets(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
