@@ -26,7 +26,7 @@ from .construct import FIXTURE_NAMES, fixture, metric_basis
 from .errors import BudgetExceeded, HammingDimError, NotApplicable, ParseError
 from .formats import FORMATS, emit_landmarks, parse_landmarks
 from .hamming import GhgParams
-from .landmark import _prediction, build_landmark_graph, classify, forbidden_scan
+from .landmark import build_landmark_graph, classify, forbidden_scan, predict_resolving
 from .resolving import Verdict, _fmt_vertex, is_resolving, is_resolving_by_distance
 from .search import SearchOptions, enumerate_two_basic, metric_dimension
 
@@ -135,7 +135,7 @@ def _scan_report(W) -> dict:
     doc["c6"] = _cycles_json(report.c6)
     doc["rainbow_triangles"] = _cycles_json(report.rainbow_triangles)
     try:
-        cert = _prediction(W, cls.kind, report)
+        cert = predict_resolving(W)
     except NotApplicable as exc:
         doc["predict_resolving"] = None
         doc["predict_note"] = str(exc)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidOrder, NotFound, Unsupported
 from .hamming import GhgParams
-from .landmark import extend_triple_looped
+from .landmark import extend_triple_looped, matching_triples
 from .resolving import LandmarkSet
 
 
@@ -118,13 +118,9 @@ def graph_to_landmarks(G: ColoredCubicGraph, n: int) -> LandmarkSet:
         raise InvalidOrder(f"graph has {G.order} vertices, expected {2 * (n - 1)}")
     if n - 1 < 3:
         raise Unsupported(f"n={n}: target graph needs every dimension >= 3")
-    coord: dict[int, list[int | None]] = {v: [None, None, None] for v in range(G.order)}
-    for color in (1, 2, 3):
-        for number, (u, v) in enumerate(G.edges_of_color(color), start=1):
-            coord[u][color - 1] = number
-            coord[v][color - 1] = number
     g = GhgParams((n - 1, n - 1, n - 1), frozenset({3}))
-    return LandmarkSet(g, [tuple(coord[v]) for v in range(G.order)])
+    matchings = [G.edges_of_color(color) for color in (1, 2, 3)]
+    return LandmarkSet(g, matching_triples(matchings, [range(1, n)] * 3))
 
 
 _FIXTURES: dict[str, tuple[tuple[int, int, int], tuple[tuple[int, int, int], ...]]] = {

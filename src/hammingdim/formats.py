@@ -9,17 +9,47 @@ Two formats are supported:
 * ``triples``, one ``i j k`` line per landmark with a
   ``# graph n1 n2 n3 K`` header line.
 
+In both, a ``# graph`` header must describe the graph given, and every
+cell, field and header number is an optionally signed run of ASCII digits.
+
 Round trip: parsing an emitted document reproduces the landmark set,
 with its format given or detected.
 """
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError, Unsupported
 from .hamming import GhgParams
 from .resolving import LandmarkSet
 
 FORMATS = ("pls", "triples")
+# int() alone would also take 1_0 as 10, and non-ASCII digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(field: str) -> int:
+    if not _INTEGER.fullmatch(field):
+        raise ValueError(field)
+    return int(field)
+
+
+def _check_header(line: str, lineno: int, g: GhgParams) -> None:
+    """Refuse a ``# graph`` comment line that describes a graph other than g."""
+    parts = line[1:].split()
+    if parts[:1] != ["graph"]:
+        return
+    if len(parts) != 5:
+        raise ParseError("graph header needs n1 n2 n3 K", line=lineno)
+    try:
+        dims = tuple(_integer(p) for p in parts[1:4])
+        k = frozenset(_integer(p) for p in parts[4].split(","))
+    except ValueError:
+        raise ParseError(f"malformed graph header {line!r}", line=lineno) from None
+    if dims != g.dims or k != g.k:
+        raise ParseError(f"header describes {GhgParams(dims, k).format()}, "
+                         f"expected {g.format()}", line=lineno)
 
 
 def emit_pls(W: LandmarkSet) -> str:
@@ -58,9 +88,10 @@ def parse_pls(text: str, g: GhgParams) -> LandmarkSet:
     rows: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append((lineno, line.split()))
+        if line.startswith("#"):
+            _check_header(line, lineno, g)
+        elif line:
+            rows.append((lineno, line.split()))
     if len(rows) != n1:
         raise ParseError(f"expected {n1} rows, found {len(rows)}")
     members = []
@@ -73,7 +104,7 @@ def parse_pls(text: str, g: GhgParams) -> LandmarkSet:
             if cell == ".":
                 continue
             try:
-                k = int(cell)
+                k = _integer(cell)
             except ValueError:
                 raise ParseError(
                     f"cell {cell!r} is neither an integer nor '.'",
@@ -106,23 +137,7 @@ def parse_triples(text: str, g: GhgParams) -> LandmarkSet:
         if not line:
             continue
         if line.startswith("#"):
-            parts = line[1:].split()
-            if parts[:1] == ["graph"]:
-                if len(parts) != 5:
-                    raise ParseError("graph header needs n1 n2 n3 K", line=lineno)
-                try:
-                    dims = tuple(int(p) for p in parts[1:4])
-                    k = frozenset(int(p) for p in parts[4].split(","))
-                except ValueError:
-                    raise ParseError(
-                        f"malformed graph header {line!r}", line=lineno
-                    ) from None
-                if dims != g.dims or k != g.k:
-                    raise ParseError(
-                        f"header describes {GhgParams(dims, k).format()}, "
-                        f"expected {g.format()}",
-                        line=lineno,
-                    )
+            _check_header(line, lineno, g)
             continue
         parts = line.split()
         if len(parts) != 3:
@@ -130,7 +145,7 @@ def parse_triples(text: str, g: GhgParams) -> LandmarkSet:
                 f"expected three integers, found {len(parts)} fields", line=lineno
             )
         try:
-            triple = tuple(int(p) for p in parts)
+            triple = tuple(_integer(p) for p in parts)
         except ValueError:
             raise ParseError(f"non-integer field in {line!r}", line=lineno) from None
         for col, (c, d) in enumerate(zip(triple, g.dims), start=1):
@@ -167,7 +182,7 @@ def detect_format(text: str, g: GhgParams | None = None) -> str:
             return "pls"
         rows.append(parts)
     if (g is not None and not header and g.dims[1] == 3 and len(rows) == g.dims[0]
-            and all(f.lstrip("+-").isdigit() for parts in rows for f in parts)):
+            and all(_INTEGER.fullmatch(f) for parts in rows for f in parts)):
         raise ParseError(
             f"document reads as both a full pls grid and {len(rows)} triples; "
             "name its format with --format")

@@ -97,15 +97,6 @@ def _is_two_basic(mems, dims) -> bool:
         len(set(zip(p, q))) == 2 * d for p, q in itertools.combinations(cols, 2))
 
 
-def _without(W: LandmarkSet, u: Vertex) -> LandmarkSet:
-    """W less its loop vertex u, on the (n-1)-diagonal graph."""
-    n = W.graph.dims[0]
-    return LandmarkSet(
-        GhgParams((n - 1, n - 1, n - 1), W.graph.k),
-        [m for m in W.members if m != u],
-    )
-
-
 def classify(W: LandmarkSet) -> SystemClass:
     """TWO_BASIC, TRIPLE_LOOPED (with its loop vertex), or OTHER."""
     g = W.graph
@@ -121,11 +112,14 @@ def classify(W: LandmarkSet) -> SystemClass:
 
 
 def basic_part(W: LandmarkSet) -> LandmarkSet:
-    """The 2-basic system left after removing a triple-looped set's loop vertex."""
+    """The 2-basic system left after removing a triple-looped set's loop
+    vertex, on the (n-1)-diagonal graph."""
     cls = classify(W)
     if cls.kind is not SystemKind.TRIPLE_LOOPED:
         raise NotApplicable(f"{W!r} is {cls.kind.value}, not TRIPLE_LOOPED")
-    return _without(W, cls.loop_vertex)
+    n = W.graph.dims[0]
+    g = GhgParams((n - 1, n - 1, n - 1), W.graph.k)
+    return LandmarkSet(g, [m for m in W.members if m != cls.loop_vertex])
 
 
 def extend_triple_looped(W: LandmarkSet) -> LandmarkSet:
@@ -203,6 +197,18 @@ def _partners(verts, blocks) -> tuple[list[list[int]], bool]:
     return sigma, plain
 
 
+def matching_triples(matchings, labels) -> list[tuple[int, int, int]]:
+    """The landmark triple of each element 0, 1, ... of three perfect
+    matchings, one per color, given each color's value labels: an element
+    on the j-th pair of matchings[c] takes labels[c][j] as coordinate
+    c + 1.  ``_partners`` reads the matchings back."""
+    coord = [[0, 0, 0] for _ in range(2 * len(matchings[0]))]
+    for c, (matching, values) in enumerate(zip(matchings, labels)):
+        for (a, b), value in zip(matching, values):
+            coord[a][c] = coord[b][c] = value
+    return [tuple(t) for t in coord]
+
+
 def _cycles_by_start(sigma: list[list[int]], words):
     """Per start index, in order, the simple cycles that some word walks
     with start as their least index: each cycle once, as (indices,
@@ -276,59 +282,38 @@ def predict_resolving(W: LandmarkSet) -> Certificate:
     finds no forbidden 4-cycle and no forbidden 6-cycle.  For a
     triple-looped system the same holds for its 2-basic part, and rainbow
     triangles are forbidden as well; its loop vertex carries only loops,
-    so the scan of W finds exactly the 2-basic part's cycles.  Never
-    computes a distance or code, so an UNRESOLVED certificate names the
-    forbidden configuration instead of carrying a witness pair.
-    """
-    return _prediction(W, classify(W).kind)
-
-
-def _prediction(W: LandmarkSet, kind: SystemKind,
-                report: ForbiddenReport | None = None) -> Certificate:
-    """``predict_resolving`` from W's class and, when made already, its scan.
-
-    Without a scan, the kinds are walked in order, 4-cycles, 6-cycles,
-    then triangles, each only up to the first start with a cycle: its
-    least cycle there is the least of its kind, the one a scan lists first.
+    so the scan of W finds exactly the 2-basic part's cycles.  The kinds
+    are sought in order, 4-cycles, 6-cycles, then triangles, each walked
+    only up to the first start with a cycle: its least cycle there is the
+    least of its kind, the one ``forbidden_scan`` lists first.  Never
+    computes a distance or code, so an UNRESOLVED certificate names that
+    cycle instead of carrying a witness pair.
     """
     g = W.graph
     if g.k != frozenset({3}):
         raise NotApplicable(f"prediction is stated for K={{3}}, got {g.format()}")
     if len(set(g.dims)) != 1:
         raise NotApplicable(f"prediction needs a diagonal graph, got {g.format()}")
+    kind = classify(W).kind
     if kind is SystemKind.TWO_BASIC:
-        sought = _FORBIDDEN[:2]
-        scanned = "landmark graph of the 2-basic system"
+        sought, scanned = _FORBIDDEN[:2], "landmark graph of the 2-basic system"
     elif kind is SystemKind.TRIPLE_LOOPED:
-        sought = _FORBIDDEN
-        scanned = "landmark graph of the 2-basic part"
+        sought, scanned = _FORBIDDEN, "landmark graph of the 2-basic part"
     else:
-        raise NotApplicable(
-            "prediction only covers TWO_BASIC and TRIPLE_LOOPED systems"
-        )
-    # the least cycle of each kind, or None; lazily, kind by kind
-    if report is None:
-        verts = sorted(W.members)
-        sigma, _ = _partners(verts, W.blocks().items())
-        least = (next((_cycle(verts, min(hits))
-                       for hits in _cycles_by_start(sigma, words) if hits), None)
-                 for _, words in sought)
-    else:
-        least = (cycles[0] if cycles else None
-                 for cycles in (report.c4, report.c6, report.rainbow_triangles))
-    found = next(((name, c) for (name, _), c in zip(sought, least) if c), None)
-    if found is None:
-        forbidden = "no three-colored 4-cycle, no 6-cycle with repeating colors"
-        if kind is SystemKind.TRIPLE_LOOPED:
-            forbidden += ", no rainbow triangle"
-        return Certificate(
-            Verdict.RESOLVING, g, landmarks=W,
-            attestation=f"scan of the {scanned}: {forbidden}",
-        )
-    return Certificate(
-        Verdict.UNRESOLVED, g, landmarks=W,
-        attestation=f"scan of the {scanned} found a {_describe_cycle(*found)}",
-    )
+        raise NotApplicable("prediction only covers TWO_BASIC and TRIPLE_LOOPED systems")
+    verts = sorted(W.members)
+    sigma, _ = _partners(verts, W.blocks().items())
+    for name, words in sought:
+        hits = next(filter(None, _cycles_by_start(sigma, words)), None)
+        if hits:
+            found = _describe_cycle(name, _cycle(verts, min(hits)))
+            return Certificate(Verdict.UNRESOLVED, g, landmarks=W,
+                               attestation=f"scan of the {scanned} found a {found}")
+    forbidden = "no three-colored 4-cycle, no 6-cycle with repeating colors"
+    if kind is SystemKind.TRIPLE_LOOPED:
+        forbidden += ", no rainbow triangle"
+    return Certificate(Verdict.RESOLVING, g, landmarks=W,
+                       attestation=f"scan of the {scanned}: {forbidden}")
 
 
 class FootprintShape(str, Enum):
@@ -429,6 +414,7 @@ __all__ = [
     "classify",
     "basic_part",
     "extend_triple_looped",
+    "matching_triples",
     "CycleReport",
     "ForbiddenReport",
     "forbidden_scan",

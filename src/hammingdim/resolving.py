@@ -21,13 +21,16 @@ Both accept the two diameter-2 regimes of ``GhgParams.closed_form_available``
 (K = {3} and its complement K = {1, 2}, every dimension >= 3), and both
 refuse graphs above VERTEX_LIMIT vertices before allocating anything.
 
-Both hand their keys to one kernel, ``_least_equal_pair``: a sort of the
-keys settles a set whose keys are distinct.  Otherwise a table of flags,
-about one per vertex, marks the repeated keys; one pass over all keys
-reads off the candidates, and only candidates whose key recurs later are
-compared exactly, codes as sets of landmarks and distance vectors word
-by word.  A hash collision can cost time, never a wrong verdict.  Both
-report the lexicographically least colliding pair as witness.
+Both hand their keys to one kernel, ``_least_equal_pair``: a sort of a
+copy of the kept keys settles a set whose keys are distinct.  Otherwise a
+table of flags, about one per vertex, marks the repeated keys; one pass
+over all keys reads off the candidates, and only candidates whose key
+recurs later are compared exactly, codes as sets of landmarks and
+distance vectors word by word.  A hash collision can cost time, never a
+wrong verdict.  Both report the lexicographically least colliding pair
+as witness.  The keys, their sorted copy and the flags are the |V|-sized
+arrays: on the n = 65 and 100 bases either verifier peaks at 2.25 to 2.6
+times the keys' 8|V| bytes.
 """
 
 from __future__ import annotations
@@ -333,13 +336,14 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     which is inclusion-exclusion over v's three blocks, exact because no
     landmark lies in all three.  Equal codes give equal keys; codes whose
     keys repeat are re-checked exactly as sets of landmarks, so the verdict
-    and the witness never rest on the hash.  The only |V|-sized arrays are
-    one key and a few flags per vertex, and graphs above VERTEX_LIMIT
-    vertices are refused before anything is allocated.  The verdict is
-    valid for K = {3} and for the complement rule K = {1, 2}: in both
-    regimes a vertex's distance to a landmark is fixed by whether the two
-    share a coordinate, so equal codes and equal distance vectors are the
-    same thing.
+    and the witness never rest on the hash.  The |V|-sized arrays are one
+    key per vertex, the kernel's sorted copy of the kept keys and a few
+    flags per vertex, and graphs above VERTEX_LIMIT vertices are refused
+    before anything is allocated.  The verdict is valid for K = {3} and
+    for the complement rule K = {1, 2}: in both regimes a vertex's
+    distance to a landmark is fixed by whether the two share a
+    coordinate, so equal codes and equal distance vectors are the same
+    thing.
     """
     g = W.graph
     n = _checked_vertex_count(g)

@@ -70,6 +70,7 @@ import contextlib
 import functools
 import itertools
 import multiprocessing
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -78,6 +79,7 @@ from .errors import BudgetExceeded, Unsupported
 from .hamming import GhgParams, hamming_graph
 from .resolving import Certificate, LandmarkSet, Verdict, is_resolving, lower_bound
 from .construct import metric_basis
+from .landmark import matching_triples
 
 DEFAULT_SEED = 20240311
 
@@ -95,7 +97,9 @@ class SearchOptions:
     """Knobs for the subset searches.
 
     ``max_candidates`` bounds the number of complete candidate subsets
-    whose resolving check runs; ``max_seconds`` bounds wall time.  With
+    whose resolving check runs; ``max_seconds`` bounds wall time.  A
+    candidate budget or worker count that is not an integer, or a time
+    budget that is negative or not finite, is refused.  With
     ``workers`` > 1 the subtree under each first free pick is walked in
     a worker process; verdicts, counts and budget errors do not depend
     on the split.  ``progress`` gets one report per first free pick, in
@@ -110,11 +114,20 @@ class SearchOptions:
     progress: Callable[[SearchProgress], None] | None = None
 
     def __post_init__(self):
-        if self.max_candidates is not None and self.max_candidates < 0:
+        if self.max_candidates is not None and not _whole(self.max_candidates, 0):
+            raise Unsupported("candidate budget must be a non-negative integer, "
+                              f"got {self.max_candidates!r}")
+        t = self.max_seconds
+        if t is not None and not (isinstance(t, numbers.Real) and 0 <= t < float("inf")):
+            raise Unsupported(f"time budget must be finite and non-negative, got {t!r}")
+        if not _whole(self.workers, 1):
             raise Unsupported(
-                f"candidate budget must be non-negative, got {self.max_candidates}")
-        if self.workers < 1:
-            raise Unsupported(f"worker count must be at least 1, got {self.workers}")
+                f"worker count must be an integer, at least 1, got {self.workers!r}")
+
+
+def _whole(value, least: int) -> bool:
+    """Whether value is an integer of at least ``least``; a float never is."""
+    return isinstance(value, numbers.Integral) and value >= least
 
 
 def _color_feasible(cnt, avail, t) -> bool:
@@ -603,11 +616,6 @@ def metric_dimension(g: GhgParams, opts: SearchOptions | None = None) -> Certifi
     raise AssertionError("no resolving set up to size 2n; the construction disproves this")
 
 
-def _pair_list(order: int, perm: list[int]) -> list[tuple[int, int]]:
-    pairs = [tuple(sorted((perm[2 * i], perm[2 * i + 1]))) for i in range(order // 2)]
-    return sorted(pairs)
-
-
 def enumerate_two_basic(
     n: int, *, budget: int | None = None, seed: int = DEFAULT_SEED
 ) -> Iterator[LandmarkSet]:
@@ -617,11 +625,12 @@ def enumerate_two_basic(
     given).  n in {4, 5}: independent uniform samples, ``budget`` of them
     (default 10000), reproducible from ``seed``.  Uniformity comes from
     sampling three pairwise edge-disjoint perfect matchings of the 2n
-    landmarks-to-be plus uniform value labels per color; every 2-basic
-    system arises from exactly (2n)! such labeled structures.
+    landmarks-to-be plus uniform value labels per color, one per pair in
+    sorted pair order; ``matching_triples`` turns them into the members.
+    Every 2-basic system arises from exactly (2n)! such labeled structures.
     """
-    if budget is not None and budget < 0:
-        raise Unsupported(f"budget must be non-negative, got {budget}")
+    if budget is not None and not _whole(budget, 0):
+        raise Unsupported(f"budget must be a non-negative integer, got {budget!r}")
     if n == 3:
         yield from itertools.islice(_two_basic_systems(3), budget)
         return
@@ -632,32 +641,20 @@ def enumerate_two_basic(
     rng = random.Random(seed)
     g = hamming_graph(n, n, n)
     count = 10_000 if budget is None else budget
-    order = 2 * n
-    elements = list(range(order))
     for _ in range(count):
         while True:
-            perms = []
+            matchings = []
             for _i in range(3):
-                p = elements[:]
+                p = list(range(2 * n))
                 rng.shuffle(p)
-                perms.append(_pair_list(order, p))
-            flat = [frozenset(e) for m in perms for e in m]
-            if len(set(flat)) == 3 * (order // 2):
+                pairs = (tuple(sorted(p[j:j + 2])) for j in range(0, 2 * n, 2))
+                matchings.append(sorted(pairs))
+            if len({e for m in matchings for e in m}) == 3 * n:
                 break
-        values = []
-        for _i in range(3):
-            vals = list(range(1, n + 1))
-            rng.shuffle(vals)
-            values.append(vals)
-        pair_of = [[0] * order for _ in range(3)]
-        for i, matching in enumerate(perms):
-            for j, (a, b) in enumerate(matching):
-                pair_of[i][a] = j
-                pair_of[i][b] = j
-        members = sorted(
-            tuple(values[i][pair_of[i][e]] for i in range(3)) for e in elements
-        )
-        yield LandmarkSet(g, members)
+        labels = [list(range(1, n + 1)) for _i in range(3)]
+        for values in labels:
+            rng.shuffle(values)
+        yield LandmarkSet(g, sorted(matching_triples(matchings, labels)))
 
 
 def _two_basic_systems(n: int) -> Iterator[LandmarkSet]:

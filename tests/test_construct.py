@@ -1,5 +1,7 @@
 """Cubic-graph constructions, landmark extraction, fixtures, bases."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -101,6 +103,14 @@ def test_graph_to_landmarks_frozen():
     W = graph_to_landmarks(construct_cubic(4), 5)
     assert W.members == MOBIUS_LANDMARKS
     assert W.graph.dims == (4, 4, 4)
+
+
+def test_metric_basis_members_pinned():
+    # sha256 of the members of metric_basis(3..70) as JSON: the edge
+    # numbering of graph_to_landmarks fixes every member's coordinates
+    members = json.dumps([metric_basis(n).members for n in range(3, 71)])
+    assert hashlib.sha256(members.encode()).hexdigest() == (
+        "d949469fb1d56033982e2388dd8c4d0ce05823b72977e46eab474e929c7a665e")
 
 
 def test_graph_to_landmarks_errors():

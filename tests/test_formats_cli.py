@@ -132,6 +132,37 @@ def test_full_three_column_grid_is_ambiguous(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_pls_header_checked_as_in_triples(tmp_path, capsys):
+    # both parsers refuse a "# graph" header naming another graph
+    for fmt, body in (("pls", N3_SQUARE), ("triples", emit_triples(fixture("n3")))):
+        text = "# graph 4 4 4 3\n" + body.replace("# graph 3 3 3 3\n", "")
+        with pytest.raises(ParseError, match="header describes 4x4x4"):
+            parse_landmarks(text, fmt, G3)
+        path = write(tmp_path, f"n3.{fmt}", text)
+        assert main(["verify", "--graph", "3x3x3", "--in", path]) == 2
+        assert "header describes 4x4x4" in capsys.readouterr().err
+    path = write(tmp_path, "ok.pls", "# graph 3 3 3 3\n" + N3_SQUARE)
+    assert main(["verify", "--graph", "3x3x3", "--in", path]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("field", ["1_0", "\u0661", "+-1", "0x1", "\uff11"])
+def test_numbers_are_ascii_digits(tmp_path, capsys, field):
+    # int() alone would read 1_0 as 10 and the Arabic-Indic one as 1
+    g10 = hamming_graph(10, 10, 10)
+    with pytest.raises(ParseError):
+        parse_landmarks(f"1 1 {field}\n", "triples", g10)
+    with pytest.raises(ParseError):
+        parse_landmarks(f"{field} . .\n. . .\n. . .\n", "pls", G3)
+    with pytest.raises(ParseError, match="malformed graph header"):
+        parse_landmarks(f"# graph {field} 10 10 3\n1 1 1\n", "triples", g10)
+    path = write(tmp_path, "field.txt", f"1 1 {field}\n")
+    assert main(["verify", "--graph", "10x10x10", "--in", path]) == 2
+    capsys.readouterr()
+    # detection reads fields by the same rule: not a full grid of integers
+    assert detect_format(f"1 2 {field}\n2 3 1\n3 1 2\n", G3) == "triples"
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -297,6 +328,18 @@ def test_cli_enumerate_streams_same_bytes(tmp_path, capsys):
     assert main(["enumerate", "--n", "6", "--out", str(refused)]) == 2
     assert not refused.exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--n", "4", "--count", "300", "--seed", "7"],
+     "1d595afa1d18db7c968f8b6fff37f7c8df70fdaab10a14f453af6d8063959235"),
+    (["--n", "5", "--count", "300", "--seed", "11"],
+     "87b88756cb68d76bea998366be6d238ec19f5c88588dd32faa9ff741517dd3b4"),
+], ids=["n4-seed7", "n5-seed11"])
+def test_cli_enumerate_samples_pinned(capsys, argv, digest):
+    # the seed fixes the RNG calls and their order fixes every member
+    assert main(["enumerate", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("graph", ["3x3", "3x3x3x3"])

@@ -178,6 +178,22 @@ def test_code_verifier_size_cap():
     refused_before_allocating(is_resolving)
 
 
+@pytest.mark.parametrize("verify", [is_resolving, is_resolving_by_distance])
+def test_verifier_peak_under_three_key_arrays(verify):
+    # the keys, the kernel's sorted copy of the kept keys and the flags:
+    # 2.25 to 2.6 times the 8|V| bytes of keys; a third |V|-sized uint64
+    # array would cross 3 times
+    B = metric_basis(100)
+    for W in (B, LandmarkSet(B.graph, B.members[:-1])):
+        tracemalloc.start()
+        try:
+            verify(W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * 100**3
+
+
 def least_pair_by_bfs(W):
     """The least pair of non-landmarks with equal distance vectors, the
     vectors taken from breadth-first search, not the diameter-2 rule."""

@@ -105,6 +105,23 @@ def test_worker_count_below_one_refused(workers):
         SearchOptions(workers=workers)
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: SearchOptions(max_seconds=float("nan")), id="seconds-nan"),
+    pytest.param(lambda: SearchOptions(max_seconds=float("inf")), id="seconds-inf"),
+    pytest.param(lambda: SearchOptions(max_seconds=-0.5), id="seconds-negative"),
+    pytest.param(lambda: SearchOptions(max_candidates=float("nan")), id="candidates-nan"),
+    pytest.param(lambda: SearchOptions(max_candidates=2.0), id="candidates-float"),
+    pytest.param(lambda: SearchOptions(max_candidates=-1), id="candidates-negative"),
+    pytest.param(lambda: SearchOptions(workers=1.5), id="workers-float"),
+    pytest.param(lambda: list(enumerate_two_basic(3, budget=1.5)), id="enumerate-n3"),
+    pytest.param(lambda: list(enumerate_two_basic(4, budget=2.0)), id="enumerate-n4"),
+])
+def test_bounds_that_do_not_bound_refused(make):
+    # none of these bounds a search, so each is refused before one starts
+    with pytest.raises(Unsupported):
+        make()
+
+
 @pytest.mark.parametrize("g, s, hit", [(G3, 6, 13828), (G4, 8, 60735)], ids=["n3s6", "n4s8"])
 def test_candidate_budget_at_a_hit(g, s, hit):
     # the hit is leaf number ``hit``: one candidate less trips before it
@@ -121,12 +138,12 @@ def test_candidate_budget_at_a_hit(g, s, hit):
 
 def test_wall_time_budget():
     # a deadline already past trips when the first pick starts, before
-    # any leaf, at every worker count, pruned or not
-    for prune in (False, True):
+    # any leaf, at every worker count, pruned or not; 0 is a valid bound
+    for prune, seconds in ((False, 0.0), (True, 0.0), (True, 0)):
         for workers in (1, 2):
             with pytest.raises(BudgetExceeded) as exc:
                 exists_resolving_of_size(
-                    G3, 5, SearchOptions(prune=prune, max_seconds=0.0, workers=workers)
+                    G3, 5, SearchOptions(prune=prune, max_seconds=seconds, workers=workers)
                 )
             assert exc.value.bound == "max_seconds"
             assert exc.value.candidates_examined == 0
