@@ -24,7 +24,7 @@ import sys
 
 from .construct import FIXTURE_NAMES, fixture, metric_basis
 from .errors import BudgetExceeded, HammingDimError, NotApplicable, ParseError
-from .formats import FORMATS, emit_landmarks, parse_landmarks
+from .formats import FORMATS, landmark_lines, parse_landmarks
 from .hamming import GhgParams
 from .landmark import build_landmark_graph, classify, forbidden_scan, predict_resolving
 from .resolving import Verdict, _fmt_vertex, is_resolving, is_resolving_by_distance
@@ -40,10 +40,13 @@ DEFAULT_BUDGET = 2_000_000
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"--in {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 @contextlib.contextmanager
@@ -70,11 +73,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _emit(args: argparse.Namespace, W) -> None:
-    text, used = emit_landmarks(W, args.format)
+    lines, used = landmark_lines(W, args.format)
     if args.format is None and used != "pls":
         print(f"note: set has no unambiguous pls form, emitting {used}", file=sys.stderr)
     with _output(args.out) as fh:
-        fh.write(text)
+        fh.writelines(lines)
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -165,8 +168,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     first = list(itertools.islice(systems, 1))
     with _output(args.out) as fh:
         for idx, W in enumerate(itertools.chain(first, systems), start=1):
-            text, _ = emit_landmarks(W, "triples")
-            fh.write(("\n" if idx > 1 else "") + f"# system {idx}\n{text}")
+            fh.write(("\n" if idx > 1 else "") + f"# system {idx}\n")
+            fh.writelines(landmark_lines(W, "triples")[0])
     return EXIT_OK
 
 

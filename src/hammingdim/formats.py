@@ -19,6 +19,7 @@ with its format given or detected.
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .errors import ParseError, Unsupported
 from .hamming import GhgParams
@@ -52,32 +53,40 @@ def _check_header(line: str, lineno: int, g: GhgParams) -> None:
                          f"expected {g.format()}", line=lineno)
 
 
-def emit_pls(W: LandmarkSet) -> str:
-    n1, n2, n3 = W.graph.dims
-    grid: dict[tuple[int, int], int] = {}
-    for (i, j, k) in W.members:
-        if (i, j) in grid:
-            raise Unsupported(
-                f"not pls-representable: two landmarks share row {i}, column {j}"
-            )
-        grid[(i, j)] = k
+def _pls_rows(W: LandmarkSet) -> dict[int, dict[int, int]]:
+    """Symbol k by column j by row i for each landmark (i, j, k): the one
+    check that W has a pls form, refusing two landmarks in one cell."""
+    rows: dict[int, dict[int, int]] = {}
+    for i, j, k in W.members:
+        row = rows.setdefault(i, {})
+        if j in row:
+            raise Unsupported(f"not pls-representable: two landmarks share row {i}, column {j}")
+        row[j] = k
+    return rows
+
+
+def _pls_lines(dims: tuple[int, ...], rows: dict[int, dict[int, int]]) -> Iterator[str]:
+    """The grid row by row, each filled in from a row of blank cells; the
+    caller checks ``rows`` with ``_pls_rows`` before the first line."""
+    n1, n2, n3 = dims
     width = len(str(n3))
-    lines = []
+    blank = [".".rjust(width)] * n2
     for i in range(1, n1 + 1):
-        cells = [
-            str(grid[(i, j)]) if (i, j) in grid else "."
-            for j in range(1, n2 + 1)
-        ]
-        lines.append(" ".join(c.rjust(width) for c in cells))
-    return "\n".join(lines) + "\n"
+        cells = blank.copy()
+        for j, k in rows.get(i, {}).items():
+            cells[j - 1] = str(k).rjust(width)
+        yield " ".join(cells) + "\n"
+
+
+def emit_pls(W: LandmarkSet) -> str:
+    return "".join(_pls_lines(W.graph.dims, _pls_rows(W)))
 
 
 def pls_representable(W: LandmarkSet) -> bool:
-    seen = set()
-    for (i, j, _k) in W.members:
-        if (i, j) in seen:
-            return False
-        seen.add((i, j))
+    try:
+        _pls_rows(W)
+    except Unsupported:
+        return False
     return True
 
 
@@ -122,11 +131,15 @@ def _format_k(g: GhgParams) -> str:
     return ",".join(str(j) for j in sorted(g.k))
 
 
-def emit_triples(W: LandmarkSet) -> str:
+def _triples_lines(W: LandmarkSet) -> Iterator[str]:
     g = W.graph
-    lines = [f"# graph {g.dims[0]} {g.dims[1]} {g.dims[2]} {_format_k(g)}"]
-    lines.extend(f"{i} {j} {k}" for (i, j, k) in W.members)
-    return "\n".join(lines) + "\n"
+    yield f"# graph {g.dims[0]} {g.dims[1]} {g.dims[2]} {_format_k(g)}\n"
+    for i, j, k in W.members:
+        yield f"{i} {j} {k}\n"
+
+
+def emit_triples(W: LandmarkSet) -> str:
+    return "".join(_triples_lines(W))
 
 
 def parse_triples(text: str, g: GhgParams) -> LandmarkSet:
@@ -200,22 +213,29 @@ def parse_landmarks(text: str, fmt: str | None, g: GhgParams) -> LandmarkSet:
     raise Unsupported(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
-def emit_landmarks(W: LandmarkSet, fmt: str | None = None) -> tuple[str, str]:
-    """Emit a landmark document; returns (text, format used).
-
-    With ``fmt`` None, prefers pls when representable and its text is
-    detected as pls, else triples: a full grid of three columns reads as
-    triples too.
+def landmark_lines(W: LandmarkSet, fmt: str | None = None) -> tuple[Iterator[str], str]:
+    """(lines, format used) of a landmark document, each line made as it
+    is read, a grid row by row.  With ``fmt`` None, pls when no two
+    landmarks share a cell and the grid is not full with three columns,
+    whose rows read as triples too; else triples.  An unknown format or a
+    set with no pls form is refused here, before any line is made.
     """
-    if fmt is None and pls_representable(W):
-        text = emit_pls(W)
-        if detect_format(text) == "pls":
-            return text, "pls"
-    if fmt in (None, "triples"):
-        return emit_triples(W), "triples"
+    if fmt is None:
+        n1, n2, _ = W.graph.dims
+        full_three = n2 == 3 and len(W) == 3 * n1
+        fmt = "pls" if not full_three and pls_representable(W) else "triples"
     if fmt == "pls":
-        return emit_pls(W), "pls"
+        return _pls_lines(W.graph.dims, _pls_rows(W)), "pls"
+    if fmt == "triples":
+        return _triples_lines(W), "triples"
     raise Unsupported(f"unknown format {fmt!r}; expected one of {FORMATS}")
+
+
+def emit_landmarks(W: LandmarkSet, fmt: str | None = None) -> tuple[str, str]:
+    """(text, format used) of a landmark document: the lines of
+    ``landmark_lines(W, fmt)`` joined."""
+    lines, used = landmark_lines(W, fmt)
+    return "".join(lines), used
 
 
 __all__ = [
@@ -226,6 +246,7 @@ __all__ = [
     "parse_triples",
     "parse_landmarks",
     "emit_landmarks",
+    "landmark_lines",
     "detect_format",
     "pls_representable",
 ]

@@ -65,11 +65,10 @@ class LandmarkGraph:
 
 
 def build_landmark_graph(W: LandmarkSet) -> LandmarkGraph:
-    edges = []
-    for i in (1, 2, 3):
-        for a, mems in sorted(W.blocks_of_color(i).items()):
-            edges.append(Hyperedge(i, a, frozenset(mems)))
-    return LandmarkGraph(tuple(W.members), tuple(edges))
+    """One hyperedge per block of ``W.blocks()``, in (color, value) order."""
+    blocks = W.blocks()
+    edges = tuple(Hyperedge(i, a, frozenset(blocks[i, a])) for i, a in sorted(blocks))
+    return LandmarkGraph(tuple(W.members), edges)
 
 
 class SystemKind(str, Enum):
@@ -348,60 +347,48 @@ class Footprint:
     edges: tuple[Hyperedge, ...] = field(default=(), compare=False)
 
 
-def _classify_shape(edges: list[Hyperedge]) -> FootprintShape:
-    if not edges:
+# Every footprint of three blocks of at most two landmarks, with no plain
+# edge in two colors and all loops on one landmark that no plain edge
+# touches, has its shape here by (loops, landmarks covered, blocks meet).
+_SHAPES = {
+    (0, 3, False): FootprintShape.C3,
+    (0, 4, False): FootprintShape.P4,
+    (0, 4, True): FootprintShape.K13,
+    (0, 5, False): FootprintShape.P3_P2,
+    (0, 6, False): FootprintShape.THREE_P2,
+    (1, 4, False): FootprintShape.P3_L1,
+    (1, 5, False): FootprintShape.TWO_P2_L1,
+    (2, 3, False): FootprintShape.L2_P2,
+    (3, 1, True): FootprintShape.L3,
+}
+
+
+def _classify_shape(blocks: list[frozenset], covered: frozenset) -> FootprintShape:
+    if not blocks:
         return FootprintShape.NONE
-    if any(len(e.members) > 2 for e in edges):
+    plains = [b for b in blocks if len(b) == 2]
+    looped = frozenset().union(*(b for b in blocks if len(b) == 1))
+    if (len(blocks) < 3 or any(len(b) > 2 for b in blocks) or len(set(plains)) < len(plains)
+            or len(looped) > 1 or not looped.isdisjoint(frozenset().union(*plains))):
         return FootprintShape.OTHER
-    loops = [e for e in edges if len(e.members) == 1]
-    plains = [e for e in edges if len(e.members) == 2]
-    plain_sets = [e.members for e in plains]
-    if len(set(plain_sets)) != len(plain_sets):
-        return FootprintShape.OTHER  # repeated edge in two colors
-    covered = frozenset().union(*(e.members for e in edges))
-    nl, np_ = len(loops), len(plains)
-    if (nl, np_) == (0, 3):
-        if len(covered) == 3:
-            return FootprintShape.C3
-        if len(covered) == 4:
-            common = plain_sets[0] & plain_sets[1] & plain_sets[2]
-            return FootprintShape.K13 if common else FootprintShape.P4
-        if len(covered) == 5:
-            return FootprintShape.P3_P2
-        return FootprintShape.THREE_P2
-    if (nl, np_) == (1, 2):
-        (u,) = loops[0].members
-        if u in plain_sets[0] or u in plain_sets[1]:
-            return FootprintShape.OTHER
-        joined = plain_sets[0] & plain_sets[1]
-        return FootprintShape.P3_L1 if joined else FootprintShape.TWO_P2_L1
-    if (nl, np_) == (2, 1):
-        (u1,) = loops[0].members
-        (u2,) = loops[1].members
-        if u1 != u2 or u1 in plain_sets[0]:
-            return FootprintShape.OTHER
-        return FootprintShape.L2_P2
-    if (nl, np_) == (3, 0):
-        heads = {next(iter(e.members)) for e in loops}
-        return FootprintShape.L3 if len(heads) == 1 else FootprintShape.OTHER
-    return FootprintShape.OTHER  # fewer than three nonempty blocks
+    return _SHAPES[3 - len(plains), len(covered), bool(blocks[0] & blocks[1] & blocks[2])]
 
 
 def footprint(W: LandmarkSet, v: Vertex) -> Footprint:
     """The subgraph induced by v's three blocks, with its shape.
 
-    For a non-landmark the covered set equals code(W, v).  Landmarks are
-    allowed here: their three blocks meet in the landmark itself, giving
-    K13 (three plain edges) or L3 (three loops).
+    The blocks are read from ``W.blocks()``.  For a non-landmark the
+    covered set equals code(W, v).  Landmarks are allowed here: their
+    three blocks meet in the landmark itself, giving K13 (three plain
+    edges) or L3 (three loops).
     """
     W.graph.validate_vertex(v)
-    edges = []
-    for i in (1, 2, 3):
-        mems = W.block(i, v[i - 1])
-        if mems:
-            edges.append(Hyperedge(i, v[i - 1], frozenset(mems)))
-    covered = frozenset().union(*(e.members for e in edges)) if edges else frozenset()
-    return Footprint(covered, _classify_shape(edges), tuple(edges))
+    blocks = W.blocks()
+    edges = tuple(Hyperedge(i, a, frozenset(blocks[i, a]))
+                  for i, a in enumerate(v, start=1) if (i, a) in blocks)
+    members = [e.members for e in edges]
+    covered = frozenset().union(*members)
+    return Footprint(covered, _classify_shape(members, covered), edges)
 
 
 __all__ = [

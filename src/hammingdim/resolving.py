@@ -39,7 +39,7 @@ import json
 from dataclasses import InitVar, dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from types import MappingProxyType
 from typing import Mapping
 
@@ -66,19 +66,17 @@ class LandmarkSet:
         if graph.r != 3:
             raise Unsupported(f"landmark sets need 3 coordinates, got r={graph.r}")
         self.graph = graph
-        mems = tuple(tuple(m) for m in members)
+        self.members = tuple(tuple(m) for m in members)
         seen = set()
-        for m in mems:
+        blocks: dict[tuple[int, int], list[Vertex]] = {}
+        for m in self.members:
             graph.validate_vertex(m)
             if m in seen:
                 raise InvalidVertex(f"duplicate landmark {m!r}")
             seen.add(m)
-        self.members = mems
-        self._member_set = frozenset(mems)
-        blocks: dict[tuple[int, int], list[Vertex]] = {}
-        for m in mems:
-            for i in range(3):
-                blocks.setdefault((i + 1, m[i]), []).append(m)
+            for key in enumerate(m, start=1):  # (color, value) of each block of m
+                blocks.setdefault(key, []).append(m)
+        self._member_set = frozenset(seen)
         self._blocks = {key: tuple(v) for key, v in blocks.items()}
 
     def __len__(self) -> int:
@@ -101,9 +99,6 @@ class LandmarkSet:
     def __repr__(self) -> str:
         return f"LandmarkSet({self.graph.format()}, {len(self.members)} members)"
 
-    def member_set(self) -> frozenset:
-        return self._member_set
-
     def block(self, i: int, a: int) -> frozenset:
         """Landmarks whose i-th coordinate equals a (i in 1..3, a in 1..n_i)."""
         if i not in (1, 2, 3):
@@ -115,12 +110,6 @@ class LandmarkSet:
     def blocks(self) -> Mapping[tuple[int, int], tuple[Vertex, ...]]:
         """Every nonempty block, keyed by (color, value); read-only."""
         return MappingProxyType(self._blocks)
-
-    def blocks_of_color(self, i: int) -> dict[int, tuple[Vertex, ...]]:
-        """Nonempty blocks of one color, keyed by coordinate value."""
-        if i not in (1, 2, 3):
-            raise InvalidBlock(f"color {i} not in 1..3")
-        return {a: mems for (c, a), mems in self._blocks.items() if c == i}
 
     def code(self, v: Vertex) -> frozenset:
         """Union of v's three blocks: the landmarks at distance 2 from v."""
@@ -436,16 +425,14 @@ def block_sum_violations(W: LandmarkSet) -> list[tuple[int, int, int]]:
 
     Any resolving set has no violations: two vertices differing only in
     coordinate i at values a, b are separated only by those two blocks,
-    and small block pairs cannot tell them apart.
+    and small block pairs cannot tell them apart.  Sizes are read off
+    ``W.blocks()``, where an absent block is empty.
     """
+    blocks = W.blocks()
     out = []
-    for i in (1, 2, 3):
-        d = W.graph.dims[i - 1]
-        sizes = [len(W.block(i, a)) for a in range(1, d + 1)]
-        for a in range(1, d + 1):
-            for b in range(a + 1, d + 1):
-                if sizes[a - 1] + sizes[b - 1] < 3:
-                    out.append((i, a, b))
+    for i, d in enumerate(W.graph.dims, start=1):
+        size = [len(blocks.get((i, a), ())) for a in range(d + 1)]
+        out += [(i, a, b) for a, b in combinations(range(1, d + 1), 2) if size[a] + size[b] < 3]
     return out
 
 
@@ -453,17 +440,13 @@ def loop_profile(W: LandmarkSet) -> dict[int, tuple[int, int, int]]:
     """Per color: (number of size-1 blocks, size-2 blocks, larger blocks).
 
     A minimum-size resolving set of 2n - 1 landmarks on the n-diagonal
-    graph always shows (1, n - 1, 0) in every color.
+    graph always shows (1, n - 1, 0) in every color.  Counted in one pass
+    over ``W.blocks()``, which holds the nonempty blocks only.
     """
-    out = {}
-    for i in (1, 2, 3):
-        sizes = [len(mems) for mems in W.blocks_of_color(i).values()]
-        out[i] = (
-            sum(1 for s in sizes if s == 1),
-            sum(1 for s in sizes if s == 2),
-            sum(1 for s in sizes if s >= 3),
-        )
-    return out
+    counts = {i: [0, 0, 0] for i in (1, 2, 3)}
+    for (i, _), mems in W.blocks().items():
+        counts[i][min(len(mems), 3) - 1] += 1
+    return {i: tuple(c) for i, c in counts.items()}
 
 
 __all__ = [

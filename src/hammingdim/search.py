@@ -77,7 +77,8 @@ from typing import Callable, Iterator
 
 from .errors import BudgetExceeded, Unsupported
 from .hamming import GhgParams, hamming_graph
-from .resolving import Certificate, LandmarkSet, Verdict, is_resolving, lower_bound
+from .resolving import (Certificate, LandmarkSet, Verdict, _checked_vertex_count, is_resolving,
+                        lower_bound)
 from .construct import metric_basis
 from .landmark import matching_triples
 
@@ -579,6 +580,7 @@ def metric_dimension(g: GhgParams, opts: SearchOptions | None = None) -> Certifi
     """
     n = _diagonal_n(g)
     if n >= 5:
+        _checked_vertex_count(g)  # refuse a graph above the limit before building its basis
         basis = metric_basis(n)
         cert = is_resolving(basis)
         if cert.verdict is not Verdict.RESOLVING:

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -17,6 +18,7 @@ from hammingdim import (
     hamming_graph,
     metric_basis,
 )
+import hammingdim.search
 from hammingdim.cli import main
 from hammingdim.formats import (
     detect_format,
@@ -198,6 +200,19 @@ def test_cli_verify_stdin(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_cli_non_utf8_input_is_an_input_error(tmp_path, capsys, monkeypatch):
+    data = b"\xff\xfe 1 1\n"
+    path = tmp_path / "bad.tri"
+    path.write_bytes(data)
+    assert main(["verify", "--graph", "3x3x3", "--in", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    # stdin as it reads in a UTF-8 locale with strict decoding
+    strict = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdin", strict)
+    assert main(["verify", "--graph", "3x3x3", "--in", "-"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_construct_byte_stable(capsys):
     assert main(["construct", "--n", "3"]) == 0
     first = capsys.readouterr().out
@@ -216,6 +231,20 @@ def test_cli_construct_formats(tmp_path, capsys):
     capsys.readouterr()
     assert main(["construct", "--n", "2"]) == 2  # Unsupported surfaces as error
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_construct_writes_grid_as_it_goes(tmp_path, capsys):
+    out = tmp_path / "w.pls"
+    tracemalloc.start()
+    try:
+        assert main(["construct", "--n", "1000", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the grid is 1000 rows of 1000 five-byte cells
+    assert out.stat().st_size == 5 * 10**6
+    assert peak < out.stat().st_size
+    assert out.read_text() == emit_pls(metric_basis(1000))
 
 
 def test_cli_dimension(capsys):
@@ -267,6 +296,16 @@ def test_cli_dimension_workers_below_one(capsys, workers):
     assert main(["dimension", "--graph", "3x3x3", "--workers", workers]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "at least 1" in err
+
+
+def test_cli_dimension_refuses_oversized_graph_first(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"metric_basis({n}) built above the vertex limit")
+
+    monkeypatch.setattr(hammingdim.search, "metric_basis", refuse)
+    assert main(["dimension", "--graph", "400x400x400"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds the verifiers' 30000000 limit" in err
 
 
 def test_cli_scan(tmp_path, capsys):

@@ -6,7 +6,9 @@ were cross-checked against the distance verifier before pinning.
 """
 
 import hashlib
+import itertools
 import json
+import random
 import re
 
 import pytest
@@ -18,6 +20,7 @@ from hammingdim import (
     SystemKind,
     Verdict,
     basic_part,
+    block_sum_violations,
     build_landmark_graph,
     classify,
     enumerate_two_basic,
@@ -28,6 +31,7 @@ from hammingdim import (
     hamming_graph,
     is_resolving,
     is_resolving_by_distance,
+    loop_profile,
     metric_basis,
     predict_resolving,
 )
@@ -207,12 +211,11 @@ def cycles_by_dfs(W):
     its lesser neighbor.
     """
     adj = {v: [] for v in W.members}
-    for i in (1, 2, 3):
-        for mems in W.blocks_of_color(i).values():
-            if len(mems) == 2:
-                x, y = mems
-                adj[x].append((y, i))
-                adj[y].append((x, i))
+    for (i, _), mems in W.blocks().items():
+        if len(mems) == 2:
+            x, y = mems
+            adj[x].append((y, i))
+            adj[y].append((x, i))
     found = set()
 
     def extend(path, colors):
@@ -364,3 +367,38 @@ def test_footprint_empty_and_other():
     assert fp.covered == frozenset()
     # three loops on distinct landmarks fall outside the taxonomy
     assert footprint(fixture("n6"), (1, 1, 6)).shape is FootprintShape.OTHER
+
+
+def footprint_pin_sets():
+    """metric_basis(3..8), the fixtures, the first 40 n=3 2-basic systems
+    and 100 seeded random sets of 0 to 12 landmarks on 3x3x3, 4x4x4 and
+    3x4x5 in turn."""
+    sets = [metric_basis(n) for n in range(3, 9)]
+    sets += [fixture(name) for name in ("n3", "n6", "hg_5_7_11")]
+    sets += itertools.islice(enumerate_two_basic(3), 40)
+    rng = random.Random(14)
+    graphs = [hamming_graph(3, 3, 3), hamming_graph(4, 4, 4), hamming_graph(3, 4, 5)]
+    for t in range(100):
+        g = graphs[t % 3]
+        sets.append(LandmarkSet(g, rng.sample(list(g.vertices()), rng.randint(0, 12))))
+    return sets
+
+
+def test_footprints_and_block_views_pinned():
+    """Every vertex's footprint, and each set's block-sum violations, loop
+    profile and landmark graph, hashed: the digests were recorded with the
+    footprint taxonomy written as a tree of branches."""
+    shapes, count = set(), 0
+    fp, blocks = hashlib.sha256(), hashlib.sha256()
+    for W in footprint_pin_sets():
+        for v in W.graph.vertices():
+            f = footprint(W, v)
+            shapes.add(f.shape)
+            count += 1
+            fp.update(repr((f.shape.value, sorted(f.covered),
+                            [(e.color, e.value, sorted(e.members)) for e in f.edges])).encode())
+        blocks.update(repr((block_sum_violations(W), sorted(loop_profile(W).items()),
+                            build_landmark_graph(W))).encode())
+    assert (count, shapes) == (8005, set(FootprintShape))
+    assert fp.hexdigest() == "fb2581b5ce644ddb0eeb74ced415b0219634da1f58e19fef594edc59f588f99f"
+    assert blocks.hexdigest() == "3be275afc42c10c1fb1d16064e448aeaa92b2d0b8b6573b465e905b2bb394f6b"
