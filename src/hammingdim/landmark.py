@@ -39,8 +39,8 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import InvalidVertex, IsLandmark, NotApplicable, Unsupported
-from .hamming import GhgParams, Vertex, hamming_graph
+from .errors import NotApplicable
+from .hamming import GhgParams, Vertex
 from .resolving import Certificate, LandmarkSet, Verdict
 
 COLOR_NAMES = {1: "blue", 2: "green", 3: "pink"}

@@ -21,16 +21,18 @@ Both accept the two diameter-2 regimes of ``GhgParams.closed_form_available``
 (K = {3} and its complement K = {1, 2}, every dimension >= 3), and both
 refuse graphs above VERTEX_LIMIT vertices before allocating anything.
 
-Both hand their keys to one kernel, ``_least_equal_pair``: a sort of a
-copy of the kept keys settles a set whose keys are distinct.  Otherwise a
-table of flags, about one per vertex, marks the repeated keys; one pass
-over all keys reads off the candidates, and only candidates whose key
-recurs later are compared exactly, codes as sets of landmarks and
-distance vectors word by word.  A hash collision can cost time, never a
-wrong verdict.  Both report the lexicographically least colliding pair
-as witness.  The keys, their sorted copy and the flags are the |V|-sized
-arrays: on the n = 65 and 100 bases either verifier peaks at 2.25 to 2.6
-times the keys' 8|V| bytes.
+Both hand their keys to one kernel, ``_least_equal_pair``, which consumes
+them: each kept key is hashed in place, with its vertex index in its low
+bits, and one in-place sort brings equal keys together.  That settles a
+set whose keys are distinct.  Otherwise only vertices whose hashed key
+shares its prefix with a later one are compared exactly, codes as sets
+of landmarks and distance vectors word by word.  A hash collision can
+cost time, never a wrong verdict.  Both report the lexicographically
+least colliding pair as witness.  The keys and a keep flag per vertex
+are the |V|-sized arrays; every other temporary is a slab of at most
+_SLAB keys or grows only with the vertices whose prefix repeats, so on
+the n = 100 and 150 bases either verifier peaks at 1.2 to 1.35 times the
+keys' 8|V| bytes.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ VERTEX_LIMIT = 3 * 10**7
 _WEIGHTS = np.empty(0, dtype=np.uint64)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # 2**64 over the golden ratio, odd
 _FOLD_ENTRIES = 1 << 20  # distance entries built per slab of the oracle
+_SLAB = 1 << 16  # keys per slab of the pair kernel's passes
 
 CERTIFICATE_SCHEMA = "hammingdim/certificate-v1"
 
@@ -271,44 +274,68 @@ def _non_landmarks(n: int, at: np.ndarray) -> np.ndarray:
     return keep
 
 
+@lru_cache(maxsize=64)
+def _index_bits(n: int):
+    """(mask, b, low, high): indices below n fit in the low b bits, low is
+    their mask as a uint64 and mask as an int, high masks the bits above.
+    Cached: the uint64 scalars cost a microsecond per tiny kernel call."""
+    b = (n - 1).bit_length()
+    mask = (1 << b) - 1
+    return mask, np.uint64(b), np.uint64(mask), np.uint64(mask ^ (2**64 - 1))
+
+
 def _least_equal_pair(keys: np.ndarray, keep: np.ndarray, row_of):
     """Least pair (i, j), i < j, of kept indices with equal rows, or None.
 
     keys[i] must be a function of row i, so distinct keys mean distinct
-    rows, and one sort of the kept keys settles a set without repeats.
-    Otherwise each repeated key sets a flag in a table of 2**ceil(log2 |V|)
-    flags, at the top bits of key * _GOLDEN, which depend on every bit of
-    the key (keys of up to 64 landmarks are bitmasks, with skewed low
-    bits).  One read of the table gives the candidates: the kept indices
-    whose key repeats, and about as many whose flag is set by chance.
-    They are tried in increasing order; the first with an equal row at a
-    later index is the witness's first index, and the least such later
-    index its second.  row_of(i) re-checks exactly, only where a later
-    candidate has the same key: a chance flag costs one key comparison,
-    a hash collision one more try.
+    rows.  The keys are consumed: each kept key is multiplied by _GOLDEN,
+    a bijection whose top bits depend on every bit of the key (keys of up
+    to 64 landmarks are bitmasks, with skewed low bits), its low
+    b = ceil(log2 |V|) bits are replaced by its index, and it is moved to
+    the front of keys.  One in-place sort then brings equal keys together
+    in runs of equal prefixes (all but the low b bits), each run in
+    increasing index order.  The indices with a later one in their run
+    are tried in increasing order; the first with an equal row later in
+    its run is the witness's first index, and the least such later index
+    its second.  row_of re-checks exactly, so a prefix shared by distinct
+    keys, or a key by distinct rows, costs time, never a wrong verdict.
+    Every pass but the sort goes _SLAB keys at a time; besides the keys
+    and keep, only the tried indices grow with |V|, as far as prefixes
+    repeat.
     """
-    # each |V|-sized temporary is dropped once spent, to bound the peak
-    kept = keys[keep]
-    kept.sort()
-    repeated = kept[1:][kept[1:] == kept[:-1]]
-    del kept
-    if repeated.size == 0:
+    n = keys.size
+    mask, b, low, high = _index_bits(n)
+    m = 0
+    for lo in range(0, n, _SLAB):
+        k = keys[lo:lo + _SLAB] * _GOLDEN
+        k &= high
+        k |= np.arange(lo, lo + k.size, dtype=np.uint64)
+        k = k[keep[lo:lo + _SLAB]]
+        keys[m:m + k.size] = k
+        m += k.size
+    if m < 2:
         return None
-    bits = (keys.size - 1).bit_length()
-    flag = np.zeros(1 << bits, dtype=bool)
-    flag[(repeated * _GOLDEN) >> np.uint64(64 - bits)] = True
-    slot = keys * _GOLDEN
-    slot >>= np.uint64(64 - bits)
-    candidates = (flag[slot] & keep).nonzero()[0]
-    del slot
-    ckeys = keys[candidates]
-    for t, i in enumerate(candidates):
-        later = candidates[t + 1:][ckeys[t + 1:] == ckeys[t]]
-        if later.size:
-            row = row_of(int(i))
-            for j in later:
-                if row_of(int(j)) == row:
-                    return int(i), int(j)
+    kept = keys[:m]
+    kept.sort()
+    tries = []  # positions of sorted keys whose next one shares their prefix
+    for lo in range(0, m, _SLAB):
+        p = kept[lo:lo + _SLAB + 1] >> b
+        at = (p[1:] == p[:-1]).nonzero()[0]
+        if lo:  # adding 0 would cost a microsecond, a tenth of a tiny call
+            at += lo
+        tries.append(at)
+    tries = np.concatenate(tries) if len(tries) > 1 else tries[0]
+    if tries.size == 0:
+        return None
+    idx = kept[tries] & low
+    for t in idx.argsort():
+        i, s = int(idx[t]), tries[t]
+        row = row_of(i)
+        end = kept.searchsorted(kept[s] | low, side="right")  # past the run
+        for j in kept[s + 1:end]:
+            j = int(j) & mask
+            if row_of(j) == row:
+                return i, j
     return None
 
 
@@ -326,9 +353,9 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     landmark lies in all three.  Equal codes give equal keys; codes whose
     keys repeat are re-checked exactly as sets of landmarks, so the verdict
     and the witness never rest on the hash.  The |V|-sized arrays are one
-    key per vertex, the kernel's sorted copy of the kept keys and a few
-    flags per vertex, and graphs above VERTEX_LIMIT vertices are refused
-    before anything is allocated.  The verdict is valid for K = {3} and
+    key per vertex, which the kernel sorts in place, and one keep flag per
+    vertex, and graphs above VERTEX_LIMIT vertices are refused before
+    anything is allocated.  The verdict is valid for K = {3} and
     for the complement rule K = {1, 2}: in both regimes a vertex's
     distance to a landmark is fixed by whether the two share a
     coordinate, so equal codes and equal distance vectors are the same

@@ -8,6 +8,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -179,10 +180,10 @@ def test_code_verifier_size_cap():
 
 
 @pytest.mark.parametrize("verify", [is_resolving, is_resolving_by_distance])
-def test_verifier_peak_under_three_key_arrays(verify):
-    # the keys, the kernel's sorted copy of the kept keys and the flags:
-    # 2.25 to 2.6 times the 8|V| bytes of keys; a third |V|-sized uint64
-    # array would cross 3 times
+def test_verifier_peak_under_1_6_key_arrays(verify):
+    # the keys, sorted in place, the keep flags and slab temporaries: about
+    # 1.2 to 1.35 times the 8|V| bytes of keys; a sorted copy of the kept
+    # keys, or any other |V|-sized uint64 array, would cross 2 times
     B = metric_basis(100)
     for W in (B, LandmarkSet(B.graph, B.members[:-1])):
         tracemalloc.start()
@@ -191,7 +192,7 @@ def test_verifier_peak_under_three_key_arrays(verify):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 8 * 100**3
+        assert peak < 1.6 * 8 * 100**3
 
 
 def least_pair_by_bfs(W):
@@ -293,11 +294,11 @@ def test_forced_collisions_match_brute_force(zero_weights, kept_keys):
 G_INVERSE = pow(int(resolving._GOLDEN), -1, 2**64)
 
 
-def one_flag_key(n, slot, low):
-    """A key whose flag in the kernel's table for n vertices is at slot:
-    keys with one slot and distinct low parts differ yet share a flag."""
-    bits = (n - 1).bit_length()
-    return (((slot % (1 << bits)) << (64 - bits)) | low % (1 << (64 - bits))) * G_INVERSE % 2**64
+def prefix_key(n, prefix, low):
+    """A key with the given prefix in the kernel for n vertices: keys with
+    one prefix and distinct low parts differ yet fall in one run."""
+    b = (n - 1).bit_length()
+    return (((prefix % (1 << (64 - b))) << b) | low % (1 << b)) * G_INVERSE % 2**64
 
 
 def least_equal_pair_by_brute_force(rows, keep):
@@ -312,11 +313,11 @@ def kernel_cases(draw):
     rows = draw(st.lists(st.integers(0, draw(st.integers(0, n))), min_size=n, max_size=n))
     keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     word = st.integers(0, 2**64 - 1)
-    slot = draw(st.integers(0, 2**10))
+    prefix = draw(st.integers(0, 2**10))
     key = draw(st.sampled_from([
         word,
         st.builds(lambda high: high << 20 | 0x5A5A5, st.integers(0, 2**44 - 1)),  # low bits shared
-        st.builds(lambda low: one_flag_key(n, slot, low), word),  # flag shared
+        st.builds(lambda low: prefix_key(n, prefix, low), word),  # prefix shared
         st.just(draw(word)),  # every key equal
         st.sampled_from(draw(st.lists(word, min_size=2, max_size=3, unique=True))),
     ]))
@@ -328,28 +329,35 @@ def kernel_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_least_equal_pair_against_brute_force(case):
     rows, keep, keys = case
-    pair = resolving._least_equal_pair(np.array(keys, dtype=np.uint64),
-                                       np.array(keep, dtype=bool), rows.__getitem__)
-    assert pair == least_equal_pair_by_brute_force(rows, keep)
+    want = least_equal_pair_by_brute_force(rows, keep)
+    # slabs of 2 and 3 keys put runs across slab boundaries
+    for slab in (resolving._SLAB, 2, 3):
+        with mock.patch.object(resolving, "_SLAB", slab):
+            pair = resolving._least_equal_pair(np.array(keys, dtype=np.uint64),
+                                               np.array(keep, dtype=bool), rows.__getitem__)
+        assert pair == want
 
 
-def test_least_equal_pair_chance_flag_before_witness():
-    # index 0's key is unique but shares its flag with the repeated key of
-    # the witness (3, 6); indices 1 and 2 share a key by a hash collision
-    rows = [0, 1, 2, 3, 4, 5, 3, 6]
-    keys = [one_flag_key(8, 3, 1), 17, 17, one_flag_key(8, 3, 2), 90, 91,
-            one_flag_key(8, 3, 2), 92]
+def test_least_equal_pair_prefix_collision_before_witness():
+    # index 0's key is unique but shares its prefix with the key of the
+    # witness (3, 6); indices 1 and 2 share a key by a hash collision; the
+    # landmark 8 has the witness's key
+    rows = [0, 1, 2, 3, 4, 5, 3, 6, 3]
+    keys = [prefix_key(9, 5, 1), 17, 17, prefix_key(9, 5, 2), 90, 91,
+            prefix_key(9, 5, 2), 92, prefix_key(9, 5, 2)]
     tried = []
 
     def row_of(i):
         tried.append(i)
         return rows[i]
 
-    keep = np.ones(8, dtype=bool)
+    keep = np.array([True] * 8 + [False])
     assert resolving._least_equal_pair(np.array(keys, dtype=np.uint64), keep, row_of) == (3, 6)
-    # rows are read only for candidates with a later equal key: not for
-    # index 0, nor again for index 2, the last of its key
-    assert tried == [1, 2, 3, 6]
+    # rows are read only for kept indices with a later kept index of the
+    # same prefix, in index order, and for those later indices: never for
+    # 4, 5 and 7, whose prefixes are unique, nor for the landmark 8, nor
+    # for index 2 as a first index, the last of its run
+    assert tried == [0, 3, 6, 1, 2, 3, 6]
 
 
 dims_and_members = st.tuples(st.integers(3, 6), st.integers(3, 6), st.integers(3, 6)).flatmap(
