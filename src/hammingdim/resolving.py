@@ -21,18 +21,19 @@ Both accept the two diameter-2 regimes of ``GhgParams.closed_form_available``
 (K = {3} and its complement K = {1, 2}, every dimension >= 3), and both
 refuse graphs above VERTEX_LIMIT vertices before allocating anything.
 
-Both hand their keys to one kernel, ``_least_equal_pair``, which consumes
-them: each kept key is hashed in place, with its vertex index in its low
-bits, and one in-place sort brings equal keys together.  That settles a
-set whose keys are distinct.  Otherwise only vertices whose hashed key
-shares its prefix with a later one are compared exactly, codes as sets
-of landmarks and distance vectors word by word.  A hash collision can
-cost time, never a wrong verdict.  Both report the lexicographically
-least colliding pair as witness.  The keys and a keep flag per vertex
-are the |V|-sized arrays; every other temporary is a slab of at most
-_SLAB keys or grows only with the vertices whose prefix repeats, so on
-the n = 100 and 150 bases either verifier peaks at 1.2 to 1.35 times the
-keys' 8|V| bytes.
+Both build every key in its final form, a hash of the code or row in
+the high bits and the vertex index in the low bits, and hand the keys to
+one kernel, ``_least_equal_pair``, which consumes them: one in-place
+sort brings equal hashes together, landmarks among them.  That settles
+a set whose hashes are distinct.  Otherwise only non-landmarks whose
+hash is shared by a later non-landmark are compared exactly, codes as
+sets of landmarks and distance vectors word by word.  A hash collision
+can cost time, never a wrong verdict.  Both report the lexicographically
+least colliding pair as witness.  The keys are the only |V|-sized
+array; every other temporary is a slab of at most _SLAB keys or tries,
+so either verifier peaks at 1.1 to 1.2 times the keys' 8|V| bytes on the
+n = 100 and 150 bases, and at 1.45 times when nearly every vertex
+collides (one landmark on 101 x 101 x 101).
 """
 
 from __future__ import annotations
@@ -268,12 +269,6 @@ def _block_layout(dims: tuple[int, int, int]):
     return spread, start, o
 
 
-def _non_landmarks(n: int, at: np.ndarray) -> np.ndarray:
-    keep = np.ones(n, dtype=bool)
-    keep[at] = False
-    return keep
-
-
 @lru_cache(maxsize=64)
 def _index_bits(n: int):
     """(mask, b, low, high): indices below n fit in the low b bits, low is
@@ -284,59 +279,77 @@ def _index_bits(n: int):
     return mask, np.uint64(b), np.uint64(mask), np.uint64(mask ^ (2**64 - 1))
 
 
-def _least_equal_pair(keys: np.ndarray, keep: np.ndarray, row_of):
-    """Least pair (i, j), i < j, of kept indices with equal rows, or None.
+def _least_equal_pair(keys: np.ndarray, landmarks, row_of):
+    """Least pair (i, j), i < j, of non-landmark indices with equal rows, or None.
 
-    keys[i] must be a function of row i, so distinct keys mean distinct
-    rows.  The keys are consumed: each kept key is multiplied by _GOLDEN,
-    a bijection whose top bits depend on every bit of the key (keys of up
-    to 64 landmarks are bitmasks, with skewed low bits), its low
-    b = ceil(log2 |V|) bits are replaced by its index, and it is moved to
-    the front of keys.  One in-place sort then brings equal keys together
-    in runs of equal prefixes (all but the low b bits), each run in
-    increasing index order.  The indices with a later one in their run
-    are tried in increasing order; the first with an equal row later in
-    its run is the witness's first index, and the least such later index
-    its second.  row_of re-checks exactly, so a prefix shared by distinct
-    keys, or a key by distinct rows, costs time, never a wrong verdict.
-    Every pass but the sort goes _SLAB keys at a time; besides the keys
-    and keep, only the tried indices grow with |V|, as far as prefixes
-    repeat.
+    keys[i] holds index i in its low b = ceil(log2 |V|) bits and, above
+    them, its prefix: a hash of row i, so distinct prefixes mean distinct
+    rows.  The keys are consumed: one in-place sort brings equal prefixes
+    together in runs, each run in increasing index order.  The indices
+    with a later one in their run are tried in increasing index order,
+    at most _SLAB per pass over the sorted keys; the first with an equal
+    row later in its run is the witness's first index, and the least such
+    later index its second.  Indices in ``landmarks`` are skipped, and a
+    row is read only to compare it with another non-landmark's, so row_of
+    re-checks exactly and a shared prefix costs time, never a wrong
+    verdict.  Every pass but the sort goes _SLAB keys at a time, and a
+    pass holds at most two slabs of tries, so nothing but the keys grows
+    with |V|: the verifiers peak at 1.1 to 1.45 times the keys' 8|V| bytes.
     """
-    n = keys.size
-    mask, b, low, high = _index_bits(n)
-    m = 0
-    for lo in range(0, n, _SLAB):
-        k = keys[lo:lo + _SLAB] * _GOLDEN
-        k &= high
-        k |= np.arange(lo, lo + k.size, dtype=np.uint64)
-        k = k[keep[lo:lo + _SLAB]]
-        keys[m:m + k.size] = k
-        m += k.size
-    if m < 2:
-        return None
-    kept = keys[:m]
-    kept.sort()
-    tries = []  # positions of sorted keys whose next one shares their prefix
-    for lo in range(0, m, _SLAB):
-        p = kept[lo:lo + _SLAB + 1] >> b
+    mask, b, low, _ = _index_bits(keys.size)
+    shift = int(b)
+    keys.sort()
+    first = np.uint64(0)  # the least index << b | position not yet tried
+    while True:
+        tries = _least_tries(keys, b, low, first)
+        for t in tries.tolist():
+            i, s = t >> shift, t & mask
+            if i in landmarks:
+                continue
+            row = None
+            end = keys.searchsorted(keys[s] | low, side="right")  # past the run
+            for j in keys[s + 1:end]:
+                j = int(j) & mask
+                if j in landmarks:
+                    continue
+                if row is None:
+                    row = row_of(i)
+                if row_of(j) == row:
+                    return i, j
+        if tries.size < _SLAB:
+            return None
+        first = tries[-1] + np.uint64(1)
+
+
+def _least_tries(keys: np.ndarray, b, low, first) -> np.ndarray:
+    """The least _SLAB tries from first on, as index << b | position, sorted.
+
+    A try is a position of the sorted keys whose next key shares its
+    prefix; its index is the key's low b bits.  Index and position take
+    2b bits, which VERTEX_LIMIT keeps below 64.
+    """
+    least, cut = np.empty(0, dtype=np.uint64), None
+    for lo in range(0, keys.size, _SLAB):
+        p = keys[lo:lo + _SLAB + 1] >> b
         at = (p[1:] == p[:-1]).nonzero()[0]
+        if at.size == 0:
+            continue
         if lo:  # adding 0 would cost a microsecond, a tenth of a tiny call
             at += lo
-        tries.append(at)
-    tries = np.concatenate(tries) if len(tries) > 1 else tries[0]
-    if tries.size == 0:
-        return None
-    idx = kept[tries] & low
-    for t in idx.argsort():
-        i, s = int(idx[t]), tries[t]
-        row = row_of(i)
-        end = kept.searchsorted(kept[s] | low, side="right")  # past the run
-        for j in kept[s + 1:end]:
-            j = int(j) & mask
-            if row_of(j) == row:
-                return i, j
-    return None
+        t = keys[at]
+        t &= low
+        t <<= b
+        t |= at.view(np.uint64)
+        if first:
+            t = t[t >= first]
+        if cut is not None:  # a try at or above cut is not among the least
+            t = t[t < cut]
+        least = np.concatenate((least, t)) if least.size else t
+        if least.size > _SLAB:
+            least.partition(_SLAB)
+            least, cut = least[:_SLAB], least[_SLAB]
+    least.sort()
+    return least
 
 
 def is_resolving(W: LandmarkSet) -> Certificate:
@@ -350,12 +363,16 @@ def is_resolving(W: LandmarkSet) -> Certificate:
                  - P12[a1, a2] - P13[a1, a3] - P23[a2, a3]   (mod 2**64),
 
     which is inclusion-exclusion over v's three blocks, exact because no
-    landmark lies in all three.  Equal codes give equal keys; codes whose
-    keys repeat are re-checked exactly as sets of landmarks, so the verdict
-    and the witness never rest on the hash.  The |V|-sized arrays are one
-    key per vertex, which the kernel sorts in place, and one keep flag per
-    vertex, and graphs above VERTEX_LIMIT vertices are refused before
-    anything is allocated.  The verdict is valid for K = {3} and
+    landmark lies in all three.  Each weight is multiplied by _GOLDEN,
+    which spreads the bitmask weights of the first 64 landmarks upwards,
+    and its low b = ceil(log2 |V|) bits are cleared, so every sum keeps
+    them clear; v's index (a1 d2 + a2) d3 + a3, zero-based, is added there
+    through the H1 + H2 - P12 and H3 - P13 tables.  Equal codes give equal
+    high bits; codes whose high bits repeat are re-checked exactly as sets
+    of landmarks, so the verdict and the witness never rest on the hash.
+    The one |V|-sized array is the keys, which the kernel sorts in place,
+    and graphs above VERTEX_LIMIT vertices are refused before anything is
+    allocated.  The verdict is valid for K = {3} and
     for the complement rule K = {1, 2}: in both regimes a vertex's
     distance to a landmark is fixed by whether the two share a
     coordinate, so equal codes and equal distance vectors are the same
@@ -367,20 +384,25 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     w = _members_array(W)
     spread, start, o = _block_layout(g.dims)
     at = spread @ w + start
+    _, _, _, high = _index_bits(n)
+    weights = _weights(w.shape[1]) * _GOLDEN
+    weights &= high
     table = np.zeros(o[6], dtype=np.uint64)
     # one value per index: numpy 2.4's add.at misreads values broadcast
     # along the last axis of a 2-D index
-    np.add.at(table, at[:6].T.ravel(), _weights(w.shape[1]).repeat(6))
+    np.add.at(table, at[:6].T.ravel(), weights.repeat(6))
     h1, h2, h3 = table[:o[1], None], table[o[1]:o[2]], table[o[2]:o[3]]
     p12 = table[o[3]:o[4]].reshape(d1, d2)
     p13 = table[o[4]:o[5]].reshape(d1, d3)
     p23 = table[o[5]:].reshape(d2, d3)
     left = h1 + h2 - p12  # H1[a1] + H2[a2] - P12[a1, a2]
+    left += np.arange(0, n, d3, dtype=np.uint64).reshape(d1, d2)  # (a1 d2 + a2) d3
     right = h3 - p13  # H3[a3] - P13[a1, a3]
+    right += np.arange(d3, dtype=np.uint64)  # a3
     keys = left[:, :, None] + right[:, None, :]
     keys -= p23
-    keep = _non_landmarks(n, at[6])
-    pair = _least_equal_pair(keys.reshape(-1), keep, lambda i: W._code(_vertex_at(g, i)))
+    pair = _least_equal_pair(keys.reshape(-1), set(at[6].tolist()),
+                             lambda i: W._code(_vertex_at(g, i)))
     return _certificate(W, pair)
 
 
@@ -397,8 +419,10 @@ def is_resolving_by_distance(W: LandmarkSet) -> Certificate:
     of word k is landmark 64k + p), and is folded to a 64-bit key: one
     word is its own key, and more are each put through the splitmix64
     finalizer and summed with the weight of their first landmark, so that
-    structured rows do not cancel.  Rows whose keys repeat are compared
-    exactly, word by word.  Rows are built and folded over flat ranges of
+    structured rows do not cancel.  The key is multiplied by _GOLDEN and
+    its low b = ceil(log2 |V|) bits replaced by the vertex index, as in
+    ``is_resolving``.  Rows whose high bits repeat are compared exactly,
+    word by word.  Rows are built and folded over flat ranges of
     vertex indices, at most _FOLD_ENTRIES distance entries at a time, so
     no |V| x |W| matrix is held for any |W|; the time grows as
     |V| * |W| / 64.
@@ -418,13 +442,18 @@ def is_resolving_by_distance(W: LandmarkSet) -> Certificate:
         return (near[0].take(a[0], axis=0) | near[1].take(a[1], axis=0)
                 | near[2].take(a[2], axis=0))
 
+    _, _, _, high = _index_bits(n)
     keys = np.empty(n, dtype=np.uint64)
     step = max(1, _FOLD_ENTRIES // (64 * max(words, 1)))
     for lo in range(0, n, step):
-        share = row_of(np.arange(lo, min(lo + step, n)))
-        keys[lo:lo + step] = (_mix(share) if words > 1 else share) @ r
-    keep = _non_landmarks(n, np.ravel_multi_index(w, g.dims))
-    return _certificate(W, _least_equal_pair(keys, keep, lambda i: row_of(i).tobytes()))
+        index = np.arange(lo, min(lo + step, n))
+        k = (_mix(row_of(index)) if words > 1 else row_of(index)) @ r
+        k *= _GOLDEN
+        k &= high
+        k |= index.view(np.uint64)
+        keys[lo:lo + step] = k
+    landmarks = set(np.ravel_multi_index(w, g.dims).tolist())
+    return _certificate(W, _least_equal_pair(keys, landmarks, lambda i: row_of(i).tobytes()))
 
 
 def _certificate(W: LandmarkSet, pair) -> Certificate:

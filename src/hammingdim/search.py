@@ -640,23 +640,40 @@ def enumerate_two_basic(
         raise Unsupported(f"2-basic enumeration is implemented for n in {{3, 4, 5}}")
     import random
 
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     g = hamming_graph(n, n, n)
     count = 10_000 if budget is None else budget
     for _ in range(count):
-        while True:
-            matchings = []
+        matchings = None
+        while matchings is None:  # until three matchings share no edge
+            matchings, edges = [], set()
             for _i in range(3):
                 p = list(range(2 * n))
-                rng.shuffle(p)
-                pairs = (tuple(sorted(p[j:j + 2])) for j in range(0, 2 * n, 2))
-                matchings.append(sorted(pairs))
-            if len({e for m in matchings for e in m}) == 3 * n:
-                break
+                _shuffle(getrandbits, p)
+                if matchings is None:  # drawn only to keep the random stream
+                    continue
+                pairs = [(a, b) if a < b else (b, a) for a, b in zip(p[::2], p[1::2])]
+                if edges.isdisjoint(pairs):
+                    edges.update(pairs)
+                    matchings.append(sorted(pairs))
+                else:
+                    matchings = None
         labels = [list(range(1, n + 1)) for _i in range(3)]
         for values in labels:
-            rng.shuffle(values)
+            _shuffle(getrandbits, values)
         yield LandmarkSet(g, sorted(matching_triples(matchings, labels)))
+
+
+def _shuffle(getrandbits, x: list) -> None:
+    """``random.shuffle(x)`` on the generator of ``getrandbits``: the same
+    Fisher-Yates swaps, each index drawn by the same rejection loop as
+    ``Random._randbelow_with_getrandbits``, so the same draws."""
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 def _two_basic_systems(n: int) -> Iterator[LandmarkSet]:

@@ -181,18 +181,22 @@ def test_code_verifier_size_cap():
 
 @pytest.mark.parametrize("verify", [is_resolving, is_resolving_by_distance])
 def test_verifier_peak_under_1_6_key_arrays(verify):
-    # the keys, sorted in place, the keep flags and slab temporaries: about
-    # 1.2 to 1.35 times the 8|V| bytes of keys; a sorted copy of the kept
-    # keys, or any other |V|-sized uint64 array, would cross 2 times
+    # the keys, sorted in place, and slab temporaries: about 1.1 to 1.2
+    # times the 8|V| bytes of keys on the bases, and 1.45 times with one
+    # landmark on 101x101x101, where nearly every vertex collides and the
+    # tries are taken _SLAB at a time; a sorted copy of the keys, or any
+    # other |V|-sized uint64 array, would cross 2 times
     B = metric_basis(100)
-    for W in (B, LandmarkSet(B.graph, B.members[:-1])):
+    one = LandmarkSet(hamming_graph(101, 101, 101), [(1, 1, 1)])
+    for W in (B, LandmarkSet(B.graph, B.members[:-1]), one):
         tracemalloc.start()
         try:
-            verify(W)
+            cert = verify(W)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.6 * 8 * 100**3
+        assert peak < 1.6 * 8 * W.graph.vertex_count()
+    assert cert.witness == ((1, 1, 2), (1, 1, 3))
 
 
 def least_pair_by_bfs(W):
@@ -254,20 +258,29 @@ def zero_weights(monkeypatch):
 
 
 @pytest.fixture
-def kept_keys(monkeypatch):
-    # the kept keys of every call into the shared pair kernel, in order
-    seen = []
+def kernel_calls(monkeypatch):
+    # per call into the shared pair kernel, in order: the keys as built,
+    # their prefixes (all but the low index bits) and the indices whose
+    # rows the exact re-check read
+    calls = []
     kernel = resolving._least_equal_pair
 
-    def spy(keys, keep, row_of):
-        seen.append(keys[keep])
-        return kernel(keys, keep, row_of)
+    def spy(keys, landmarks, row_of):
+        b = resolving._index_bits(keys.size)[1]
+        read = []
+        calls.append((keys.copy(), keys >> b, read))
+
+        def logged(i):
+            read.append(i)
+            return row_of(i)
+
+        return kernel(keys, landmarks, logged)
 
     monkeypatch.setattr(resolving, "_least_equal_pair", spy)
-    return seen
+    return calls
 
 
-def test_forced_collisions_match_brute_force(zero_weights, kept_keys):
+def test_forced_collisions_match_brute_force(zero_weights, kernel_calls):
     W = LandmarkSet(G3, INTERLEAVED)
     assert least_pair_by_codes(W) == ((1, 1, 2), (1, 3, 2))
     assert W.code((1, 2, 1)) == W.code((1, 2, 3)) != W.code((1, 1, 2))
@@ -287,8 +300,8 @@ def test_forced_collisions_match_brute_force(zero_weights, kept_keys):
             cert = verify(W)
             assert cert.witness == want
             assert (cert.verdict is Verdict.RESOLVING) == (want is None)
-            # every kept key repeats, so the verdict came from the re-check
-            assert np.unique(kept_keys[-1]).size <= 1
+            # every key shares one prefix, so the verdict came from the re-check
+            assert np.unique(kernel_calls[-1][1]).size <= 1
 
 
 G_INVERSE = pow(int(resolving._GOLDEN), -1, 2**64)
@@ -299,6 +312,14 @@ def prefix_key(n, prefix, low):
     one prefix and distinct low parts differ yet fall in one run."""
     b = (n - 1).bit_length()
     return (((prefix % (1 << (64 - b))) << b) | low % (1 << b)) * G_INVERSE % 2**64
+
+
+def kernel_keys(keys):
+    """The keys as the verifiers build them: each multiplied by _GOLDEN,
+    with its index in its low b bits."""
+    b = (len(keys) - 1).bit_length()
+    return np.array([(k * int(resolving._GOLDEN) % 2**64) >> b << b | i
+                     for i, k in enumerate(keys)], dtype=np.uint64)
 
 
 def least_equal_pair_by_brute_force(rows, keep):
@@ -330,11 +351,17 @@ def kernel_cases(draw):
 def test_least_equal_pair_against_brute_force(case):
     rows, keep, keys = case
     want = least_equal_pair_by_brute_force(rows, keep)
-    # slabs of 2 and 3 keys put runs across slab boundaries
+    landmarks = {i for i, kept in enumerate(keep) if not kept}
+
+    def row_of(i):
+        assert i not in landmarks
+        return rows[i]
+
+    # slabs of 2 and 3 keys put runs across slab boundaries and take the
+    # tries over several passes
     for slab in (resolving._SLAB, 2, 3):
         with mock.patch.object(resolving, "_SLAB", slab):
-            pair = resolving._least_equal_pair(np.array(keys, dtype=np.uint64),
-                                               np.array(keep, dtype=bool), rows.__getitem__)
+            pair = resolving._least_equal_pair(kernel_keys(keys), landmarks, row_of)
         assert pair == want
 
 
@@ -351,13 +378,52 @@ def test_least_equal_pair_prefix_collision_before_witness():
         tried.append(i)
         return rows[i]
 
-    keep = np.array([True] * 8 + [False])
-    assert resolving._least_equal_pair(np.array(keys, dtype=np.uint64), keep, row_of) == (3, 6)
+    assert resolving._least_equal_pair(kernel_keys(keys), {8}, row_of) == (3, 6)
     # rows are read only for kept indices with a later kept index of the
     # same prefix, in index order, and for those later indices: never for
     # 4, 5 and 7, whose prefixes are unique, nor for the landmark 8, nor
     # for index 2 as a first index, the last of its run
     assert tried == [0, 3, 6, 1, 2, 3, 6]
+    assert 8 not in tried
+
+
+def index_of(g, v):
+    return int(np.ravel_multi_index(tuple(a - 1 for a in v), g.dims))
+
+
+def test_landmark_key_equal_to_a_non_landmark_key(kernel_calls):
+    # a landmark's key is built like any vertex's; here it ties a
+    # non-landmark's, yet the landmark is neither paired nor read
+    W = LandmarkSet(G3, [(1, 1, 1), (1, 2, 2)])
+    want = least_pair_by_codes(W)
+    for verify, twin in ((is_resolving, (2, 2, 3)), (is_resolving_by_distance, (1, 3, 3))):
+        assert verify(W).witness == want
+        _, prefixes, read = kernel_calls[-1]
+        assert prefixes[0] == prefixes[index_of(G3, twin)]  # (1,1,1) is index 0
+        assert not {0, index_of(G3, (1, 2, 2))} & set(read)
+
+
+@pytest.mark.parametrize("dims", [(4, 4, 4), (4, 4, 5), (4, 4, 8), (8, 8, 8)])
+def test_index_bits_at_the_prefix_boundary(dims, kernel_calls):
+    # |V| = 64, 80, 128 and 512: the greatest index sets the top index
+    # bit, the one just under the prefix, or the bit below it
+    g = GhgParams(dims, frozenset({3}))
+    n = g.vertex_count()
+    b = (n - 1).bit_length()
+    assert (n - 1) >> (b - 1) == 1
+    rng = random.Random(sum(dims))
+    verts = list(g.vertices())
+    cases = [LandmarkSet(g, rng.sample(verts, rng.randint(0, 2 * max(dims) + 2)))
+             for _ in range(12)]
+    cases.append(LandmarkSet(g, [v for v in verts if v[2] == 1]))
+    for W in cases:
+        want = least_pair_by_codes(W)
+        for verify in (is_resolving, is_resolving_by_distance):
+            assert verify(W).witness == want
+            keys = kernel_calls[-1][0]
+            # every index is whole in the low bits, and no carry from it
+            # reaches the prefix
+            assert np.array_equal(keys & np.uint64((1 << b) - 1), np.arange(n))
 
 
 dims_and_members = st.tuples(st.integers(3, 6), st.integers(3, 6), st.integers(3, 6)).flatmap(
@@ -420,11 +486,12 @@ def test_oracle_word_boundaries(m):
 
 
 @pytest.mark.parametrize("n", [65, 100])
-def test_basis_keys_never_collide(n, kept_keys):
-    # a fold that lets structured rows cancel repeats keys here
+def test_basis_keys_never_collide(n, kernel_calls):
+    # a fold that lets structured rows cancel repeats prefixes here and
+    # sends non-landmarks to the exact re-check
     for verify in (is_resolving, is_resolving_by_distance):
         assert verify(metric_basis(n)).verdict is Verdict.RESOLVING
-        assert np.unique(kept_keys[-1]).size == kept_keys[-1].size
+        assert kernel_calls[-1][2] == []
 
 
 def test_oracle_slabs_bound_memory():

@@ -9,6 +9,7 @@ import itertools
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import textwrap
@@ -32,7 +33,8 @@ from hammingdim import (
     metric_basis,
     metric_dimension,
 )
-from hammingdim.search import _Budget, _color_feasible
+from hammingdim.landmark import matching_triples
+from hammingdim.search import _Budget, _color_feasible, _shuffle
 
 G3 = hamming_graph(3, 3, 3)
 G4 = hamming_graph(4, 4, 4)
@@ -424,6 +426,46 @@ def test_enumerate_two_basic_sampling():
     for W in enumerate_two_basic(5, budget=10, seed=5):
         assert classify(W).kind is SystemKind.TWO_BASIC
         assert W.graph.dims == (5, 5, 5)
+
+
+def test_shuffle_draws_as_random_shuffle():
+    # same permutations and the same stream position afterwards, for
+    # lengths whose draws need rejection (3, 5, 6, 7, ...) and those that
+    # never do (1, 2, 4, 8)
+    for seed in (1, 7, 20240311):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for size in [*range(12), 64, 100]:
+            x, y = list(range(size)), list(range(size))
+            _shuffle(ours.getrandbits, x)
+            theirs.shuffle(y)
+            assert x == y
+        assert ours.random() == theirs.random()
+
+
+def two_basic_by_random_shuffle(n, count, seed):
+    """The n >= 4 sampler written with random.shuffle, every matching of
+    a round built before their edges are compared."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        while True:
+            matchings = []
+            for _i in range(3):
+                p = list(range(2 * n))
+                rng.shuffle(p)
+                matchings.append(sorted(tuple(sorted(p[j:j + 2])) for j in range(0, 2 * n, 2)))
+            if len({e for m in matchings for e in m}) == 3 * n:
+                break
+        labels = [list(range(1, n + 1)) for _i in range(3)]
+        for values in labels:
+            rng.shuffle(values)
+        yield tuple(sorted(matching_triples(matchings, labels)))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_enumerate_two_basic_draws_as_random_shuffle(n):
+    for seed in (1, 7, 20240311, 1000 * n + 4001):
+        assert ([W.members for W in enumerate_two_basic(n, budget=300, seed=seed)]
+                == list(two_basic_by_random_shuffle(n, 300, seed)))
 
 
 def test_enumerate_two_basic_domain():
