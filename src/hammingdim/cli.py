@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -24,7 +25,7 @@ import sys
 
 from .construct import FIXTURE_NAMES, fixture, metric_basis
 from .errors import BudgetExceeded, HammingDimError, NotApplicable, ParseError
-from .formats import FORMATS, landmark_lines, parse_landmarks
+from .formats import FORMATS, _integer, landmark_lines, parse_landmarks
 from .hamming import GhgParams
 from .landmark import build_landmark_graph, classify, forbidden_scan, predict_resolving
 from .resolving import Verdict, _fmt_vertex, is_resolving, is_resolving_by_distance
@@ -103,7 +104,7 @@ def _cmd_dimension(args: argparse.Namespace) -> int:
     else:
         text = os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET))
         try:
-            budget = int(text)
+            budget = _integer(text)
         except ValueError:
             raise ParseError(f"{BUDGET_ENV}={text!r} is not an integer") from None
     opts = SearchOptions(
@@ -185,6 +186,15 @@ def _add_io_args(p: argparse.ArgumentParser, reading: bool) -> None:
                        help="output format (default: pls when representable)")
 
 
+def _number(text: str) -> int:
+    """An option's integer, read by the documents' ASCII rule."""
+    try:
+        return _integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+
+
+@functools.cache  # a parse leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hammingdim",
@@ -201,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("construct", help="emit a minimum resolving set for nxnxn")
-    p.add_argument("--n", type=int, required=True, help="side length, n >= 3")
+    p.add_argument("--n", type=_number, required=True, help="side length, n >= 3")
     _add_io_args(p, reading=False)
     p.set_defaults(func=_cmd_construct)
 
@@ -209,9 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--exhaustive", action="store_true",
                    help="lift the candidate budget")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_number, default=None,
                    help=f"candidate cap (default ${BUDGET_ENV} or {DEFAULT_BUDGET})")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_number, default=1,
                    help="parallel subtree workers")
     p.add_argument("--verbose", action="store_true",
                    help="a progress line on stderr per first-level pick")
@@ -228,10 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fixtures)
 
     p = sub.add_parser("enumerate", help="two-basic landmark systems")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=None,
+    p.add_argument("--n", type=_number, required=True)
+    p.add_argument("--count", type=_number, default=None,
                    help="sample size (n >= 4; n=3 enumerates all)")
-    p.add_argument("--seed", type=int, default=None, help="sampling seed")
+    p.add_argument("--seed", type=_number, default=None, help="sampling seed")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_enumerate)
 

@@ -23,7 +23,7 @@ mask of such picks.  A node visits only the set bits of its index span
 AND its three codes' masks, and counts the skipped picks as pruned
 before each visit and at the end, as a pick by pick loop would, hit or
 not.  Without pruning every mask is all ones.  The 4x4x4 size-7 search
-makes about 500,000 lookups on 113 keys.  The memos live for one call
+makes about 145,000 lookups on 113 keys.  The memos live for one call
 and nothing is cached across calls.
 
 Candidates are checked without a pass over the vertices.  Non-landmarks
@@ -43,6 +43,16 @@ of the three codes is the mask of leaves.  The first hit is the lowest
 bit of ``good`` among them; the leaves and pruned picks up to it are
 counted as one run, and a budget trips on that run exactly where
 counting leaf by leaf would.
+
+A node with two picks left is first checked whole, its classes largest
+first, as they clear the fewest final picks.  A class of more than six
+members kills the node: two picks split it into at most four parts and
+take at most two of its members.  Otherwise the node lives if some pick
+has a nonzero ``good``, and is walked pick by pick as above.  A dead
+node's leaf runs and pruned count depend only on its state (its start,
+its end and the three codes), so they are computed once per state and
+counted run by run, tripping where the pick by pick walk would.  The
+4x4x4 size-7 search settles 26,730 dead nodes from 3,325 states.
 
 A search is one loop over the first free picks, whatever the worker
 count.  The tables and memos are built once per search, into a
@@ -273,7 +283,12 @@ class _ClassFinals(dict):
         if size > 3:
             return 0
         share = self.share
-        members = [i for i in range(len(share)) if m >> i & 1]
+        members = []
+        rest = m
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
         if size == 3:
             u, v, w = members
             finals = ((share[v] ^ share[w]) & 1 << u
@@ -376,20 +391,25 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
     chosen = list(fixed)
     budget: _Budget | None = None
 
+    def leaf_mask(lo: int, k1: int, k2: int, k3: int) -> int:
+        """The final picks from lo on that keep all three color codes
+        feasible: the leaves under a second-to-last pick."""
+        return ((1 << ends[1]) - (1 << lo)) & keep[0][k1] & keep[0][k2] & keep[0][k3]
+
     def last(lo: int, k1: int, k2: int, k3: int, good: int) -> list | None:
         """One pick left, decided for every x at once: ``good`` holds the
-        picks that resolve the set, the color masks those kept feasible."""
-        allowed = (1 << ends[1]) - (1 << lo)
-        leaves = allowed & keep[0][k1] & keep[0][k2] & keep[0][k3]
+        picks that resolve the set."""
+        leaves = leaf_mask(lo, k1, k2, k3)
         hit = good & leaves
+        end = ends[1]
         if hit:
             upto = hit ^ (hit - 1)  # the first hit and every pick before it
             leaves &= upto
-            allowed &= upto
-        budget.pruned += allowed.bit_count() - leaves.bit_count()
+            end = upto.bit_length()
+        budget.pruned += end - lo - leaves.bit_count()
         budget.count(leaves.bit_count())
         if hit:
-            return [verts[i] for i in chosen] + [verts[upto.bit_length() - 1]]
+            return [verts[i] for i in chosen] + [verts[end - 1]]
         return None
 
     def cleared(classes: list[int], near: int, far: int) -> int:
@@ -402,9 +422,53 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
                 break
         return good
 
+    def dead(todo: int, classes: list[int]) -> bool:
+        """Whether no pick in ``todo`` is followed by a final pick that
+        resolves the set, its classes taken largest first."""
+        classes = sorted(classes, key=int.bit_count, reverse=True)
+        if classes and classes[0].bit_count() > 6:
+            return True
+        while todo:
+            idx = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            if cleared(classes, sharing[idx], apart[idx]):
+                return False
+        return True
+
+    # settled[key]: (pruned, leaf runs) of a dead node with two picks
+    # left, keyed by its state (lo, ends[2], k1, k2, k3) packed in one
+    # int: an end is at most 64, and every code is below width
+    settled: dict[int, tuple[int, bytes]] = {}
+    width = 3 * span
+
+    def runs(lo: int, k1: int, k2: int, k3: int, todo: int) -> tuple[int, bytes]:
+        """The pruned count and the leaves under each pick of a dead node,
+        as the per-pick loop with ``last`` would count them."""
+        pruned = 0
+        out = []
+        while todo:
+            idx = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            pruned += idx - lo
+            lo = idx + 1
+            leaves = leaf_mask(lo, k1 + s1[idx], k2 + s2[idx], k3 + s3[idx]).bit_count()
+            pruned += ends[1] - lo - leaves
+            out.append(leaves)
+        return pruned + ends[2] - lo, bytes(out)  # at most 64 leaves a run
+
     def rec(lo: int, t: int, k1: int, k2: int, k3: int, classes: list[int]) -> list | None:
         kt = keep[t - 1]
         todo = kt[k1] & kt[k2] & kt[k3] & ((1 << ends[t]) - (1 << lo))
+        if t == 2 and dead(todo, classes):
+            key = (((lo << 7 | ends[2]) * width + k1) * width + k2) * width + k3
+            entry = settled.get(key)
+            if entry is None:
+                entry = settled[key] = runs(lo, k1, k2, k3, todo)
+            budget.pruned += entry[0]
+            count = budget.count
+            for leaves in entry[1]:
+                count(leaves)
+            return None
         while todo:
             idx = (todo & -todo).bit_length() - 1
             todo &= todo - 1
@@ -444,6 +508,7 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
         # only by a cyclic collection; drop the memos now instead
         keep.clear()
         finals.clear()
+        settled.clear()
 
 
 def _worker(walk, budget: _Budget, todo, conn):

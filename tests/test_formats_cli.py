@@ -19,7 +19,7 @@ from hammingdim import (
     metric_basis,
 )
 import hammingdim.search
-from hammingdim.cli import main
+from hammingdim.cli import build_parser, main
 from hammingdim.formats import (
     detect_format,
     emit_landmarks,
@@ -289,6 +289,62 @@ def test_cli_dimension_budget(capsys, monkeypatch):
     monkeypatch.delenv("HAMMINGDIM_BUDGET")
     assert main(["dimension", "--graph", "3x3x3", "--budget", "-1"]) == 2
     assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661\u0660"], ids=["underscore", "arabic-indic"])
+@pytest.mark.parametrize("argv", [
+    ["construct", "--n"],
+    ["enumerate", "--n"],
+    ["dimension", "--graph", "3x3x3", "--budget"],
+    ["dimension", "--graph", "3x3x3", "--workers"],
+    ["enumerate", "--n", "4", "--count"],
+    ["enumerate", "--n", "4", "--seed"],
+], ids=["construct-n", "enumerate-n", "budget", "workers", "count", "seed"])
+def test_cli_numbers_by_the_ascii_rule(capsys, argv, value):
+    # int() would read both as 10; options follow the documents' rule
+    with pytest.raises(SystemExit) as e:
+        main([*argv, value])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{value!r} is not an integer" in captured.err
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661\u0660"], ids=["underscore", "arabic-indic"])
+def test_cli_budget_env_by_the_ascii_rule(capsys, monkeypatch, value):
+    monkeypatch.setenv("HAMMINGDIM_BUDGET", value)
+    assert main(["dimension", "--graph", "3x3x3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: HAMMINGDIM_BUDGET={value!r} is not an integer\n"
+
+
+def test_cli_parser_built_once(tmp_path, capsys):
+    # verify, a usage error, then scan: the one parser, reused after each
+    # call and after a parse that exited, answers as fresh parsers do
+    path = write(tmp_path, "n3.pls", N3_SQUARE)
+    calls = [
+        ["verify", "--graph", "3x3x3", "--in", path],
+        ["verify", "--graph"],
+        ["scan", "--graph", "3x3x3", "--in", path],
+    ]
+
+    def run(fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            results.append((code, capsys.readouterr()))
+        return results
+
+    fresh = run(fresh=True)
+    assert [code for code, _ in fresh] == [0, 2, 0]
+    build_parser.cache_clear()
+    assert run(fresh=False) == fresh
+    assert build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -34,7 +34,7 @@ from hammingdim import (
     metric_dimension,
 )
 from hammingdim.landmark import matching_triples
-from hammingdim.search import _Budget, _color_feasible, _shuffle
+from hammingdim.search import _Budget, _color_feasible, _shuffle, _walker
 
 G3 = hamming_graph(3, 3, 3)
 G4 = hamming_graph(4, 4, 4)
@@ -336,6 +336,49 @@ def test_pruned_walk_progress_n4():
     reports = []
     exists_resolving_of_size(G4, 7, SearchOptions(progress=reports.append))
     assert [(p.candidates_examined, p.pruned_subtrees) for p in reports] == N4S7_PROGRESS
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pruned_walk_progress_n4s8(workers):
+    # the hit is under the first pick, so its one report holds the totals;
+    # the hit's second-to-last node is walked pick by pick
+    reports = []
+    cert = exists_resolving_of_size(
+        G4, 8, SearchOptions(progress=reports.append, workers=workers))
+    assert [(p.candidates_examined, p.pruned_subtrees) for p in reports] == [(60735, 173606)]
+    assert cert.basis.members == ((1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1),
+                                  (2, 2, 3), (3, 3, 2), (3, 4, 4), (4, 3, 4))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_candidate_budget_inside_a_settled_node(workers):
+    # leaf 200,001 of the size-7 search falls in a node with two picks
+    # left and no hit, whose runs are counted at once: it trips there
+    with pytest.raises(BudgetExceeded) as exc:
+        exists_resolving_of_size(G4, 7, SearchOptions(max_candidates=200_000, workers=workers))
+    assert (exc.value.bound, exc.value.candidates_examined, str(exc.value)) == (
+        "max_candidates", 200_000, "candidate budget of 200000 exceeded")
+
+
+def closure_values(fn) -> dict:
+    """Every free variable of fn and of the functions it reaches, by name."""
+    found, todo = {}, [fn]
+    while todo:
+        fn = todo.pop()
+        for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
+            if name not in found:
+                found[name] = cell.cell_contents
+                if callable(found[name]) and hasattr(found[name], "__code__"):
+                    todo.append(found[name])
+    return found
+
+
+def test_walker_memos_dropped_on_exit():
+    with _walker(G4, 7, (0,), True) as (picks, walk):
+        walk(picks[0], _Budget(None, None))
+        memos = {name: closure_values(walk)[name] for name in ("keep", "finals", "settled")}
+        assert all(memos.values())
+    assert not any(memos.values())
 
 
 def test_search_domain_errors():
