@@ -83,30 +83,30 @@ class SystemClass:
     loop_vertex: Vertex | None = None
 
 
-def _is_two_basic(mems, dims) -> bool:
-    """Every value of every coordinate is held by exactly two of the
-    member tuples, and no two of them agree in two coordinates."""
-    d = dims[0]
-    if dims != (d, d, d) or len(mems) != 2 * d:
-        return False
-    cols = tuple(zip(*mems))
-    twice = [a for a in range(1, d + 1) for _ in (0, 1)]
-    # every projection onto a pair of coordinates is injective
-    return all(sorted(col) == twice for col in cols) and all(
-        len(set(zip(p, q))) == 2 * d for p, q in itertools.combinations(cols, 2))
-
-
 def classify(W: LandmarkSet) -> SystemClass:
-    """TWO_BASIC, TRIPLE_LOOPED (with its loop vertex), or OTHER."""
+    """TWO_BASIC, TRIPLE_LOOPED (with its loop vertex), or OTHER, read off
+    the block table.
+
+    On the n-diagonal graph W is 2-basic exactly when it has 3n blocks,
+    each a pair, and no two pairs equal: every value of every coordinate
+    is then held by two landmarks, and two landmarks agreeing in two
+    coordinates would make two blocks the same pair.  A block lists its
+    landmarks in member order, so equal pairs are equal tuples.  W is
+    triple-looped when n >= 4, the three blocks of value n are the loop
+    of (n, n, n), and the other 3n - 3 blocks are distinct pairs: a
+    2-basic system on the (n-1)-diagonal.
+    """
     g = W.graph
-    if _is_two_basic(W.members, g.dims):
-        return SystemClass(SystemKind.TWO_BASIC)
     n = g.dims[0]
-    if g.dims == (n, n, n) and n >= 4:
-        u = (n, n, n)
-        # the other members must form a 2-basic system on the (n-1)-diagonal
-        if u in W and _is_two_basic([m for m in W.members if m != u], (n - 1,) * 3):
-            return SystemClass(SystemKind.TRIPLE_LOOPED, loop_vertex=u)
+    blocks = W.blocks()
+    if g.dims != (n, n, n) or len(blocks) != 3 * n:
+        return SystemClass(SystemKind.OTHER)
+    pairs = len({b for b in blocks.values() if len(b) == 2})
+    if pairs == 3 * n:
+        return SystemClass(SystemKind.TWO_BASIC)
+    u = (n, n, n)
+    if n >= 4 and pairs == 3 * n - 3 and blocks[1, n] == blocks[2, n] == blocks[3, n] == (u,):
+        return SystemClass(SystemKind.TRIPLE_LOOPED, loop_vertex=u)
     return SystemClass(SystemKind.OTHER)
 
 
@@ -267,10 +267,8 @@ def forbidden_scan(G: LandmarkGraph) -> ForbiddenReport:
 
 
 def _describe_cycle(kind: str, c: CycleReport) -> str:
-    walk = " ".join(
-        "(" + ",".join(str(x) for x in v) + ")" for v in c.landmarks
-    )
-    colors = ",".join(COLOR_NAMES[i] for i in c.colors)
+    walk = " ".join(["(%s,%s,%s)" % v for v in c.landmarks])
+    colors = ",".join([COLOR_NAMES[i] for i in c.colors])
     return f"{kind} on {walk} colored {colors}"
 
 

@@ -70,16 +70,29 @@ class LandmarkSet:
         if graph.r != 3:
             raise Unsupported(f"landmark sets need 3 coordinates, got r={graph.r}")
         self.graph = graph
-        self.members = tuple(tuple(m) for m in members)
-        seen = set()
+        d1, d2, d3 = graph.dims
+        seen = {}  # the members so far, in order
         blocks: dict[tuple[int, int], list[Vertex]] = {}
-        for m in self.members:
-            graph.validate_vertex(m)
+        for m in members:
+            if type(m) is not tuple:
+                try:
+                    m = tuple(m)
+                except TypeError:
+                    graph.validate_vertex(m)  # not a tuple: raises
+            if len(m) != 3:
+                graph.validate_vertex(m)
+            a, b, c = m
+            # plain ints in range pass here; validate_vertex judges the rest
+            if not (type(a) is int and type(b) is int and type(c) is int
+                    and 0 < a <= d1 and 0 < b <= d2 and 0 < c <= d3):
+                graph.validate_vertex(m)
             if m in seen:
                 raise InvalidVertex(f"duplicate landmark {m!r}")
-            seen.add(m)
-            for key in enumerate(m, start=1):  # (color, value) of each block of m
-                blocks.setdefault(key, []).append(m)
+            seen[m] = None
+            blocks.setdefault((1, a), []).append(m)
+            blocks.setdefault((2, b), []).append(m)
+            blocks.setdefault((3, c), []).append(m)
+        self.members = tuple(seen)
         self._member_set = frozenset(seen)
         self._blocks = {key: tuple(v) for key, v in blocks.items()}
 
@@ -214,11 +227,10 @@ def _checked_vertex_count(g: GhgParams) -> int:
 
 
 def _vertex_at(g: GhgParams, idx: int) -> Vertex:
-    out = []
-    for d in reversed(g.dims):
-        idx, rem = divmod(idx, d)
-        out.append(rem + 1)
-    return tuple(reversed(out))
+    _, d2, d3 = g.dims
+    q, c = divmod(idx, d3)
+    a, b = divmod(q, d2)
+    return a + 1, b + 1, c + 1
 
 
 def _weights(m: int) -> np.ndarray:
@@ -247,26 +259,28 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _members_array(W: LandmarkSet) -> np.ndarray:
-    """Zero-based member coordinates, one row per coordinate: shape (3, m)."""
-    return np.array(tuple(zip(*W.members)), dtype=np.intp).reshape(3, -1) - 1
-
-
 @lru_cache(maxsize=64)
-def _block_layout(dims: tuple[int, int, int]):
-    """(spread, start, o) for the table of H1, H2, H3, P12, P13 and P23.
+def _layout(g: GhgParams):
+    """(|V|, high, o, spread, shift, index): what both verifiers need of
+    g's shape, checked and built once per shape, all O(d1 + d2 + d3).
 
-    Table t of the six starts at o[t].  Zero-based members w, one column
-    each, add their weights at row t of spread @ w + start; row 6 holds
-    their vertex indices.
+    high masks the bits above a vertex index.  Table t of H1, H2, H3,
+    P12, P13 and P23 starts at o[t].  A one-based member w adds its
+    weight at entries t < 6 of w @ spread + shift; entry 6 is its vertex
+    index.  index starts H1, H2 and H3 at the parts a1 d2 d3, a2 d3 and
+    a3 of the zero-based vertex index.
     """
-    d1, d2, d3 = dims
+    n = _checked_vertex_count(g)
+    d1, d2, d3 = g.dims
     o = tuple(accumulate((0, d1, d2, d3, d1 * d2, d1 * d3, d2 * d3)))
-    spread = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1],
-                       [d2, 1, 0], [d3, 0, 1], [0, d3, 1], [d2 * d3, d3, 1]])
-    start = np.array(o[:6] + (0,))[:, None]
-    spread.flags.writeable = start.flags.writeable = False  # shared by every call
-    return spread, start, o
+    spread = np.array([[1, 0, 0, d2, d3, 0, d2 * d3],
+                       [0, 1, 0, 1, 0, d3, d3],
+                       [0, 0, 1, 0, 1, 1, 1]])
+    shift = np.array(o[:6] + (0,)) - spread.sum(axis=0)
+    index = np.concatenate([np.arange(d, dtype=np.uint64) * step
+                            for d, step in ((d1, d2 * d3), (d2, d3), (d3, 1))])
+    spread.flags.writeable = shift.flags.writeable = index.flags.writeable = False  # shared
+    return n, _index_bits(n)[3], o, spread, shift, index
 
 
 @lru_cache(maxsize=64)
@@ -326,14 +340,14 @@ def _least_tries(keys: np.ndarray, b, low, first) -> np.ndarray:
 
     A try is a position of the sorted keys whose next key shares its
     prefix; its index is the key's low b bits.  Index and position take
-    2b bits, which VERTEX_LIMIT keeps below 64.
+    2b bits, which VERTEX_LIMIT keeps below 64.  When one slab holds
+    every key, first is 0 and its tries are all there is: no filter,
+    merge or cut runs.
     """
-    least, cut = np.empty(0, dtype=np.uint64), None
+    least, cut = None, None
     for lo in range(0, keys.size, _SLAB):
         p = keys[lo:lo + _SLAB + 1] >> b
         at = (p[1:] == p[:-1]).nonzero()[0]
-        if at.size == 0:
-            continue
         if lo:  # adding 0 would cost a microsecond, a tenth of a tiny call
             at += lo
         t = keys[at]
@@ -344,7 +358,7 @@ def _least_tries(keys: np.ndarray, b, low, first) -> np.ndarray:
             t = t[t >= first]
         if cut is not None:  # a try at or above cut is not among the least
             t = t[t < cut]
-        least = np.concatenate((least, t)) if least.size else t
+        least = t if least is None else np.concatenate((least, t))
         if least.size > _SLAB:
             least.partition(_SLAB)
             least, cut = least[:_SLAB], least[_SLAB]
@@ -367,41 +381,38 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     which spreads the bitmask weights of the first 64 landmarks upwards,
     and its low b = ceil(log2 |V|) bits are cleared, so every sum keeps
     them clear; v's index (a1 d2 + a2) d3 + a3, zero-based, is added there
-    through the H1 + H2 - P12 and H3 - P13 tables.  Equal codes give equal
-    high bits; codes whose high bits repeat are re-checked exactly as sets
-    of landmarks, so the verdict and the witness never rest on the hash.
-    The one |V|-sized array is the keys, which the kernel sorts in place,
-    and graphs above VERTEX_LIMIT vertices are refused before anything is
-    allocated.  The verdict is valid for K = {3} and
-    for the complement rule K = {1, 2}: in both regimes a vertex's
-    distance to a landmark is fixed by whether the two share a
+    by starting the H1, H2 and H3 tables at its three parts.  Equal codes
+    give equal high bits; codes whose high bits repeat are re-checked
+    exactly as sets of landmarks, so the verdict and the witness never
+    rest on the hash.  The one |V|-sized array is the keys, which the
+    kernel sorts in place, and graphs above VERTEX_LIMIT vertices are
+    refused before anything is allocated.  The verdict is valid for
+    K = {3} and for the complement rule K = {1, 2}: in both regimes a
+    vertex's distance to a landmark is fixed by whether the two share a
     coordinate, so equal codes and equal distance vectors are the same
     thing.
     """
     g = W.graph
-    n = _checked_vertex_count(g)
+    _, high, o, spread, shift, index = _layout(g)
     d1, d2, d3 = g.dims
-    w = _members_array(W)
-    spread, start, o = _block_layout(g.dims)
-    at = spread @ w + start
-    _, _, _, high = _index_bits(n)
-    weights = _weights(w.shape[1]) * _GOLDEN
+    at = np.array(W.members, dtype=np.intp).reshape(-1, 3) @ spread
+    at += shift  # per member: its six table entries, then its vertex index
+    weights = _weights(len(W)) * _GOLDEN
     weights &= high
     table = np.zeros(o[6], dtype=np.uint64)
+    table[:o[3]] = index
     # one value per index: numpy 2.4's add.at misreads values broadcast
     # along the last axis of a 2-D index
-    np.add.at(table, at[:6].T.ravel(), weights.repeat(6))
-    h1, h2, h3 = table[:o[1], None], table[o[1]:o[2]], table[o[2]:o[3]]
+    np.add.at(table, at[:, :6].ravel(), weights.repeat(6))
     p12 = table[o[3]:o[4]].reshape(d1, d2)
     p13 = table[o[4]:o[5]].reshape(d1, d3)
     p23 = table[o[5]:].reshape(d2, d3)
-    left = h1 + h2 - p12  # H1[a1] + H2[a2] - P12[a1, a2]
-    left += np.arange(0, n, d3, dtype=np.uint64).reshape(d1, d2)  # (a1 d2 + a2) d3
-    right = h3 - p13  # H3[a3] - P13[a1, a3]
-    right += np.arange(d3, dtype=np.uint64)  # a3
+    left = table[:o[1], None] + table[o[1]:o[2]]
+    left -= p12  # H1[a1] + H2[a2] - P12[a1, a2]
+    right = table[o[2]:o[3]] - p13  # H3[a3] - P13[a1, a3]
     keys = left[:, :, None] + right[:, None, :]
     keys -= p23
-    pair = _least_equal_pair(keys.reshape(-1), set(at[6].tolist()),
+    pair = _least_equal_pair(keys.reshape(-1), set(at[:, 6].tolist()),
                              lambda i: W._code(_vertex_at(g, i)))
     return _certificate(W, pair)
 
@@ -428,21 +439,24 @@ def is_resolving_by_distance(W: LandmarkSet) -> Certificate:
     |V| * |W| / 64.
     """
     g = W.graph
-    n = _checked_vertex_count(g)
-    w = _members_array(W)
+    n, high, o, spread, shift, _ = _layout(g)
+    _, d2, d3 = g.dims
+    at = np.array(W.members, dtype=np.intp).reshape(-1, 3) @ spread
+    at += shift  # per member: its six table entries, then its vertex index
     words = -(-len(W) // 64)
-    near = np.zeros((3, max(g.dims), 64 * words), dtype=bool)
-    near[np.arange(3)[:, None], w, np.arange(len(W))] = True
+    # row o[i - 1] + a - 1: the landmarks whose coordinate i is a
+    near = np.zeros((o[3], 64 * words), dtype=bool)
+    near[at[:, :3], np.arange(len(W))[:, None]] = True
     near = np.packbits(near, axis=-1, bitorder="little").view(np.uint64)
+    near1, near2, near3 = near[:o[1]], near[o[1]:o[2]], near[o[2]:]
     r = _weights(64 * words)[::64]  # the weight of each word's first landmark
 
     def row_of(i):
         # the landmarks sharing a coordinate with vertex i, 64 to a word
-        a = np.unravel_index(i, g.dims)
-        return (near[0].take(a[0], axis=0) | near[1].take(a[1], axis=0)
-                | near[2].take(a[2], axis=0))
+        q, c = divmod(i, d3)
+        a, b = divmod(q, d2)
+        return near1.take(a, 0) | near2.take(b, 0) | near3.take(c, 0)
 
-    _, _, _, high = _index_bits(n)
     keys = np.empty(n, dtype=np.uint64)
     step = max(1, _FOLD_ENTRIES // (64 * max(words, 1)))
     for lo in range(0, n, step):
@@ -452,8 +466,8 @@ def is_resolving_by_distance(W: LandmarkSet) -> Certificate:
         k &= high
         k |= index.view(np.uint64)
         keys[lo:lo + step] = k
-    landmarks = set(np.ravel_multi_index(w, g.dims).tolist())
-    return _certificate(W, _least_equal_pair(keys, landmarks, lambda i: row_of(i).tobytes()))
+    return _certificate(W, _least_equal_pair(keys, set(at[:, 6].tolist()),
+                                             lambda i: row_of(i).tobytes()))
 
 
 def _certificate(W: LandmarkSet, pair) -> Certificate:

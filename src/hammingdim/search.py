@@ -50,8 +50,10 @@ members kills the node: two picks split it into at most four parts and
 take at most two of its members.  Otherwise the node lives if some pick
 has a nonzero ``good``, and is walked pick by pick as above.  A dead
 node's leaf runs and pruned count depend only on its state (its start,
-its end and the three codes), so they are computed once per state and
-counted run by run, tripping where the pick by pick walk would.  The
+its end and the three codes), so they are computed once per state,
+with their total.  They are counted in one step when no clock read and
+no candidate trip falls among them, else run by run, tripping where the
+pick by pick walk would.  The
 4x4x4 size-7 search settles 26,730 dead nodes from 3,325 states.
 
 A search is one loop over the first free picks, whatever the worker
@@ -79,7 +81,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
-import multiprocessing
 import numbers
 import time
 from dataclasses import dataclass
@@ -219,6 +220,18 @@ class _Budget:
         self.leaves += leaves
         if self.max_candidates is not None and self.leaves > self.max_candidates:
             self._over_candidates()
+
+    def count_all(self, runs: bytes, total: int):
+        """Count each of ``runs``, whose leaves come to ``total``, as
+        ``count`` would: at once when no clock read and no candidate trip
+        can fall among them, else run by run."""
+        if ((self.deadline is None or self.runs % 256 + len(runs) < 256)
+                and (self.max_candidates is None or self.leaves + total <= self.max_candidates)):
+            self.runs += len(runs)
+            self.leaves += total
+        else:
+            for leaves in runs:
+                self.count(leaves)
 
     def alone(self, walk, pick: int) -> tuple:
         """Walk one pick as a worker does, on a budget of its own with
@@ -435,15 +448,15 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
                 return False
         return True
 
-    # settled[key]: (pruned, leaf runs) of a dead node with two picks
-    # left, keyed by its state (lo, ends[2], k1, k2, k3) packed in one
-    # int: an end is at most 64, and every code is below width
-    settled: dict[int, tuple[int, bytes]] = {}
+    # settled[key]: (pruned, leaf runs, leaves) of a dead node with two
+    # picks left, keyed by its state (lo, ends[2], k1, k2, k3) packed in
+    # one int: an end is at most 64, and every code is below width
+    settled: dict[int, tuple[int, bytes, int]] = {}
     width = 3 * span
 
-    def runs(lo: int, k1: int, k2: int, k3: int, todo: int) -> tuple[int, bytes]:
-        """The pruned count and the leaves under each pick of a dead node,
-        as the per-pick loop with ``last`` would count them."""
+    def runs(lo: int, k1: int, k2: int, k3: int, todo: int) -> tuple[int, bytes, int]:
+        """The pruned count, the leaves under each pick of a dead node,
+        as the per-pick loop with ``last`` would count them, and their sum."""
         pruned = 0
         out = []
         while todo:
@@ -454,7 +467,7 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
             leaves = leaf_mask(lo, k1 + s1[idx], k2 + s2[idx], k3 + s3[idx]).bit_count()
             pruned += ends[1] - lo - leaves
             out.append(leaves)
-        return pruned + ends[2] - lo, bytes(out)  # at most 64 leaves a run
+        return pruned + ends[2] - lo, bytes(out), sum(out)  # at most 64 leaves a run
 
     def rec(lo: int, t: int, k1: int, k2: int, k3: int, classes: list[int]) -> list | None:
         kt = keep[t - 1]
@@ -465,9 +478,7 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
             if entry is None:
                 entry = settled[key] = runs(lo, k1, k2, k3, todo)
             budget.pruned += entry[0]
-            count = budget.count
-            for leaves in entry[1]:
-                count(leaves)
+            budget.count_all(entry[1], entry[2])
             return None
         while todo:
             idx = (todo & -todo).bit_length() - 1
@@ -530,8 +541,9 @@ def _forked(walk, picks, budget: _Budget, workers: int) -> Iterator:
     hang joining its task thread when it kills a worker halfway through
     sending a result.
     """
-    # imported here: it loads subprocess and friends, 0.4 MB of RSS that
-    # serial callers never need
+    # imported here: they load subprocess and friends, about 1 MB of RSS
+    # and 7 ms that serial callers never need
+    import multiprocessing
     from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")

@@ -1,7 +1,11 @@
-"""Every name a package module imports is used there or re-exported."""
+"""Every name a package module imports is used there or re-exported, and
+importing the CLI does not load what only parallel searches need."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -40,3 +44,14 @@ def test_unused_import_detected():
     source = ("from os import path, sep\nimport json\nimport numpy as np\n"
               "__all__ = ['sep']\nnp.zeros(1)\n")
     assert unused_imports(source) == ["path", "json"]
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only parallel searches fork workers; a serial caller should not pay
+    # for loading multiprocessing and subprocess
+    code = "import sys, hammingdim.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

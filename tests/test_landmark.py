@@ -97,6 +97,14 @@ def test_classify():
     pairs = LandmarkSet(G3, [(1, 1, 1), (1, 1, 2), (2, 2, 1), (2, 2, 3), (3, 3, 2), (3, 3, 3)])
     assert all(len(pairs.block(i, a)) == 2 for i in (1, 2, 3) for a in (1, 2, 3))
     assert classify(pairs).kind is SystemKind.OTHER
+    # 2-basic members on a graph that is not diagonal
+    first = next(iter(enumerate_two_basic(3)))
+    assert classify(first).kind is SystemKind.TWO_BASIC
+    assert classify(LandmarkSet(hamming_graph(3, 3, 4), first.members)).kind is SystemKind.OTHER
+    # a 2-basic system on the 2-diagonal plus (3, 3, 3): the loop and the
+    # pairs are there, but triple-looped systems start at n = 4
+    assert classify(LandmarkSet(G3, K4_SET + ((3, 3, 3),))).kind is SystemKind.OTHER
+    assert classify(LandmarkSet(hamming_graph(2, 2, 2), K4_SET)).kind is SystemKind.TWO_BASIC
 
 
 def test_extend_and_basic_part_round_trip():
@@ -299,6 +307,25 @@ def test_scan_reports_pinned():
         digest.update((json.dumps(_scan_report(W), indent=2) + "\n").encode())
     assert digest.hexdigest() == (
         "cc87753aa0ac52e08f21914a40dc514f0cd4ac6d61ec6c2a23b159e27b218511")
+
+
+def test_decider_certificates_pinned():
+    # sha256 over the certificate JSON of predict_resolving, is_resolving
+    # and is_resolving_by_distance on every n = 3 2-basic system and 256
+    # seeded draws at each of n = 4 and 5, each followed by its lift:
+    # 1,312 systems, recorded before the deciders shed their fixed costs
+    digest = hashlib.sha256()
+    systems = 0
+    for gen in (enumerate_two_basic(3), enumerate_two_basic(4, budget=256, seed=4005),
+                enumerate_two_basic(5, budget=256, seed=5005)):
+        for W in gen:
+            for V in (W, extend_triple_looped(W)):
+                for decide in (predict_resolving, is_resolving, is_resolving_by_distance):
+                    digest.update(decide(V).to_json().encode())
+                systems += 1
+    assert systems == 1312
+    assert digest.hexdigest() == (
+        "8c5359e9c6b2bca983934fcbd7c922b3d47dda344e73fde1e21cb7f25dd35d19")
 
 
 def test_cycle_report_revalidates_rejects_corruption():

@@ -59,6 +59,53 @@ def test_landmark_set_validation():
         LandmarkSet(hamming_graph(3, 3), [(1, 1)])  # blocks need r = 3
 
 
+class SubInt(int):
+    pass
+
+
+# members -> (exception, message), or the members kept; on 3x4x5, so each
+# coordinate has its own bound
+VALIDATION_TABLE = [
+    ([(True, 1, 1)], InvalidVertex, "coordinate 1 of (True, 1, 1) outside 1..3"),
+    # numpy's scalar repr differs across its major versions
+    ([(np.int64(1), 1, 1)], InvalidVertex,
+     f"coordinate 1 of {(np.int64(1), 1, 1)!r} outside 1..3"),
+    ([(1.0, 1, 1)], InvalidVertex, "coordinate 1 of (1.0, 1, 1) outside 1..3"),
+    ([("1", 1, 1)], InvalidVertex, "coordinate 1 of ('1', 1, 1) outside 1..3"),
+    (["abc"], InvalidVertex, "coordinate 1 of ('a', 'b', 'c') outside 1..3"),
+    ([(1, 0, 1)], InvalidVertex, "coordinate 2 of (1, 0, 1) outside 1..4"),
+    ([(4, 1, 1)], InvalidVertex, "coordinate 1 of (4, 1, 1) outside 1..3"),
+    ([(1, 1, 6)], InvalidVertex, "coordinate 3 of (1, 1, 6) outside 1..5"),
+    ([(1, 1, -1)], InvalidVertex, "coordinate 3 of (1, 1, -1) outside 1..5"),
+    ([(1, 1)], InvalidVertex, "(1, 1) is not a 3-tuple"),
+    ([(1, 1, 1, 1)], InvalidVertex, "(1, 1, 1, 1) is not a 3-tuple"),
+    ([None], InvalidVertex, "None is not a 3-tuple"),
+    ([5], InvalidVertex, "5 is not a 3-tuple"),
+    ([(SubInt(2), 1, 1)], None, ((2, 1, 1),)),
+    ([[3, 4, 5]], None, ((3, 4, 5),)),
+    # members are checked in order, each before it is matched against
+    # the earlier ones
+    ([(0, 1, 1), (1, 1, 1), (1, 1, 1)], InvalidVertex,
+     "coordinate 1 of (0, 1, 1) outside 1..3"),
+    ([(1, 1, 1), (1, 1, 1), (0, 1, 1)], InvalidVertex, "duplicate landmark (1, 1, 1)"),
+    ([(1, 2, 3), (2, 2, 2), (1, 2, 3)], InvalidVertex, "duplicate landmark (1, 2, 3)"),
+]
+
+
+@pytest.mark.parametrize("members, error, expected", VALIDATION_TABLE)
+def test_landmark_set_validation_table(members, error, expected):
+    g = hamming_graph(3, 4, 5)
+    if error is None:
+        W = LandmarkSet(g, members)
+        assert W.members == expected
+        assert all(type(m) is tuple for m in W.members)
+        assert W.blocks()[1, expected[0][0]] == W.members
+    else:
+        with pytest.raises(error) as info:
+            LandmarkSet(g, members)
+        assert str(info.value) == expected
+
+
 def test_fixture_blocks():
     W = fixture("n3")
     assert W.members == FIXTURE_N3

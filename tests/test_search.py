@@ -360,6 +360,35 @@ def test_candidate_budget_inside_a_settled_node(workers):
         "max_candidates", 200_000, "candidate budget of 200000 exceeded")
 
 
+def test_settled_runs_read_the_clock_where_run_by_run_counting_would(monkeypatch):
+    # a settled node's runs are counted in one step only when no clock
+    # read falls among them: the clock is read at the same counts as when
+    # every run goes through count
+    check, at_once = _Budget._check_clock, _Budget.count_all
+
+    def reads(count_all):
+        seen = []
+
+        def logged(budget):
+            seen.append((budget.runs, budget.leaves))
+            check(budget)
+
+        monkeypatch.setattr(_Budget, "_check_clock", logged)
+        monkeypatch.setattr(_Budget, "count_all", count_all)
+        with pytest.raises(BudgetExceeded):
+            exists_resolving_of_size(
+                G4, 7, SearchOptions(max_candidates=60_000, max_seconds=1e6))
+        return seen
+
+    def run_by_run(budget, runs, total):
+        for leaves in runs:
+            budget.count(leaves)
+
+    want = reads(run_by_run)
+    assert len(want) > 100
+    assert reads(at_once) == want
+
+
 def closure_values(fn) -> dict:
     """Every free variable of fn and of the functions it reaches, by name."""
     found, todo = {}, [fn]
