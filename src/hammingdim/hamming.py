@@ -35,7 +35,9 @@ Vertex = tuple[int, ...]
 # Breadth-first search is a desk-scale cross-check, not a production path.
 BFS_VERTEX_LIMIT = 10_000
 
-_GRAPH_RE = re.compile(r"^(\d+(?:x\d+)+)(?:;K=(\d+(?:,\d+)*))?$")
+# ASCII digits only, as every other number the package reads: \d would
+# take any Unicode decimal digit, which int() then reads
+_GRAPH_RE = re.compile(r"^([0-9]+(?:x[0-9]+)+)(?:;K=([0-9]+(?:,[0-9]+)*))?$")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,8 @@ Two independent verification routes are provided:
 Both accept the two diameter-2 regimes of ``GhgParams.closed_form_available``
 (K = {3} and its complement K = {1, 2}, every dimension >= 3), and both
 refuse graphs above VERTEX_LIMIT vertices before allocating anything.
+The oracle also refuses, as early, a set whose rows come to more than
+ORACLE_WORD_LIMIT words in all, since its time grows with them.
 
 Both build every key in its final form, a hash of the code or row in
 the high bits and the vertex index in the low bits, and hand the keys to
@@ -52,6 +54,9 @@ from .errors import InvalidBlock, InvalidVertex, IsLandmark, Unsupported
 from .hamming import GhgParams, Vertex, hamming_graph
 
 VERTEX_LIMIT = 3 * 10**7
+# the distance oracle's work, |V| * ceil(|W| / 64) row words; metric_basis(310)
+# comes to 2.98e8
+ORACLE_WORD_LIMIT = 10 * VERTEX_LIMIT
 
 _WEIGHTS = np.empty(0, dtype=np.uint64)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # 2**64 over the golden ratio, odd
@@ -436,14 +441,18 @@ def is_resolving_by_distance(W: LandmarkSet) -> Certificate:
     word by word.  Rows are built and folded over flat ranges of
     vertex indices, at most _FOLD_ENTRIES distance entries at a time, so
     no |V| x |W| matrix is held for any |W|; the time grows as
-    |V| * |W| / 64.
+    |V| * |W| / 64, and a set whose |V| * ceil(|W| / 64) row words exceed
+    ORACLE_WORD_LIMIT is refused before anything is allocated.
     """
     g = W.graph
     n, high, o, spread, shift, _ = _layout(g)
+    words = -(-len(W) // 64)
+    if n * words > ORACLE_WORD_LIMIT:
+        raise Unsupported(f"{n} vertices x {words} landmark words exceeds the distance "
+                          f"oracle's {ORACLE_WORD_LIMIT} word limit")
     _, d2, d3 = g.dims
     at = np.array(W.members, dtype=np.intp).reshape(-1, 3) @ spread
     at += shift  # per member: its six table entries, then its vertex index
-    words = -(-len(W) // 64)
     # row o[i - 1] + a - 1: the landmarks whose coordinate i is a
     near = np.zeros((o[3], 64 * words), dtype=bool)
     near[at[:, :3], np.arange(len(W))[:, None]] = True
@@ -531,4 +540,5 @@ __all__ = [
     "hamming_graph",
     "CERTIFICATE_SCHEMA",
     "VERTEX_LIMIT",
+    "ORACLE_WORD_LIMIT",
 ]

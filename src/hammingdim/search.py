@@ -41,7 +41,7 @@ The last pick is decided for every x at once, as bit operations on
 vertex masks: the AND of the span of allowed indices with ``keep[0]``
 of the three codes is the mask of leaves.  The first hit is the lowest
 bit of ``good`` among them; the leaves and pruned picks up to it are
-counted as one run, and a budget trips on that run exactly where
+counted in one step, and a candidate budget trips on it exactly where
 counting leaf by leaf would.
 
 A node with two picks left is first checked whole, its classes largest
@@ -49,12 +49,10 @@ first, as they clear the fewest final picks.  A class of more than six
 members kills the node: two picks split it into at most four parts and
 take at most two of its members.  Otherwise the node lives if some pick
 has a nonzero ``good``, and is walked pick by pick as above.  A dead
-node's leaf runs and pruned count depend only on its state (its start,
-its end and the three codes), so they are computed once per state,
-with their total.  They are counted in one step when no clock read and
-no candidate trip falls among them, else run by run, tripping where the
-pick by pick walk would.  The
-4x4x4 size-7 search settles 26,730 dead nodes from 3,325 states.
+node's leaf and pruned counts depend only on its state (its start, its
+end and the three codes), so they are computed once per state and the
+leaves counted in one step.  The 4x4x4 size-7 search settles 26,730
+dead nodes from 3,325 states.
 
 A search is one loop over the first free picks, whatever the worker
 count.  The tables and memos are built once per search, into a
@@ -69,11 +67,13 @@ pick, and the last report holds the totals.
 
 Budgets are explicit and trip a BudgetExceeded error rather than
 silently truncating.  The wall-time budget is one absolute deadline,
-shared by parallel workers.  One rule reads the clock: when each first
-free pick starts, and at every 256th run of leaves counted, before that
-run is added.  So a deadline already past trips at the first pick, with
-the same count at every worker count.  Nonexistence certificates report
-the exact number of candidates examined.
+shared by parallel workers.  The clock is read when each first free
+pick starts and at every count of leaves, before they are added: once
+per settled node, per pick of a live node with two picks left, and per
+first pick when one pick is left.  So a deadline already past trips at
+the first pick, with the same count at every worker count.
+Nonexistence certificates report the exact number of candidates
+examined.
 """
 
 from __future__ import annotations
@@ -109,9 +109,11 @@ class SearchOptions:
     """Knobs for the subset searches.
 
     ``max_candidates`` bounds the number of complete candidate subsets
-    whose resolving check runs; ``max_seconds`` bounds wall time.  A
-    candidate budget or worker count that is not an integer, or a time
-    budget that is negative or not finite, is refused.  With
+    whose resolving check runs; ``max_seconds`` bounds wall time, and
+    the clock is read when each first free pick starts and before each
+    count of leaves.  A candidate budget or worker count that is not an
+    integer, or a time budget that is negative or not finite, is
+    refused; so is a bool.  With
     ``workers`` > 1 the subtree under each first free pick is walked in
     a worker process; verdicts, counts and budget errors do not depend
     on the split.  ``progress`` gets one report per first free pick, in
@@ -130,7 +132,8 @@ class SearchOptions:
             raise Unsupported("candidate budget must be a non-negative integer, "
                               f"got {self.max_candidates!r}")
         t = self.max_seconds
-        if t is not None and not (isinstance(t, numbers.Real) and 0 <= t < float("inf")):
+        if t is not None and not (isinstance(t, numbers.Real) and not isinstance(t, bool)
+                                  and 0 <= t < float("inf")):
             raise Unsupported(f"time budget must be finite and non-negative, got {t!r}")
         if not _whole(self.workers, 1):
             raise Unsupported(
@@ -138,8 +141,10 @@ class SearchOptions:
 
 
 def _whole(value, least: int) -> bool:
-    """Whether value is an integer of at least ``least``; a float never is."""
-    return isinstance(value, numbers.Integral) and value >= least
+    """Whether value is an integer of at least ``least``; a float or a
+    bool never is."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least)
 
 
 def _color_feasible(cnt, avail, t) -> bool:
@@ -176,8 +181,7 @@ class _Budget:
     progress reports: the only builder of ``BudgetExceeded`` and
     ``SearchProgress`` here."""
 
-    __slots__ = ("max_candidates", "deadline", "progress", "t0", "leaves", "pruned",
-                 "runs")
+    __slots__ = ("max_candidates", "deadline", "progress", "t0", "leaves", "pruned")
 
     def __init__(self, max_candidates: int | None, deadline: float | None,
                  progress: Callable[[SearchProgress], None] | None = None):
@@ -187,7 +191,6 @@ class _Budget:
         self.t0 = time.monotonic()
         self.leaves = 0
         self.pruned = 0
-        self.runs = 0
 
     def _over_candidates(self):
         # a walk trips at leaf max_candidates + 1, so the count examined
@@ -210,28 +213,14 @@ class _Budget:
             self._over_time()
 
     def count(self, leaves: int):
-        """Count a run of leaves, a hit only as the last of them: it trips
-        where counting them one by one would.  Every 256th run reads the
-        clock before it is added, so a well-pruned search, which can go a
-        long time between leaves, still reads it."""
-        self.runs += 1
-        if not self.runs % 256:
-            self._check_clock()
+        """Count leaves, a hit only as the last of them: the candidate
+        budget trips where counting them one by one would.  With a
+        deadline, the clock is read first, so a count that trips it adds
+        none of its leaves."""
+        self._check_clock()
         self.leaves += leaves
         if self.max_candidates is not None and self.leaves > self.max_candidates:
             self._over_candidates()
-
-    def count_all(self, runs: bytes, total: int):
-        """Count each of ``runs``, whose leaves come to ``total``, as
-        ``count`` would: at once when no clock read and no candidate trip
-        can fall among them, else run by run."""
-        if ((self.deadline is None or self.runs % 256 + len(runs) < 256)
-                and (self.max_candidates is None or self.leaves + total <= self.max_candidates)):
-            self.runs += len(runs)
-            self.leaves += total
-        else:
-            for leaves in runs:
-                self.count(leaves)
 
     def alone(self, walk, pick: int) -> tuple:
         """Walk one pick as a worker does, on a budget of its own with
@@ -448,37 +437,34 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
                 return False
         return True
 
-    # settled[key]: (pruned, leaf runs, leaves) of a dead node with two
-    # picks left, keyed by its state (lo, ends[2], k1, k2, k3) packed in
-    # one int: an end is at most 64, and every code is below width
-    settled: dict[int, tuple[int, bytes, int]] = {}
-    width = 3 * span
+    # settled[(lo, ends[2], k1, k2, k3)]: (pruned, leaves) of a dead node
+    # with two picks left, keyed by its state
+    settled: dict[tuple, tuple[int, int]] = {}
 
-    def runs(lo: int, k1: int, k2: int, k3: int, todo: int) -> tuple[int, bytes, int]:
-        """The pruned count, the leaves under each pick of a dead node,
-        as the per-pick loop with ``last`` would count them, and their sum."""
-        pruned = 0
-        out = []
+    def settle(lo: int, k1: int, k2: int, k3: int, todo: int) -> tuple[int, int]:
+        """The pruned and leaf counts of a dead node, as the per-pick loop
+        with ``last`` would count them."""
+        pruned = leaves = 0
         while todo:
             idx = (todo & -todo).bit_length() - 1
             todo &= todo - 1
             pruned += idx - lo
             lo = idx + 1
-            leaves = leaf_mask(lo, k1 + s1[idx], k2 + s2[idx], k3 + s3[idx]).bit_count()
-            pruned += ends[1] - lo - leaves
-            out.append(leaves)
-        return pruned + ends[2] - lo, bytes(out), sum(out)  # at most 64 leaves a run
+            under = leaf_mask(lo, k1 + s1[idx], k2 + s2[idx], k3 + s3[idx]).bit_count()
+            pruned += ends[1] - lo - under
+            leaves += under
+        return pruned + ends[2] - lo, leaves
 
     def rec(lo: int, t: int, k1: int, k2: int, k3: int, classes: list[int]) -> list | None:
         kt = keep[t - 1]
         todo = kt[k1] & kt[k2] & kt[k3] & ((1 << ends[t]) - (1 << lo))
         if t == 2 and dead(todo, classes):
-            key = (((lo << 7 | ends[2]) * width + k1) * width + k2) * width + k3
+            key = (lo, ends[2], k1, k2, k3)
             entry = settled.get(key)
             if entry is None:
-                entry = settled[key] = runs(lo, k1, k2, k3, todo)
+                entry = settled[key] = settle(lo, k1, k2, k3, todo)
             budget.pruned += entry[0]
-            budget.count_all(entry[1], entry[2])
+            budget.count(entry[1])
             return None
         while todo:
             idx = (todo & -todo).bit_length() - 1

@@ -194,6 +194,34 @@ def test_cli_verify_refuses_oversized_graph(tmp_path, capsys):
     assert err.startswith("error:") and "limit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--graph", "\uff13x\uff13x\uff13", "--in", "-"],
+    ["dimension", "--graph", "\u0663x\u0663x\u0663"],
+], ids=["verify-full-width", "dimension-arabic-indic"])
+def test_cli_graph_digits_are_ascii(monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(N3_SQUARE))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cannot parse graph description" in err
+
+
+def test_cli_distance_verify_refuses_over_the_work_limit(tmp_path, capsys):
+    # 641 landmarks on 310x310x310 need 11 row words a vertex, 3.3e8 in
+    # all: exit 2 before the oracle allocates anything of the graph's size
+    lines = [f"1 {b} {c}\n" for b in (1, 2, 3) for c in range(1, 311)]
+    path = write(tmp_path, "wide.tri", "".join(lines[:641]))
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--graph", "310x310x310", "--method", "distance",
+                     "--in", path]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "word limit" in err
+    assert peak < 2**20
+
+
 def test_cli_verify_stdin(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(N3_SQUARE))
     assert main(["verify", "--graph", "3x3x3", "--in", "-"]) == 0

@@ -164,6 +164,11 @@ def test_format_and_parse():
     for bad in ["", "3", "3x", "3x3x3;K=", "axb"]:
         with pytest.raises(ParseError):
             GhgParams.parse(bad)
+    # ASCII digits only: int() would read these full-width and Arabic-Indic
+    # digits as 3
+    for bad in ["\uff13x\uff13x\uff13", "\u0663x\u0663x\u0663", "3x3x3;K=\uff13"]:
+        with pytest.raises(ParseError):
+            GhgParams.parse(bad)
     for bad in ["3x3x3;K=0", "3x3x3;K=4"]:  # parses, fails the domain check
         with pytest.raises(Unsupported):
             GhgParams.parse(bad)

@@ -35,7 +35,7 @@ from hammingdim import (
 )
 from hammingdim import resolving
 from hammingdim.hamming import BFS_VERTEX_LIMIT
-from hammingdim.resolving import VERTEX_LIMIT
+from hammingdim.resolving import ORACLE_WORD_LIMIT, VERTEX_LIMIT
 
 G3 = hamming_graph(3, 3, 3)
 
@@ -220,6 +220,19 @@ def test_by_distance_size_cap():
     cert = is_resolving_by_distance(W)
     assert cert.witness == is_resolving(W).witness == ((1, 1, 2), (1, 1, 3))
     refused_before_allocating(is_resolving_by_distance)
+
+
+def test_oracle_work_limit():
+    # metric_basis(310), the largest basis under the vertex limit, comes to
+    # 310**3 vertices x 10 row words, just under the oracle's work limit
+    assert len(metric_basis(310)) == 619
+    assert 310**3 * -(-619 // 64) == 297_910_000 <= ORACLE_WORD_LIMIT == 10 * VERTEX_LIMIT
+    # 641 landmarks need 11 words a row (the CLI test checks that nothing
+    # of the graph's size is allocated first)
+    g = hamming_graph(310, 310, 310)
+    W = LandmarkSet(g, [(1, b, c) for b in (1, 2, 3) for c in range(1, 311)][:641])
+    with pytest.raises(Unsupported, match="29791000 vertices x 11 landmark words"):
+        is_resolving_by_distance(W)
 
 
 def test_code_verifier_size_cap():

@@ -117,9 +117,17 @@ def test_worker_count_below_one_refused(workers):
     pytest.param(lambda: SearchOptions(workers=1.5), id="workers-float"),
     pytest.param(lambda: list(enumerate_two_basic(3, budget=1.5)), id="enumerate-n3"),
     pytest.param(lambda: list(enumerate_two_basic(4, budget=2.0)), id="enumerate-n4"),
+    pytest.param(lambda: SearchOptions(max_candidates=False), id="candidates-false"),
+    pytest.param(lambda: SearchOptions(max_candidates=True), id="candidates-true"),
+    pytest.param(lambda: SearchOptions(workers=True), id="workers-true"),
+    pytest.param(lambda: SearchOptions(max_seconds=True), id="seconds-true"),
+    pytest.param(lambda: SearchOptions(max_seconds=False), id="seconds-false"),
+    pytest.param(lambda: list(enumerate_two_basic(4, budget=True)), id="enumerate-n4-true"),
+    pytest.param(lambda: list(enumerate_two_basic(3, budget=False)), id="enumerate-n3-false"),
 ])
 def test_bounds_that_do_not_bound_refused(make):
-    # none of these bounds a search, so each is refused before one starts
+    # none of these bounds a search, so each is refused before one starts;
+    # a bool is an int to Python, but not a count or a time
     with pytest.raises(Unsupported):
         make()
 
@@ -152,15 +160,15 @@ def test_wall_time_budget():
 
 
 def test_wall_time_read_inside_a_pick(monkeypatch):
-    # the clock passes the deadline at the first run of leaves, inside the
-    # first pick; the clock is next read at the 256th run, before its
-    # leaves are added, at every worker count
+    # the clock passes the deadline once the first count of leaves, the
+    # C(24, 2) = 276 of the first settled node, is added; the next count
+    # reads it before adding its own leaves, at every worker count
     now = [0.0]
     count = _Budget.count
 
     def late_count(budget, leaves):
-        now[0] = 2.0
         count(budget, leaves)
+        now[0] = 2.0
 
     monkeypatch.setattr(hammingdim.search.time, "monotonic", lambda: now[0])
     monkeypatch.setattr(_Budget, "count", late_count)
@@ -170,7 +178,7 @@ def test_wall_time_read_inside_a_pick(monkeypatch):
             exists_resolving_of_size(
                 G3, 5, SearchOptions(prune=False, max_seconds=1.0, workers=workers))
         assert exc.value.bound == "max_seconds"
-        assert exc.value.candidates_examined == 2244
+        assert exc.value.candidates_examined == 276
 
 
 def test_wall_time_read_when_each_pick_starts(monkeypatch):
@@ -360,33 +368,30 @@ def test_candidate_budget_inside_a_settled_node(workers):
         "max_candidates", 200_000, "candidate budget of 200000 exceeded")
 
 
-def test_settled_runs_read_the_clock_where_run_by_run_counting_would(monkeypatch):
-    # a settled node's runs are counted in one step only when no clock
-    # read falls among them: the clock is read at the same counts as when
-    # every run goes through count
-    check, at_once = _Budget._check_clock, _Budget.count_all
+def test_wall_time_read_at_every_count(monkeypatch):
+    # every node with two picks left in the serial size-7 search is
+    # settled and makes one count; a clock that passes the deadline after
+    # the k-th count trips at count k + 1, with the leaves of the first k
+    now = [0.0]
+    monkeypatch.setattr(hammingdim.search.time, "monotonic", lambda: now[0])
+    count = _Budget.count
+    seen = []
 
-    def reads(count_all):
-        seen = []
+    def counted(budget, leaves):
+        seen.append(leaves)
+        count(budget, leaves)
+        if len(seen) == k:
+            now[0] = 2.0
 
-        def logged(budget):
-            seen.append((budget.runs, budget.leaves))
-            check(budget)
-
-        monkeypatch.setattr(_Budget, "_check_clock", logged)
-        monkeypatch.setattr(_Budget, "count_all", count_all)
-        with pytest.raises(BudgetExceeded):
-            exists_resolving_of_size(
-                G4, 7, SearchOptions(max_candidates=60_000, max_seconds=1e6))
-        return seen
-
-    def run_by_run(budget, runs, total):
-        for leaves in runs:
-            budget.count(leaves)
-
-    want = reads(run_by_run)
-    assert len(want) > 100
-    assert reads(at_once) == want
+    monkeypatch.setattr(_Budget, "count", counted)
+    for k in (1, 700, 20_000):
+        now[0] = 0.0
+        seen.clear()
+        with pytest.raises(BudgetExceeded) as exc:
+            exists_resolving_of_size(G4, 7, SearchOptions(max_seconds=1.0))
+        assert exc.value.bound == "max_seconds"
+        assert len(seen) == k + 1
+        assert exc.value.candidates_examined == sum(seen[:k])
 
 
 def closure_values(fn) -> dict:
