@@ -136,8 +136,9 @@ class GhgParams:
         """All distances from one source by breadth-first search (desk scale)."""
         self.validate_vertex(source)
         if self.vertex_count() > BFS_VERTEX_LIMIT:
+            # named by the graph: str() fails past int()'s 4,300-digit limit
             raise Unsupported(
-                f"{self.vertex_count()} vertices exceeds the breadth-first "
+                f"{self.format()}: vertex count exceeds the breadth-first "
                 f"fallback limit of {BFS_VERTEX_LIMIT}"
             )
         seen = {source: 0}
@@ -165,11 +166,14 @@ class GhgParams:
         m = _GRAPH_RE.match(text.strip())
         if m is None:
             raise ParseError(f"cannot parse graph description {text!r}")
-        dims = tuple(int(p) for p in m.group(1).split("x"))
-        if m.group(2) is None:
-            k = frozenset({len(dims)})
-        else:
-            k = frozenset(int(p) for p in m.group(2).split(","))
+        try:
+            dims = tuple(int(p) for p in m.group(1).split("x"))
+            if m.group(2) is None:
+                k = frozenset({len(dims)})
+            else:
+                k = frozenset(int(p) for p in m.group(2).split(","))
+        except ValueError:  # int() refuses strings past its digit limit
+            raise ParseError("cannot parse graph description: a number is too long") from None
         return cls(dims, k)
 
 

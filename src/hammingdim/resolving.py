@@ -32,10 +32,17 @@ hash is shared by a later non-landmark are compared exactly, codes as
 sets of landmarks and distance vectors word by word.  A hash collision
 can cost time, never a wrong verdict.  Both report the lexicographically
 least colliding pair as witness.  The keys are the only |V|-sized
-array; every other temporary is a slab of at most _SLAB keys or tries,
-so either verifier peaks at 1.1 to 1.2 times the keys' 8|V| bytes on the
-n = 100 and 150 bases, and at 1.45 times when nearly every vertex
-collides (one landmark on 101 x 101 x 101).
+array; the kernel's temporaries are slabs of at most _SLAB keys or
+tries.  The rest grow with |W|: the members' table entries ``at``, the
+code verifier's six weights per member and its set of landmark indices,
+and the oracle's ``near`` table, one byte per landmark and coordinate
+value until it is packed to bits.  On sets of far fewer landmarks than
+vertices, either verifier peaks at 1.1 to 1.2 times the keys' 8|V|
+bytes on the n = 100 and 150 bases, and at 1.45 times when nearly every
+vertex collides (one landmark on 101 x 101 x 101).  Random sets of
+32,000 landmarks on 40 x 40 x 40 peak at about 13 times (either
+verifier), and of 131,324 on 51 x 51 x 51 at 21 times (code) and 28
+times (distance).
 """
 
 from __future__ import annotations
@@ -227,7 +234,8 @@ def _checked_vertex_count(g: GhgParams) -> int:
         )
     n = g.vertex_count()
     if n > VERTEX_LIMIT:
-        raise Unsupported(f"{n} vertices exceeds the verifiers' {VERTEX_LIMIT} limit")
+        # named by the graph: str(n) fails past int()'s 4,300-digit limit
+        raise Unsupported(f"{g.format()}: vertex count exceeds the verifiers' {VERTEX_LIMIT} limit")
     return n
 
 

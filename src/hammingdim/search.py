@@ -33,11 +33,12 @@ the parent's classes, and a set resolves exactly when none is left.
 With one pick to go, each class yields the bitmask of final picks x
 that clear it: a pair needs x to share a coordinate with exactly one
 member (or be one), a triple needs x inside it splitting the other two,
-and four or more members always collide.  The second-to-last pick does
-not build its refined classes: it splits each parent class in two and
-ANDs the final-pick masks of both halves into one mask, ``good``.
+and four or more members always collide.  Their AND over the classes,
+``good``, holds the final picks that resolve the set.
 
-The last pick is decided for every x at once, as bit operations on
+One recursion decides every level.  With two or more picks left it
+recurses on each pick, and with none left it checks the set.  With one
+left it decides the last pick for every x at once, as bit operations on
 vertex masks: the AND of the span of allowed indices with ``keep[0]``
 of the three codes is the mask of leaves.  The first hit is the lowest
 bit of ``good`` among them; the leaves and pruned picks up to it are
@@ -48,11 +49,11 @@ A node with two picks left is first checked whole, its classes largest
 first, as they clear the fewest final picks.  A class of more than six
 members kills the node: two picks split it into at most four parts and
 take at most two of its members.  Otherwise the node lives if some pick
-has a nonzero ``good``, and is walked pick by pick as above.  A dead
+leaves a nonzero ``good``, and is walked like any other node.  A dead
 node's leaf and pruned counts depend only on its state (its start, its
 end and the three codes), so they are computed once per state and the
 leaves counted in one step.  The 4x4x4 size-7 search settles 26,730
-dead nodes from 3,325 states.
+dead nodes from 3,325 states; at n = 3 and 4, only a hit's node lives.
 
 A search is one loop over the first free picks, whatever the worker
 count.  The tables and memos are built once per search, into a
@@ -69,8 +70,8 @@ Budgets are explicit and trip a BudgetExceeded error rather than
 silently truncating.  The wall-time budget is one absolute deadline,
 shared by parallel workers.  The clock is read when each first free
 pick starts and at every count of leaves, before they are added: once
-per settled node, per pick of a live node with two picks left, and per
-first pick when one pick is left.  So a deadline already past trips at
+per settled node, per node with one pick left, and per candidate when
+nothing is left to pick.  So a deadline already past trips at
 the first pick, with the same count at every worker count.
 Nonexistence certificates report the exact number of candidates
 examined.
@@ -456,6 +457,11 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
         return pruned + ends[2] - lo, leaves
 
     def rec(lo: int, t: int, k1: int, k2: int, k3: int, classes: list[int]) -> list | None:
+        if not t:
+            budget.count(1)
+            return None if classes else [verts[i] for i in chosen]
+        if t == 1:
+            return last(lo, k1, k2, k3, cleared(classes, everyone, 0))  # kept whole
         kt = keep[t - 1]
         todo = kt[k1] & kt[k2] & kt[k3] & ((1 << ends[t]) - (1 << lo))
         if t == 2 and dead(todo, classes):
@@ -471,14 +477,8 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
             todo &= todo - 1
             budget.pruned += idx - lo  # the picks skipped since the last visit
             lo = idx + 1
-            a = k1 + s1[idx]
-            b = k2 + s2[idx]
-            c = k3 + s3[idx]
             chosen.append(idx)
-            if t == 2:
-                hit = last(lo, a, b, c, cleared(classes, sharing[idx], apart[idx]))
-            else:
-                hit = rec(lo, t - 1, a, b, c, refine(classes, idx))
+            hit = rec(lo, t - 1, k1 + s1[idx], k2 + s2[idx], k3 + s3[idx], refine(classes, idx))
             if hit:
                 return hit
             chosen.pop()
@@ -490,12 +490,7 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
         budget = on
         budget._check_clock()  # a deadline passed before any leaf trips here
         del chosen[len(fixed):]  # a hit leaves its picks behind
-        if not top:
-            budget.count(1)
-            return None if classes else [verts[i] for i in chosen]
         ends[top] = pick + 1
-        if top == 1:
-            return last(pick, *codes, cleared(classes, everyone, 0))  # kept whole
         return rec(pick, top, *codes, classes)
 
     try:
@@ -696,6 +691,8 @@ def enumerate_two_basic(
     """
     if budget is not None and not _whole(budget, 0):
         raise Unsupported(f"budget must be a non-negative integer, got {budget!r}")
+    if not _whole(seed, 0):  # random.seed reads -5 as 5 and True as 1
+        raise Unsupported(f"seed must be a non-negative integer, got {seed!r}")
     if n == 3:
         yield from itertools.islice(_two_basic_systems(3), budget)
         return

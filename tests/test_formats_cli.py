@@ -205,6 +205,24 @@ def test_cli_graph_digits_are_ascii(monkeypatch, capsys, argv):
     assert err.startswith("error:") and "cannot parse graph description" in err
 
 
+@pytest.mark.parametrize("command, graph, message", [
+    ("verify", "3x3x" + "9" * 5000, "cannot parse graph description"),
+    ("dimension", "3x3x3;K=" + "1" * 5000, "cannot parse graph description"),
+    ("verify", "3x3x" + "9" * 4000, "exceeds the verifiers'"),
+    ("dimension", "x".join(["9" * 4000] * 3), "exceeds the verifiers'"),
+], ids=["verify-5000", "dimension-5000", "verify-4000", "dimension-4000"])
+def test_cli_graph_number_past_the_digit_limit(tmp_path, capsys, command, graph, message):
+    # int() and str() refuse numbers of more than 4,300 digits with a
+    # ValueError: a 5,000-digit dimension cannot be read, and a graph of
+    # 4,000-digit dimensions has a vertex count that cannot be printed
+    argv = [command, "--graph", graph]
+    if command == "verify":
+        argv += ["--in", write(tmp_path, "one.tri", "1 1 1\n")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
 def test_cli_distance_verify_refuses_over_the_work_limit(tmp_path, capsys):
     # 641 landmarks on 310x310x310 need 11 row words a vertex, 3.3e8 in
     # all: exit 2 before the oracle allocates anything of the graph's size
@@ -436,6 +454,10 @@ def test_cli_enumerate(capsys):
         assert captured.out == "" and "non-negative" in captured.err
     assert main(["enumerate", "--n", "3", "--count", "0"]) == 0
     assert capsys.readouterr().out == ""
+    # random.seed reads -5 as 5, so a negative seed is bad input too
+    assert main(["enumerate", "--n", "4", "--count", "1", "--seed", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "seed must be a non-negative integer" in captured.err
 
 
 def test_cli_enumerate_streams_same_bytes(tmp_path, capsys):

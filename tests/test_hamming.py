@@ -150,6 +150,10 @@ def test_bfs_fallback_size_cap():
     assert not g.closed_form_available()
     with pytest.raises(Unsupported):
         g.distance((1, 1, 1), (2, 2, 2))
+    # a vertex count of more than 4,300 digits, which str() refuses
+    huge = int("9" * 2500)
+    with pytest.raises(Unsupported, match="fallback limit"):
+        GhgParams((3, huge, huge), frozenset({1})).distance((1, 1, 1), (2, 2, 2))
 
 
 def test_format_and_parse():
@@ -161,7 +165,8 @@ def test_format_and_parse():
     assert comp.k == frozenset({1, 2})
     assert comp.format() == "3x3x3;K=1,2"
     assert GhgParams.parse("5x7x11").format() == "5x7x11;K=3"
-    for bad in ["", "3", "3x", "3x3x3;K=", "axb"]:
+    # the last two hold numbers past int()'s 4,300-digit limit
+    for bad in ["", "3", "3x", "3x3x3;K=", "axb", "3x3x" + "9" * 5000, "3x3x3;K=" + "1" * 5000]:
         with pytest.raises(ParseError):
             GhgParams.parse(bad)
     # ASCII digits only: int() would read these full-width and Arabic-Indic

@@ -324,6 +324,32 @@ def test_pruned_walk_counts_n4(s, counts):
     assert walk_counts(G4, s, True) == counts
 
 
+# (normalized pruned, normalized unpruned, full pruned, full unpruned):
+# (candidates, pruned) of the last report; every verdict is DIMENSION
+SMALL_SIZES = {
+    1: [(1, 0), (1, 0), (0, 27), (27, 0)],
+    2: [(0, 26), (26, 0), (0, 26), (351, 0)],
+    3: [(0, 25), (325, 0), (0, 25), (2925, 0)],
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_small_sizes_n3(s, workers):
+    """Sizes whose walks start one, two or three picks short of a full
+    set; at s = 1 normalized nothing is left to pick."""
+    modes = [(True, True), (True, False), (False, True), (False, False)]
+    for (normalize, prune), counts in zip(modes, SMALL_SIZES[s]):
+        reports = []
+        cert = exists_resolving_of_size(G3, s, SearchOptions(
+            normalize=normalize, prune=prune, workers=workers, progress=reports.append))
+        assert cert.verdict is Verdict.DIMENSION
+        assert (cert.candidates_examined, reports[-1].pruned_subtrees) == counts
+        # one report per first free pick; at s = 1 normalized the one
+        # candidate, (1, 1, 1), is the one pick
+        assert len(reports) == (1 if normalize and s == 1 else 28 - s)
+
+
 # (candidates, pruned) after each of the 58 first picks of the serial 4x4x4
 # size-7 search; from the 31st on, each first pick is pruned whole
 N4S7_PROGRESS = [
@@ -554,3 +580,8 @@ def test_enumerate_two_basic_domain():
         with pytest.raises(Unsupported, match="non-negative"):
             list(enumerate_two_basic(n, budget=budget))
     assert list(enumerate_two_basic(4, budget=0)) == []
+    # random.seed would read -5 as 5 and True as 1; a list is no seed
+    for n, seed in ((4, -5), (5, True), (4, [1]), (4, 1.0), (3, -1)):
+        with pytest.raises(Unsupported, match="seed must be a non-negative integer"):
+            list(enumerate_two_basic(n, budget=1, seed=seed))
+    assert len(list(enumerate_two_basic(4, budget=1, seed=0))) == 1
