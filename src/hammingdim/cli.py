@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import os
 import sys
@@ -164,11 +163,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     kwargs: dict = {"budget": args.count}
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    systems = enumerate_two_basic(args.n, **kwargs)
-    # a refused request raises here, before the output file is opened
-    first = list(itertools.islice(systems, 1))
+    systems = enumerate_two_basic(args.n, **kwargs)  # refuses before --out opens
     with _output(args.out) as fh:
-        for idx, W in enumerate(itertools.chain(first, systems), start=1):
+        for idx, W in enumerate(systems, start=1):
             fh.write(("\n" if idx > 1 else "") + f"# system {idx}\n")
             fh.writelines(landmark_lines(W, "triples")[0])
     return EXIT_OK
@@ -240,8 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="two-basic landmark systems")
     p.add_argument("--n", type=_number, required=True)
     p.add_argument("--count", type=_number, default=None,
-                   help="sample size (n >= 4; n=3 enumerates all)")
-    p.add_argument("--seed", type=_number, default=None, help="sampling seed")
+                   help="sample size (n >= 4); at n=3, the first COUNT "
+                        "systems (default all)")
+    p.add_argument("--seed", type=_number, default=None,
+                   help="sampling seed (n >= 4; checked but unused at n=3, "
+                        "which is exhaustive in a fixed order)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_enumerate)
 

@@ -123,13 +123,21 @@ def basic_part(W: LandmarkSet) -> LandmarkSet:
 
 def extend_triple_looped(W: LandmarkSet) -> LandmarkSet:
     """Lift a 2-basic system on the n-diagonal to W + {(n+1, n+1, n+1)}
-    on the (n+1)-diagonal graph."""
+    on the (n+1)-diagonal graph.
+
+    W's members are distinct and valid on the larger graph, and the loop
+    vertex is new, so nothing is checked again: the lift keeps W's block
+    table and adds the loop vertex's three singleton blocks after it,
+    the table ``LandmarkSet`` builds from the same members.
+    """
     cls = classify(W)
     if cls.kind is not SystemKind.TWO_BASIC:
         raise NotApplicable(f"{W!r} is {cls.kind.value}, not TWO_BASIC")
-    n = W.graph.dims[0]
-    g = GhgParams((n + 1, n + 1, n + 1), W.graph.k)
-    return LandmarkSet(g, list(W.members) + [(n + 1, n + 1, n + 1)])
+    m = W.graph.dims[0] + 1
+    u = (m, m, m)
+    blocks = W.blocks().copy()
+    blocks[1, m] = blocks[2, m] = blocks[3, m] = (u,)
+    return LandmarkSet._trusted(GhgParams((m, m, m), W.graph.k), W.members + (u,), blocks)
 
 
 @dataclass(frozen=True)

@@ -81,10 +81,8 @@ class LandmarkSet:
     def __init__(self, graph: GhgParams, members):
         if graph.r != 3:
             raise Unsupported(f"landmark sets need 3 coordinates, got r={graph.r}")
-        self.graph = graph
         d1, d2, d3 = graph.dims
         seen = {}  # the members so far, in order
-        blocks: dict[tuple[int, int], list[Vertex]] = {}
         for m in members:
             if type(m) is not tuple:
                 try:
@@ -101,12 +99,35 @@ class LandmarkSet:
             if m in seen:
                 raise InvalidVertex(f"duplicate landmark {m!r}")
             seen[m] = None
-            blocks.setdefault((1, a), []).append(m)
-            blocks.setdefault((2, b), []).append(m)
-            blocks.setdefault((3, c), []).append(m)
-        self.members = tuple(seen)
-        self._member_set = frozenset(seen)
-        self._blocks = {key: tuple(v) for key, v in blocks.items()}
+        self._fill(graph, tuple(seen))
+
+    @classmethod
+    def _trusted(cls, graph: GhgParams, members: tuple, blocks=None) -> LandmarkSet:
+        """The set of ``members``, a tuple of distinct valid vertices of a
+        3-coordinate ``graph``, taken without checking them: for callers
+        whose construction guarantees both.  ``blocks``, if given, is
+        their block table as ``_fill`` would build it."""
+        W = cls.__new__(cls)
+        W._fill(graph, members, blocks)
+        return W
+
+    def _fill(self, graph: GhgParams, members: tuple, blocks=None) -> None:
+        """Set every slot from members known valid and distinct, building
+        the block table unless it is given: block (i, a) lists its
+        landmarks in member order, and the table is keyed in order of
+        first use."""
+        if blocks is None:
+            lists: dict[tuple[int, int], list[Vertex]] = {}
+            for m in members:
+                a, b, c = m
+                lists.setdefault((1, a), []).append(m)
+                lists.setdefault((2, b), []).append(m)
+                lists.setdefault((3, c), []).append(m)
+            blocks = {key: tuple(v) for key, v in lists.items()}
+        self.graph = graph
+        self.members = members
+        self._member_set = frozenset(members)
+        self._blocks = blocks
 
     def __len__(self) -> int:
         return len(self.members)

@@ -679,61 +679,88 @@ def metric_dimension(g: GhgParams, opts: SearchOptions | None = None) -> Certifi
 def enumerate_two_basic(
     n: int, *, budget: int | None = None, seed: int = DEFAULT_SEED
 ) -> Iterator[LandmarkSet]:
-    """Yield 2-basic landmark systems on the n-diagonal graph.
+    """An iterator over 2-basic landmark systems on the n-diagonal graph.
 
     n = 3: exhaustive, in lexicographic member order (budget truncates if
-    given).  n in {4, 5}: independent uniform samples, ``budget`` of them
-    (default 10000), reproducible from ``seed``.  Uniformity comes from
-    sampling three pairwise edge-disjoint perfect matchings of the 2n
-    landmarks-to-be plus uniform value labels per color, one per pair in
-    sorted pair order; ``matching_triples`` turns them into the members.
-    Every 2-basic system arises from exactly (2n)! such labeled structures.
+    given); the seed is checked but draws nothing.  n in {4, 5}:
+    independent uniform samples, ``budget`` of them (default 10000),
+    reproducible from ``seed``.  Uniformity comes from sampling three
+    pairwise edge-disjoint perfect matchings of the 2n landmarks-to-be
+    plus uniform value labels per color, one per pair in sorted pair
+    order; ``matching_triples`` turns them into the members.  Every
+    2-basic system arises from exactly (2n)! such labeled structures.
+    A bad n, budget or seed raises ``Unsupported`` here, at the call.
     """
     if budget is not None and not _whole(budget, 0):
         raise Unsupported(f"budget must be a non-negative integer, got {budget!r}")
     if not _whole(seed, 0):  # random.seed reads -5 as 5 and True as 1
         raise Unsupported(f"seed must be a non-negative integer, got {seed!r}")
     if n == 3:
-        yield from itertools.islice(_two_basic_systems(3), budget)
-        return
+        return itertools.islice(_two_basic_systems(3), budget)
     if n not in (4, 5):
         raise Unsupported(f"2-basic enumeration is implemented for n in {{3, 4, 5}}")
+    return _sampled_two_basic(n, 10_000 if budget is None else budget, seed)
+
+
+def _sampled_two_basic(n: int, count: int, seed: int) -> Iterator[LandmarkSet]:
+    """``count`` samples for ``enumerate_two_basic`` at n in {4, 5}.
+
+    A round shuffles 0..2n-1 three times and reads each shuffle's
+    consecutive elements as the pairs of a perfect matching; the round is
+    kept when its matchings share no pair.  A matching is tested as the
+    OR of one bit per pair, against the OR of the matchings before it.
+    Every shuffle of a round is drawn, also after a shared pair, so the
+    draws are those of ``random.shuffle``; only a kept round's pairs are
+    sorted.  The members are distinct and valid by construction.
+    """
     import random
 
     getrandbits = random.Random(seed).getrandbits
     g = hamming_graph(n, n, n)
-    count = 10_000 if budget is None else budget
+    size = 2 * n
+    # bit[a][b] == bit[b][a]: the one bit of the pair {a, b}
+    bit = [[1 << min(a, b) * size + max(a, b) for b in range(size)] for a in range(size)]
     for _ in range(count):
-        matchings = None
-        while matchings is None:  # until three matchings share no edge
-            matchings, edges = [], set()
+        kept = None
+        while kept is None:  # until three matchings share no pair
+            kept, used = [], 0
             for _i in range(3):
-                p = list(range(2 * n))
+                p = list(range(size))
                 _shuffle(getrandbits, p)
-                if matchings is None:  # drawn only to keep the random stream
+                if kept is None:  # drawn only to keep the random stream
                     continue
-                pairs = [(a, b) if a < b else (b, a) for a, b in zip(p[::2], p[1::2])]
-                if edges.isdisjoint(pairs):
-                    edges.update(pairs)
-                    matchings.append(sorted(pairs))
+                pairs = 0
+                for a, b in zip(p[::2], p[1::2]):
+                    pairs |= bit[a][b]
+                if used & pairs:
+                    kept = None
                 else:
-                    matchings = None
+                    used |= pairs
+                    kept.append(p)
+        matchings = [sorted((a, b) if a < b else (b, a) for a, b in zip(p[::2], p[1::2]))
+                     for p in kept]
         labels = [list(range(1, n + 1)) for _i in range(3)]
         for values in labels:
             _shuffle(getrandbits, values)
-        yield LandmarkSet(g, sorted(matching_triples(matchings, labels)))
+        yield LandmarkSet._trusted(g, tuple(sorted(matching_triples(matchings, labels))))
 
 
 def _shuffle(getrandbits, x: list) -> None:
     """``random.shuffle(x)`` on the generator of ``getrandbits``: the same
     Fisher-Yates swaps, each index drawn by the same rejection loop as
     ``Random._randbelow_with_getrandbits``, so the same draws."""
-    for i in range(len(x) - 1, 0, -1):
-        k = (i + 1).bit_length()
+    for i, k in _swaps(len(x)):
         j = getrandbits(k)
         while j > i:
             j = getrandbits(k)
         x[i], x[j] = x[j], x[i]
+
+
+@functools.lru_cache(maxsize=64)
+def _swaps(size: int) -> tuple[tuple[int, int], ...]:
+    """(i, bits drawn for an index in 0..i) for each swap of ``_shuffle``
+    on ``size`` elements, in order."""
+    return tuple((i, (i + 1).bit_length()) for i in range(size - 1, 0, -1))
 
 
 def _two_basic_systems(n: int) -> Iterator[LandmarkSet]:
@@ -742,21 +769,36 @@ def _two_basic_systems(n: int) -> Iterator[LandmarkSet]:
 
     Each first value holds exactly two landmarks, which differ in both
     other coordinates.  Across rows no two landmarks share both, and
-    every second and third value is used exactly twice.  The product of
-    the per-row pairs runs in the same order as the members.
+    every second and third value is used exactly twice.  Rows are picked
+    one at a time from one list of such pairs, in its order, so systems
+    come in member order.  A pick is refused at once when it takes a
+    cell again or a second or third value a third time; n rows that pass
+    use every value exactly twice.  So the members are distinct and
+    valid by construction.
     """
     g = hamming_graph(n, n, n)
     cells = itertools.product(range(1, n + 1), repeat=2)
-    pairs = [(x, y) for x, y in itertools.combinations(cells, 2)
-             if x[0] != y[0] and x[1] != y[1]]
-    twice = sorted([*range(1, n + 1)] * 2)
-    for rows in itertools.product(pairs, repeat=n):
-        picked = [cell for pair in rows for cell in pair]
-        if (len(set(picked)) == 2 * n
-                and sorted(b for b, _ in picked) == twice
-                and sorted(c for _, c in picked) == twice):
-            yield LandmarkSet(g, [(a, *cell)
-                                  for a, pair in enumerate(rows, 1) for cell in pair])
+    # each row's two (second, third) cells, with the bits of their values
+    # (b - 1 and n + c - 1) and of the cells themselves (from 2n up)
+    rows = []
+    for x, y in itertools.combinations(cells, 2):
+        if x[0] != y[0] and x[1] != y[1]:
+            values = sum((1 << b - 1) | (1 << n + c - 1) for b, c in (x, y))
+            taken = sum(1 << 2 * n + n * (b - 1) + c - 1 for b, c in (x, y))
+            rows.append((x, y, values, taken))
+
+    def extend(members: tuple, once: int, full: int):
+        # once: the values used so far; full: those used twice, and the cells
+        a = len(members) // 2 + 1
+        if a > n:
+            yield LandmarkSet._trusted(g, members)
+            return
+        for x, y, values, taken in rows:
+            if not full & (values | taken):
+                yield from extend(members + ((a, *x), (a, *y)), once | values,
+                                  full | (once & values) | taken)
+
+    return extend((), 0, 0)
 
 
 __all__ = [

@@ -328,6 +328,35 @@ def test_decider_certificates_pinned():
         "8c5359e9c6b2bca983934fcbd7c922b3d47dda344e73fde1e21cb7f25dd35d19")
 
 
+def unchecked_sets():
+    """Sets whose members the package builds without re-checking them:
+    every n = 3 2-basic system, 300 draws on each of two seeds at n = 4
+    and 5, the lift of each, and metric_basis(3..40)."""
+    systems = itertools.chain(enumerate_two_basic(3), *(
+        enumerate_two_basic(n, budget=300, seed=seed)
+        for n in (4, 5) for seed in (1, 1000 * n + 4001)))
+    for W in systems:
+        yield W
+        yield extend_triple_looped(W)
+    for n in range(3, 41):
+        yield metric_basis(n)
+
+
+def test_unchecked_sets_equal_checked_sets():
+    count = 0
+    for W in unchecked_sets():
+        checked = LandmarkSet(W.graph, W.members)
+        assert W.members == checked.members
+        # the block table in key order, each block in member order
+        assert list(W.blocks().items()) == list(checked.blocks().items())
+        for v in (*itertools.islice(W.graph.vertices(), 216), *W.members):
+            assert (v in W) == (v in checked)
+        assert W == checked and checked == W and hash(W) == hash(checked)
+        assert classify(W) == classify(checked)
+        count += 1
+    assert count == 2 * (144 + 4 * 300) + 38
+
+
 def test_cycle_report_revalidates_rejects_corruption():
     good = CycleReport(((1, 1, 2), (1, 2, 1), (2, 1, 1)), (1, 3, 2))
     assert good.revalidates()

@@ -585,3 +585,11 @@ def test_enumerate_two_basic_domain():
         with pytest.raises(Unsupported, match="seed must be a non-negative integer"):
             list(enumerate_two_basic(n, budget=1, seed=seed))
     assert len(list(enumerate_two_basic(4, budget=1, seed=0))) == 1
+
+
+def test_enumerate_two_basic_refuses_at_the_call():
+    # not at the first draw, as a generator function would
+    for n, kwargs in ((6, {}), (2, {}), (4, {"seed": -5}), (3, {"seed": -1}),
+                      (3, {"budget": -1}), (5, {"budget": 1.0})):
+        with pytest.raises(Unsupported):
+            enumerate_two_basic(n, **kwargs)
