@@ -73,9 +73,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _emit(args: argparse.Namespace, W) -> None:
-    lines, used = landmark_lines(W, args.format)
-    if args.format is None and used != "pls":
-        print(f"note: set has no unambiguous pls form, emitting {used}", file=sys.stderr)
+    lines, _ = landmark_lines(W, args.format)  # every basis and fixture has a pls form
     with _output(args.out) as fh:
         fh.writelines(lines)
 
@@ -204,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="e.g. 3x3x3 or 5x7x11;K=3")
     _add_io_args(p, reading=True)
     p.add_argument("--method", choices=("code", "distance"), default="code",
-                   help="code: block bitmasks; distance: full distance rows")
+                   help="code: one 64-bit hash of each vertex's code; distance: "
+                        "distance rows packed 64 landmarks to a word, folded into keys")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("construct", help="emit a minimum resolving set for nxnxn")

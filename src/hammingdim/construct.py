@@ -112,7 +112,8 @@ def graph_to_landmarks(G: ColoredCubicGraph, n: int) -> LandmarkSet:
     1..n-1 in sorted endpoint order, and vertex v becomes the landmark
     (blue number, green number, pink number) of its incident edges.  The
     result lives on the (n-1)-diagonal graph; extend_triple_looped lifts
-    it to the n-diagonal one.
+    it to the n-diagonal one.  G is simple and properly colored, so the
+    triples are distinct and lie in 1..n-1: they are not checked again.
     """
     if G.order != 2 * (n - 1):
         raise InvalidOrder(f"graph has {G.order} vertices, expected {2 * (n - 1)}")
@@ -120,7 +121,7 @@ def graph_to_landmarks(G: ColoredCubicGraph, n: int) -> LandmarkSet:
         raise Unsupported(f"n={n}: target graph needs every dimension >= 3")
     g = GhgParams((n - 1, n - 1, n - 1), frozenset({3}))
     matchings = [G.edges_of_color(color) for color in (1, 2, 3)]
-    return LandmarkSet(g, matching_triples(matchings, [range(1, n)] * 3))
+    return LandmarkSet._trusted(g, tuple(matching_triples(matchings, [range(1, n)] * 3)))
 
 
 _FIXTURES: dict[str, tuple[tuple[int, int, int], tuple[tuple[int, int, int], ...]]] = {

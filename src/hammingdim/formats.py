@@ -49,7 +49,8 @@ def _check_header(line: str, lineno: int, g: GhgParams) -> None:
     except ValueError:
         raise ParseError(f"malformed graph header {line!r}", line=lineno) from None
     if dims != g.dims or k != g.k:
-        raise ParseError(f"header describes {GhgParams(dims, k).format()}, "
+        # worded from the numbers alone, which need not make a valid graph
+        raise ParseError(f"header describes {'x'.join(map(str, dims))};K={_format_k(k)}, "
                          f"expected {g.format()}", line=lineno)
 
 
@@ -124,16 +125,17 @@ def parse_pls(text: str, g: GhgParams) -> LandmarkSet:
                     f"symbol {k} outside 1..{n3}", line=lineno, column=j
                 )
             members.append((i, j, k))
-    return LandmarkSet(g, members)
+    # rows, columns and symbols are in range, one landmark to a cell
+    return LandmarkSet._trusted(g, tuple(members))
 
 
-def _format_k(g: GhgParams) -> str:
-    return ",".join(str(j) for j in sorted(g.k))
+def _format_k(k) -> str:
+    return ",".join(str(j) for j in sorted(k))
 
 
 def _triples_lines(W: LandmarkSet) -> Iterator[str]:
     g = W.graph
-    yield f"# graph {g.dims[0]} {g.dims[1]} {g.dims[2]} {_format_k(g)}\n"
+    yield f"# graph {g.dims[0]} {g.dims[1]} {g.dims[2]} {_format_k(g.k)}\n"
     for i, j, k in W.members:
         yield f"{i} {j} {k}\n"
 
@@ -143,8 +145,9 @@ def emit_triples(W: LandmarkSet) -> str:
 
 
 def parse_triples(text: str, g: GhgParams) -> LandmarkSet:
-    members: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int, int]] = set()
+    if g.r != 3:
+        raise Unsupported(f"landmark sets need 3 coordinates, got r={g.r}")
+    members: dict[tuple[int, int, int], None] = {}  # in order of their lines
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -166,11 +169,11 @@ def parse_triples(text: str, g: GhgParams) -> LandmarkSet:
                 raise ParseError(
                     f"coordinate {c} outside 1..{d}", line=lineno, column=col
                 )
-        if triple in seen:
+        if triple in members:
             raise ParseError(f"duplicate landmark {triple}", line=lineno)
-        seen.add(triple)
-        members.append(triple)
-    return LandmarkSet(g, members)
+        members[triple] = None
+    # every coordinate is in range and every duplicate refused above
+    return LandmarkSet._trusted(g, tuple(members))
 
 
 def detect_format(text: str, g: GhgParams | None = None) -> str:

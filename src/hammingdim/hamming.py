@@ -17,6 +17,7 @@ and is the independent route the closed form is checked against.
 from __future__ import annotations
 
 import itertools
+import numbers
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -50,12 +51,14 @@ class GhgParams:
     def __post_init__(self):
         if len(self.dims) < 2:
             raise Unsupported(f"need at least 2 coordinates, got {len(self.dims)}")
-        if any(d < 1 for d in self.dims):
-            raise Unsupported(f"dimensions must be >= 1, got {self.dims}")
+        if not all(_whole(d, 1) for d in self.dims):
+            raise Unsupported(f"dimensions must be integers >= 1, got {self.dims}")
         if not self.k:
             raise Unsupported("discrepancy set K must be nonempty")
-        if not all(1 <= j <= len(self.dims) for j in self.k):
-            raise Unsupported(f"K={sorted(self.k)} not within 1..{len(self.dims)}")
+        if not all(_whole(j, 1) and j <= len(self.dims) for j in self.k):
+            raise Unsupported(f"K={set(self.k)} must hold integers within 1..{len(self.dims)}")
+        object.__setattr__(self, "dims", tuple(map(int, self.dims)))
+        object.__setattr__(self, "k", frozenset(map(int, self.k)))
 
     @property
     def r(self) -> int:
@@ -175,6 +178,13 @@ class GhgParams:
         except ValueError:  # int() refuses strings past its digit limit
             raise ParseError("cannot parse graph description: a number is too long") from None
         return cls(dims, k)
+
+
+def _whole(value, least: int) -> bool:
+    """Whether value is an integer of at least ``least``; a float or a
+    bool never is."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least)
 
 
 def hamming_graph(*dims: int, k: frozenset[int] | set[int] | None = None) -> GhgParams:

@@ -112,13 +112,14 @@ def classify(W: LandmarkSet) -> SystemClass:
 
 def basic_part(W: LandmarkSet) -> LandmarkSet:
     """The 2-basic system left after removing a triple-looped set's loop
-    vertex, on the (n-1)-diagonal graph."""
+    vertex, on the (n-1)-diagonal graph.  Its other members take no value
+    n, so they are valid there and are not checked again."""
     cls = classify(W)
     if cls.kind is not SystemKind.TRIPLE_LOOPED:
         raise NotApplicable(f"{W!r} is {cls.kind.value}, not TRIPLE_LOOPED")
     n = W.graph.dims[0]
     g = GhgParams((n - 1, n - 1, n - 1), W.graph.k)
-    return LandmarkSet(g, [m for m in W.members if m != cls.loop_vertex])
+    return LandmarkSet._trusted(g, tuple(m for m in W.members if m != cls.loop_vertex))
 
 
 def extend_triple_looped(W: LandmarkSet) -> LandmarkSet:

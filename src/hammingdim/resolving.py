@@ -47,6 +47,7 @@ times (distance).
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import InitVar, dataclass
 from enum import Enum
@@ -58,7 +59,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InvalidBlock, InvalidVertex, IsLandmark, Unsupported
-from .hamming import GhgParams, Vertex, hamming_graph
+from .hamming import GhgParams, Vertex, _whole, hamming_graph
 
 VERTEX_LIMIT = 3 * 10**7
 # the distance oracle's work, |V| * ceil(|W| / 64) row words; metric_basis(310)
@@ -81,21 +82,12 @@ class LandmarkSet:
     def __init__(self, graph: GhgParams, members):
         if graph.r != 3:
             raise Unsupported(f"landmark sets need 3 coordinates, got r={graph.r}")
-        d1, d2, d3 = graph.dims
         seen = {}  # the members so far, in order
         for m in members:
             if type(m) is not tuple:
-                try:
+                with contextlib.suppress(TypeError):  # validate_vertex refuses it
                     m = tuple(m)
-                except TypeError:
-                    graph.validate_vertex(m)  # not a tuple: raises
-            if len(m) != 3:
-                graph.validate_vertex(m)
-            a, b, c = m
-            # plain ints in range pass here; validate_vertex judges the rest
-            if not (type(a) is int and type(b) is int and type(c) is int
-                    and 0 < a <= d1 and 0 < b <= d2 and 0 < c <= d3):
-                graph.validate_vertex(m)
+            graph.validate_vertex(m)
             if m in seen:
                 raise InvalidVertex(f"duplicate landmark {m!r}")
             seen[m] = None
@@ -151,10 +143,10 @@ class LandmarkSet:
 
     def block(self, i: int, a: int) -> frozenset:
         """Landmarks whose i-th coordinate equals a (i in 1..3, a in 1..n_i)."""
-        if i not in (1, 2, 3):
-            raise InvalidBlock(f"color {i} not in 1..3")
-        if not 1 <= a <= self.graph.dims[i - 1]:
-            raise InvalidBlock(f"value {a} outside 1..{self.graph.dims[i - 1]}")
+        if not (_whole(i, 1) and i <= 3):
+            raise InvalidBlock(f"color {i!r} not in 1..3")
+        if not (_whole(a, 1) and a <= self.graph.dims[i - 1]):
+            raise InvalidBlock(f"value {a!r} outside 1..{self.graph.dims[i - 1]}")
         return frozenset(self._blocks.get((i, a), ()))
 
     def blocks(self) -> Mapping[tuple[int, int], tuple[Vertex, ...]]:

@@ -88,7 +88,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .errors import BudgetExceeded, Unsupported
-from .hamming import GhgParams, hamming_graph
+from .hamming import GhgParams, _whole, hamming_graph
 from .resolving import (Certificate, LandmarkSet, Verdict, _checked_vertex_count, is_resolving,
                         lower_bound)
 from .construct import metric_basis
@@ -139,13 +139,6 @@ class SearchOptions:
         if not _whole(self.workers, 1):
             raise Unsupported(
                 f"worker count must be an integer, at least 1, got {self.workers!r}")
-
-
-def _whole(value, least: int) -> bool:
-    """Whether value is an integer of at least ``least``; a float or a
-    bool never is."""
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= least)
 
 
 def _color_feasible(cnt, avail, t) -> bool:
@@ -581,8 +574,9 @@ def exists_resolving_of_size(
     n = _diagonal_n(g)
     if n > 4:
         raise Unsupported(f"n={n}: exhaustive subset search is only tractable for n <= 4")
-    if not 1 <= s <= 2 * n:
-        raise Unsupported(f"size {s} outside 1..{2 * n}; beyond 2n the answer is known")
+    if not (_whole(s, 1) and s <= 2 * n):
+        raise Unsupported(f"size {s!r} is not an integer in 1..{2 * n}; "
+                          "beyond 2n the answer is known")
     fixed = (0,) if opts.normalize else ()
     mode = f"normalized={bool(fixed)}, pruned={opts.prune}"
     deadline = None if opts.max_seconds is None else time.monotonic() + opts.max_seconds
@@ -602,7 +596,7 @@ def exists_resolving_of_size(
 
 def _search_certificate(g, s, found, leaves, mode) -> Certificate:
     if found is not None:
-        W = LandmarkSet(g, found)
+        W = LandmarkSet._trusted(g, tuple(found))  # distinct vertices of g
         cert = is_resolving(W)
         if cert.verdict is not Verdict.RESOLVING:
             raise AssertionError(f"search returned a non-resolving set {found!r}")

@@ -58,6 +58,8 @@ def test_cubic_graph_validation():
         ColoredCubicGraph(4, ((0, 1, 4),), ("a", "b", "c", "d"))
     with pytest.raises(InvalidOrder):
         ColoredCubicGraph(4, ((1, 0, 1),), ("a", "b", "c", "d"))  # unordered
+    with pytest.raises(InvalidOrder, match="vertex 1 has two edges of color 1"):
+        ColoredCubicGraph(4, ((0, 1, 1), (1, 2, 1)), ("a", "b", "c", "d"))
 
 
 def test_construct_k4_frozen():

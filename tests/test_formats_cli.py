@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import json
 import re
 import subprocess
@@ -20,11 +21,13 @@ from hammingdim import (
 )
 import hammingdim.search
 from hammingdim.cli import build_parser, main
+from hammingdim.construct import FIXTURE_NAMES
 from hammingdim.formats import (
     detect_format,
     emit_landmarks,
     emit_pls,
     emit_triples,
+    landmark_lines,
     parse_landmarks,
     parse_pls,
     parse_triples,
@@ -65,6 +68,10 @@ def test_round_trips():
         text, used = emit_landmarks(W)
         assert parse_landmarks(text, used, W.graph) == W
         assert parse_landmarks(text, None, W.graph) == W  # sniffed
+        # comments other than a graph header, and blank lines, are skipped
+        noted = "# by hand\n\n" + text.replace("\n", "\n\n# note\n", 1)
+        assert parse_landmarks(noted, used, W.graph) == W
+        assert parse_landmarks(noted, None, W.graph) == W
 
 
 def test_pls_alignment():
@@ -73,6 +80,13 @@ def test_pls_alignment():
     assert len(lines) == 5
     assert len({len(l) for l in lines}) == 1  # two-char cells, aligned
     assert " 1  2  3 10  .  .  ." in lines[0]
+
+
+def test_bases_and_fixtures_have_a_pls_form():
+    # so construct and fixtures, which emit nothing else, never fall back
+    sets = [metric_basis(n) for n in range(3, 41)] + [fixture(n) for n in FIXTURE_NAMES]
+    for W in sets:
+        assert landmark_lines(W)[1] == "pls"
 
 
 def test_emit_fallback_to_triples():
@@ -98,6 +112,12 @@ def test_parse_errors_carry_positions():
         parse_triples("1 1 1\n1 1 1\n", G3)  # duplicate
     with pytest.raises(ParseError):
         parse_triples("# graph 4 4 4 3\n1 1 1\n", G3)  # header mismatch
+    # a graph header of the wrong length, in either format
+    for text, fmt, line in (("1 1 1\n# graph 3 3 3\n", "triples", 2),
+                            ("# graph 3 3 3 3 3\n" + N3_SQUARE, "pls", 1)):
+        with pytest.raises(ParseError, match="graph header needs n1 n2 n3 K") as e:
+            parse_landmarks(text, fmt, G3)
+        assert e.value.line == line
     with pytest.raises(ParseError):
         parse_triples("1 1 9\n", G3)
 
@@ -135,14 +155,18 @@ def test_full_three_column_grid_is_ambiguous(tmp_path, capsys):
 
 
 def test_pls_header_checked_as_in_triples(tmp_path, capsys):
-    # both parsers refuse a "# graph" header naming another graph
-    for fmt, body in (("pls", N3_SQUARE), ("triples", emit_triples(fixture("n3")))):
-        text = "# graph 4 4 4 3\n" + body.replace("# graph 3 3 3 3\n", "")
-        with pytest.raises(ParseError, match="header describes 4x4x4"):
+    # both parsers refuse a "# graph" header naming another graph, also
+    # one whose numbers make no valid graph (K=0, a dimension of 0)
+    headers = (("4 4 4 3", "4x4x4;K=3"), ("3 3 3 0", "3x3x3;K=0"), ("0 3 3 3", "0x3x3;K=3"))
+    for (header, described), (fmt, body) in itertools.product(
+            headers, (("pls", N3_SQUARE), ("triples", emit_triples(fixture("n3"))))):
+        text = f"# graph {header}\n" + body.replace("# graph 3 3 3 3\n", "")
+        with pytest.raises(ParseError, match=re.escape(f"header describes {described},")) as e:
             parse_landmarks(text, fmt, G3)
+        assert e.value.line == 1
         path = write(tmp_path, f"n3.{fmt}", text)
         assert main(["verify", "--graph", "3x3x3", "--in", path]) == 2
-        assert "header describes 4x4x4" in capsys.readouterr().err
+        assert f"header describes {described}, expected 3x3x3;K=3" in capsys.readouterr().err
     path = write(tmp_path, "ok.pls", "# graph 3 3 3 3\n" + N3_SQUARE)
     assert main(["verify", "--graph", "3x3x3", "--in", path]) == 0
     capsys.readouterr()
@@ -185,6 +209,10 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert main(["verify", "--graph", "3x3x3", "--in", str(tmp_path / "none.pls")]) == 2
     ragged = write(tmp_path, "ragged.pls", ". .\n")
     assert main(["verify", "--graph", "3x3x3", "--in", ragged]) == 2
+    # a graph outside both diameter-2 regimes, where codes lose their meaning
+    capsys.readouterr()
+    assert main(["verify", "--graph", "3x3x3;K=2", "--in", good]) == 2
+    assert "resolving verdicts need every dimension >= 3" in capsys.readouterr().err
 
 
 def test_cli_verify_refuses_oversized_graph(tmp_path, capsys):

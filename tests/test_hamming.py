@@ -18,6 +18,7 @@ from hammingdim import (
     InvalidPair,
     InvalidVertex,
     ParseError,
+    Unreachable,
     Unsupported,
     hamming_discrepancy,
     hamming_graph,
@@ -143,6 +144,9 @@ def test_disconnected_regimes():
         g1.distance((1, 1, 1), (1, 2, 2))
     # equal vertices still have distance 0
     assert g.distance((1, 1, 1), (1, 1, 1)) == 0
+    # K = {2} on 2x2x2 joins only vertices of equal parity
+    with pytest.raises(Unreachable):
+        hamming_graph(2, 2, 2, k={2}).distance((1, 1, 1), (1, 1, 2))
 
 
 def test_bfs_fallback_size_cap():

@@ -23,16 +23,23 @@ from hammingdim import (
     block_sum_violations,
     build_landmark_graph,
     classify,
+    construct_cubic,
+    emit_pls,
+    emit_triples,
     enumerate_two_basic,
+    exists_resolving_of_size,
     extend_triple_looped,
     fixture,
     footprint,
     forbidden_scan,
+    graph_to_landmarks,
     hamming_graph,
     is_resolving,
     is_resolving_by_distance,
     loop_profile,
     metric_basis,
+    parse_pls,
+    parse_triples,
     predict_resolving,
 )
 from hammingdim.cli import _scan_report
@@ -331,15 +338,28 @@ def test_decider_certificates_pinned():
 def unchecked_sets():
     """Sets whose members the package builds without re-checking them:
     every n = 3 2-basic system, 300 draws on each of two seeds at n = 4
-    and 5, the lift of each, and metric_basis(3..40)."""
+    and 5, the lift of each, and metric_basis(3..40); both documents of
+    each basis and of 25 draws at n = 4 and 5 and their lifts, parsed;
+    graph_to_landmarks of every cubic graph behind the bases, the basic
+    part of each triple-looped basis, and one search hit."""
     systems = itertools.chain(enumerate_two_basic(3), *(
         enumerate_two_basic(n, budget=300, seed=seed)
         for n in (4, 5) for seed in (1, 1000 * n + 4001)))
     for W in systems:
         yield W
         yield extend_triple_looped(W)
-    for n in range(3, 41):
-        yield metric_basis(n)
+    bases = [metric_basis(n) for n in range(3, 41)]
+    yield from bases
+    drawn = [W for n in (4, 5) for W in enumerate_two_basic(n, budget=25, seed=7)]
+    for W in bases + drawn + [extend_triple_looped(W) for W in drawn]:
+        yield parse_pls(emit_pls(W), W.graph)
+        yield parse_triples(emit_triples(W), W.graph)
+    for k in (4, *range(6, 40)):
+        yield graph_to_landmarks(construct_cubic(k), k + 1)
+    for W in bases:
+        if classify(W).kind is SystemKind.TRIPLE_LOOPED:
+            yield basic_part(W)
+    yield exists_resolving_of_size(hamming_graph(3, 3, 3), 6).basis
 
 
 def test_unchecked_sets_equal_checked_sets():
@@ -354,7 +374,7 @@ def test_unchecked_sets_equal_checked_sets():
         assert W == checked and checked == W and hash(W) == hash(checked)
         assert classify(W) == classify(checked)
         count += 1
-    assert count == 2 * (144 + 4 * 300) + 38
+    assert count == 2 * (144 + 4 * 300) + 38 + 2 * (38 + 4 * 25) + 35 + 35 + 1
 
 
 def test_cycle_report_revalidates_rejects_corruption():

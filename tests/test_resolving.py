@@ -25,6 +25,7 @@ from hammingdim import (
     Unsupported,
     Verdict,
     block_sum_violations,
+    exists_resolving_of_size,
     fixture,
     hamming_graph,
     is_resolving,
@@ -103,6 +104,55 @@ def test_landmark_set_validation_table(members, error, expected):
     else:
         with pytest.raises(error) as info:
             LandmarkSet(g, members)
+        assert str(info.value) == expected
+
+
+# every integer the package takes by the one rule: a numbers.Integral is
+# read as an int, and a float, a bool or a string is refused
+INTEGER_TABLE = [
+    (lambda: hamming_graph(np.int64(3), 3, 3), None, G3),
+    (lambda: hamming_graph(3, 3, SubInt(3), k={np.int8(3)}), None, G3),
+    (lambda: is_resolving(LandmarkSet(hamming_graph(np.int64(3), 3, 3), FIXTURE_N3)).verdict,
+     None, Verdict.RESOLVING),
+    (lambda: hamming_graph(3.0, 3, 3), Unsupported,
+     "dimensions must be integers >= 1, got (3.0, 3, 3)"),
+    (lambda: hamming_graph(3.5, 3, 3), Unsupported,
+     "dimensions must be integers >= 1, got (3.5, 3, 3)"),
+    (lambda: hamming_graph(3, True, 3), Unsupported,
+     "dimensions must be integers >= 1, got (3, True, 3)"),
+    (lambda: hamming_graph(3, "3", 3), Unsupported,
+     "dimensions must be integers >= 1, got (3, '3', 3)"),
+    (lambda: hamming_graph(3, 3, 3, k={3.0}), Unsupported,
+     "K={3.0} must hold integers within 1..3"),
+    (lambda: hamming_graph(3, 3, 3, k={True}), Unsupported,
+     "K={True} must hold integers within 1..3"),
+    (lambda: exists_resolving_of_size(G3, np.int64(6)).to_json(), None,
+     exists_resolving_of_size(G3, 6).to_json()),
+    (lambda: exists_resolving_of_size(G3, True), Unsupported,
+     "size True is not an integer in 1..6; beyond 2n the answer is known"),
+    (lambda: exists_resolving_of_size(G3, 5.0), Unsupported,
+     "size 5.0 is not an integer in 1..6; beyond 2n the answer is known"),
+    (lambda: fixture("n3").block(np.int64(1), SubInt(1)), None,
+     frozenset({(1, 1, 1), (1, 2, 2), (1, 3, 3)})),
+    (lambda: fixture("n3").block(1, "1"), InvalidBlock, "value '1' outside 1..3"),
+    (lambda: fixture("n3").block(1, True), InvalidBlock, "value True outside 1..3"),
+    (lambda: fixture("n3").block(1.0, 1), InvalidBlock, "color 1.0 not in 1..3"),
+]
+
+
+@pytest.mark.parametrize("call, error, expected", INTEGER_TABLE, ids=[
+    "dim-int64", "dim-subclass-k-int8", "int64-graph-verifies", "dim-float", "dim-fraction",
+    "dim-bool", "dim-str", "k-float", "k-bool", "size-int64", "size-bool", "size-float",
+    "block-int64", "block-value-str", "block-value-bool", "block-color-float"])
+def test_integer_inputs_table(call, error, expected):
+    if error is None:
+        got = call()
+        assert got == expected
+        if isinstance(got, GhgParams):
+            assert all(type(v) is int for v in (*got.dims, *got.k))
+    else:
+        with pytest.raises(error) as info:
+            call()
         assert str(info.value) == expected
 
 
