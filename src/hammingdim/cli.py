@@ -213,10 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dimension", help="metric dimension with certificate")
     p.add_argument("--graph", required=True)
-    p.add_argument("--exhaustive", action="store_true",
-                   help="lift the candidate budget")
-    p.add_argument("--budget", type=_number, default=None,
-                   help=f"candidate cap (default ${BUDGET_ENV} or {DEFAULT_BUDGET})")
+    limit = p.add_mutually_exclusive_group()
+    limit.add_argument("--exhaustive", action="store_true",
+                       help="lift the candidate budget")
+    limit.add_argument("--budget", type=_number, default=None,
+                       help=f"candidate cap (default ${BUDGET_ENV} or {DEFAULT_BUDGET})")
     p.add_argument("--workers", type=_number, default=1,
                    help="parallel subtree workers")
     p.add_argument("--verbose", action="store_true",

@@ -36,22 +36,33 @@ def _integer(field: str) -> int:
     return int(field)
 
 
-def _check_header(line: str, lineno: int, g: GhgParams) -> None:
-    """Refuse a ``# graph`` comment line that describes a graph other than g."""
-    parts = line[1:].split()
-    if parts[:1] != ["graph"]:
-        return
-    if len(parts) != 5:
-        raise ParseError("graph header needs n1 n2 n3 K", line=lineno)
-    try:
-        dims = tuple(_integer(p) for p in parts[1:4])
-        k = frozenset(_integer(p) for p in parts[4].split(","))
-    except ValueError:
-        raise ParseError(f"malformed graph header {line!r}", line=lineno) from None
-    if dims != g.dims or k != g.k:
-        # worded from the numbers alone, which need not make a valid graph
-        raise ParseError(f"header describes {'x'.join(map(str, dims))};K={_format_k(k)}, "
-                         f"expected {g.format()}", line=lineno)
+def _data_lines(text: str, g: GhgParams | None) -> Iterator[tuple[int, str, list[str] | None]]:
+    """(line number, line, fields) of each data line of a document, in
+    order, skipping blank lines and comments.  Each ``# graph`` header is
+    checked against g when it is reached, or, with g None, yielded with
+    fields None."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line, line.split()
+            continue
+        parts = line[1:].split()  # none on a blank line
+        if parts[:1] != ["graph"]:
+            continue
+        if g is None:
+            yield lineno, line, None
+            continue
+        if len(parts) != 5:
+            raise ParseError("graph header needs n1 n2 n3 K", line=lineno)
+        try:
+            dims = tuple(_integer(p) for p in parts[1:4])
+            k = frozenset(_integer(p) for p in parts[4].split(","))
+        except ValueError:
+            raise ParseError(f"malformed graph header {line!r}", line=lineno) from None
+        if dims != g.dims or k != g.k:
+            # worded from the numbers alone, which need not make a valid graph
+            raise ParseError(f"header describes {'x'.join(map(str, dims))};K={_format_k(k)}, "
+                             f"expected {g.format()}", line=lineno)
 
 
 def _pls_rows(W: LandmarkSet) -> dict[int, dict[int, int]]:
@@ -80,7 +91,7 @@ def _pls_lines(dims: tuple[int, ...], rows: dict[int, dict[int, int]]) -> Iterat
 
 
 def emit_pls(W: LandmarkSet) -> str:
-    return "".join(_pls_lines(W.graph.dims, _pls_rows(W)))
+    return emit_landmarks(W, "pls")[0]
 
 
 def pls_representable(W: LandmarkSet) -> bool:
@@ -95,17 +106,11 @@ def parse_pls(text: str, g: GhgParams) -> LandmarkSet:
     if g.r != 3:
         raise Unsupported(f"pls grids need 3 coordinates, got r={g.r}")
     n1, n2, n3 = g.dims
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            _check_header(line, lineno, g)
-        elif line:
-            rows.append((lineno, line.split()))
+    rows = list(_data_lines(text, g))  # every header is checked before any row
     if len(rows) != n1:
         raise ParseError(f"expected {n1} rows, found {len(rows)}")
     members = []
-    for i, (lineno, cells) in enumerate(rows, start=1):
+    for i, (lineno, _, cells) in enumerate(rows, start=1):
         if len(cells) != n2:
             raise ParseError(
                 f"row {i} has {len(cells)} cells, expected {n2}", line=lineno
@@ -141,21 +146,14 @@ def _triples_lines(W: LandmarkSet) -> Iterator[str]:
 
 
 def emit_triples(W: LandmarkSet) -> str:
-    return "".join(_triples_lines(W))
+    return emit_landmarks(W, "triples")[0]
 
 
 def parse_triples(text: str, g: GhgParams) -> LandmarkSet:
     if g.r != 3:
         raise Unsupported(f"landmark sets need 3 coordinates, got r={g.r}")
     members: dict[tuple[int, int, int], None] = {}  # in order of their lines
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            _check_header(line, lineno, g)
-            continue
-        parts = line.split()
+    for lineno, line, parts in _data_lines(text, g):
         if len(parts) != 3:
             raise ParseError(
                 f"expected three integers, found {len(parts)} fields", line=lineno
@@ -186,17 +184,13 @@ def detect_format(text: str, g: GhgParams | None = None) -> str:
     """
     rows = []
     header = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            header = header or line[1:].split()[:1] == ["graph"]
-            continue
-        parts = line.split()
-        if "." in parts or len(parts) != 3:
+    for _, _, parts in _data_lines(text, None):
+        if parts is None:
+            header = True
+        elif "." in parts or len(parts) != 3:
             return "pls"
-        rows.append(parts)
+        else:
+            rows.append(parts)
     if (g is not None and not header and g.dims[1] == 3 and len(rows) == g.dims[0]
             and all(_INTEGER.fullmatch(f) for parts in rows for f in parts)):
         raise ParseError(

@@ -20,6 +20,7 @@ import itertools
 import numbers
 import re
 from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .errors import (
@@ -49,11 +50,14 @@ class GhgParams:
     k: frozenset[int]
 
     def __post_init__(self):
+        for name, value in (("dimensions", self.dims), ("K", self.k)):
+            if not isinstance(value, Collection):
+                raise Unsupported(f"{name} must be a collection of integers, got {value!r}")
         if len(self.dims) < 2:
             raise Unsupported(f"need at least 2 coordinates, got {len(self.dims)}")
         if not all(_whole(d, 1) for d in self.dims):
             raise Unsupported(f"dimensions must be integers >= 1, got {self.dims}")
-        if not self.k:
+        if len(self.k) == 0:  # a numpy array K has no truth value
             raise Unsupported("discrepancy set K must be nonempty")
         if not all(_whole(j, 1) and j <= len(self.dims) for j in self.k):
             raise Unsupported(f"K={set(self.k)} must hold integers within 1..{len(self.dims)}")
@@ -78,7 +82,9 @@ class GhgParams:
         if not isinstance(x, tuple) or len(x) != self.r:
             raise InvalidVertex(f"{x!r} is not a {self.r}-tuple")
         for i, (c, d) in enumerate(zip(x, self.dims), start=1):
-            if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= d:
+            if not _whole(c):
+                raise InvalidVertex(f"coordinate {i} of {x!r} is not an integer")
+            if not 1 <= c <= d:
                 raise InvalidVertex(f"coordinate {i} of {x!r} outside 1..{d}")
 
     def closed_form_available(self) -> bool:
@@ -180,17 +186,16 @@ class GhgParams:
         return cls(dims, k)
 
 
-def _whole(value, least: int) -> bool:
-    """Whether value is an integer of at least ``least``; a float or a
-    bool never is."""
+def _whole(value, least: float = float("-inf")) -> bool:
+    """Whether value is an integer, of at least ``least`` if given; a
+    float or a bool never is."""
     return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= least)
 
 
 def hamming_graph(*dims: int, k: frozenset[int] | set[int] | None = None) -> GhgParams:
     """Convenience constructor: ``hamming_graph(3, 3, 3)`` has K = {r}."""
-    dims_t = tuple(dims)
-    return GhgParams(dims_t, frozenset(k) if k is not None else frozenset({len(dims_t)}))
+    return GhgParams(dims, frozenset({len(dims)}) if k is None else k)
 
 
 def hamming_discrepancy(x: Vertex, y: Vertex) -> int:

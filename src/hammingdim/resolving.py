@@ -88,6 +88,7 @@ class LandmarkSet:
                 with contextlib.suppress(TypeError):  # validate_vertex refuses it
                     m = tuple(m)
             graph.validate_vertex(m)
+            m = tuple(map(int, m))  # as GhgParams stores its dimensions
             if m in seen:
                 raise InvalidVertex(f"duplicate landmark {m!r}")
             seen[m] = None

@@ -15,6 +15,7 @@ from hammingdim import (
     GhgParams,
     LandmarkSet,
     ParseError,
+    Unsupported,
     fixture,
     hamming_graph,
     metric_basis,
@@ -94,6 +95,11 @@ def test_emit_fallback_to_triples():
     text, used = emit_landmarks(W)
     assert used == "triples"
     assert text.startswith("# graph 3 3 3 3\n")
+    # an unknown format is refused when writing and when reading
+    with pytest.raises(Unsupported, match="unknown format 'xml'"):
+        landmark_lines(W, "xml")
+    with pytest.raises(Unsupported, match="unknown format 'xml'"):
+        parse_landmarks(text, "xml", G3)
 
 
 def test_parse_errors_carry_positions():
@@ -120,6 +126,14 @@ def test_parse_errors_carry_positions():
         assert e.value.line == line
     with pytest.raises(ParseError):
         parse_triples("1 1 9\n", G3)
+    # triples reports whichever bad line comes first; a grid checks every
+    # header before any row
+    for text, fmt, line in (("1 1\n# graph 4 4 4 3\n", "triples", 1),
+                            ("# graph 4 4 4 3\n1 1\n", "triples", 1),
+                            (". 2\n. . .\n# graph 4 4 4 3\n. . .\n", "pls", 3)):
+        with pytest.raises(ParseError) as e:
+            parse_landmarks(text, fmt, G3)
+        assert e.value.line == line
 
 
 def test_detect_format():
@@ -144,7 +158,7 @@ def test_full_three_column_grid_is_ambiguous(tmp_path, capsys):
         assert emit_landmarks(W) == (emit_triples(W), "triples")
     # a header, a row count other than n1 or a non-integer field settles it
     for text in ("# graph 3 3 3 3\n1 2 3\n2 3 1\n3 1 2\n", "1 2 3\n2 3 1\n",
-                 "1 2 3\n2 3 1\n3 1 x\n"):
+                 "1 2 3\n2 3 1\n#graph 9 9 9 9\n3 1 2\n", "1 2 3\n2 3 1\n3 1 x\n"):
         assert detect_format(text, G3) == "triples"
     assert detect_format("1 2 3\n2 3 1\n3 1 2\n", hamming_graph(3, 4, 3)) == "triples"
     path = write(tmp_path, "latin.pls", emit_pls(LATIN))
@@ -157,10 +171,12 @@ def test_full_three_column_grid_is_ambiguous(tmp_path, capsys):
 def test_pls_header_checked_as_in_triples(tmp_path, capsys):
     # both parsers refuse a "# graph" header naming another graph, also
     # one whose numbers make no valid graph (K=0, a dimension of 0)
+    # "#graph" and "#   graph" are headers as much as "# graph"
     headers = (("4 4 4 3", "4x4x4;K=3"), ("3 3 3 0", "3x3x3;K=0"), ("0 3 3 3", "0x3x3;K=3"))
-    for (header, described), (fmt, body) in itertools.product(
-            headers, (("pls", N3_SQUARE), ("triples", emit_triples(fixture("n3"))))):
-        text = f"# graph {header}\n" + body.replace("# graph 3 3 3 3\n", "")
+    for (header, described), (fmt, body), mark in itertools.product(
+            headers, (("pls", N3_SQUARE), ("triples", emit_triples(fixture("n3")))),
+            ("# graph", "#graph", "#   graph")):
+        text = f"{mark} {header}\n" + body.replace("# graph 3 3 3 3\n", "")
         with pytest.raises(ParseError, match=re.escape(f"header describes {described},")) as e:
             parse_landmarks(text, fmt, G3)
         assert e.value.line == 1
@@ -365,6 +381,17 @@ def test_cli_dimension_budget(capsys, monkeypatch):
     assert "non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--exhaustive", "--budget", "50"],
+                                  ["--budget", "50", "--exhaustive"]])
+def test_cli_dimension_exhaustive_excludes_budget(capsys, argv):
+    # a usage error, not a search cut at 50 candidates
+    with pytest.raises(SystemExit) as e:
+        main(["dimension", "--graph", "3x3x3", *argv])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with argument" in captured.err
+
+
 @pytest.mark.parametrize("value", ["1_0", "\u0661\u0660"], ids=["underscore", "arabic-indic"])
 @pytest.mark.parametrize("argv", [
     ["construct", "--n"],
@@ -516,7 +543,7 @@ def test_cli_enumerate_samples_pinned(capsys, argv, digest):
 
 
 @pytest.mark.parametrize("graph", ["3x3", "3x3x3x3"])
-@pytest.mark.parametrize("fmt", [["--format", "pls"], []])
+@pytest.mark.parametrize("fmt", [["--format", "pls"], [], ["--format", "triples"]])
 @pytest.mark.parametrize("command", ["verify", "scan"])
 def test_cli_pls_needs_three_coordinates(tmp_path, capsys, graph, fmt, command):
     path = write(tmp_path, "grid.pls", "1 . .\n. 2 .\n. . 3\n")

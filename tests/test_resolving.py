@@ -67,13 +67,12 @@ class SubInt(int):
 # members -> (exception, message), or the members kept; on 3x4x5, so each
 # coordinate has its own bound
 VALIDATION_TABLE = [
-    ([(True, 1, 1)], InvalidVertex, "coordinate 1 of (True, 1, 1) outside 1..3"),
-    # numpy's scalar repr differs across its major versions
-    ([(np.int64(1), 1, 1)], InvalidVertex,
-     f"coordinate 1 of {(np.int64(1), 1, 1)!r} outside 1..3"),
-    ([(1.0, 1, 1)], InvalidVertex, "coordinate 1 of (1.0, 1, 1) outside 1..3"),
-    ([("1", 1, 1)], InvalidVertex, "coordinate 1 of ('1', 1, 1) outside 1..3"),
-    (["abc"], InvalidVertex, "coordinate 1 of ('a', 'b', 'c') outside 1..3"),
+    # a coordinate is checked by the one integer rule, and stored as an int
+    ([(True, 1, 1)], InvalidVertex, "coordinate 1 of (True, 1, 1) is not an integer"),
+    ([(np.int64(1), 1, 1)], None, ((1, 1, 1),)),
+    ([(1.0, 1, 1)], InvalidVertex, "coordinate 1 of (1.0, 1, 1) is not an integer"),
+    ([("1", 1, 1)], InvalidVertex, "coordinate 1 of ('1', 1, 1) is not an integer"),
+    (["abc"], InvalidVertex, "coordinate 1 of ('a', 'b', 'c') is not an integer"),
     ([(1, 0, 1)], InvalidVertex, "coordinate 2 of (1, 0, 1) outside 1..4"),
     ([(4, 1, 1)], InvalidVertex, "coordinate 1 of (4, 1, 1) outside 1..3"),
     ([(1, 1, 6)], InvalidVertex, "coordinate 3 of (1, 1, 6) outside 1..5"),
@@ -98,9 +97,10 @@ def test_landmark_set_validation_table(members, error, expected):
     g = hamming_graph(3, 4, 5)
     if error is None:
         W = LandmarkSet(g, members)
-        assert W.members == expected
-        assert all(type(m) is tuple for m in W.members)
+        assert W.members == expected == tuple(W)
+        assert all(type(m) is tuple and all(type(c) is int for c in m) for m in W.members)
         assert W.blocks()[1, expected[0][0]] == W.members
+        assert W != expected  # a LandmarkSet equals only a LandmarkSet
     else:
         with pytest.raises(error) as info:
             LandmarkSet(g, members)
@@ -137,13 +137,20 @@ INTEGER_TABLE = [
     (lambda: fixture("n3").block(1, "1"), InvalidBlock, "value '1' outside 1..3"),
     (lambda: fixture("n3").block(1, True), InvalidBlock, "value True outside 1..3"),
     (lambda: fixture("n3").block(1.0, 1), InvalidBlock, "color 1.0 not in 1..3"),
+    # K and the dimensions are collections of integers, not one integer
+    (lambda: hamming_graph(3, 3, 3, k=3), Unsupported,
+     "K must be a collection of integers, got 3"),
+    (lambda: GhgParams((3, 3, 3), 3), Unsupported, "K must be a collection of integers, got 3"),
+    (lambda: GhgParams(3, frozenset({3})), Unsupported,
+     "dimensions must be a collection of integers, got 3"),
 ]
 
 
 @pytest.mark.parametrize("call, error, expected", INTEGER_TABLE, ids=[
     "dim-int64", "dim-subclass-k-int8", "int64-graph-verifies", "dim-float", "dim-fraction",
     "dim-bool", "dim-str", "k-float", "k-bool", "size-int64", "size-bool", "size-float",
-    "block-int64", "block-value-str", "block-value-bool", "block-color-float"])
+    "block-int64", "block-value-str", "block-value-bool", "block-color-float",
+    "k-int", "params-k-int", "params-dims-int"])
 def test_integer_inputs_table(call, error, expected):
     if error is None:
         got = call()
@@ -661,6 +668,10 @@ def test_certificate_construction_checks():
     W = LandmarkSet(G3, K4_SET)
     with pytest.raises(Unsupported):
         Certificate(Verdict.UNRESOLVED, G3)  # no landmarks
+    with pytest.raises(Unsupported, match="needs a witness or an attestation"):
+        Certificate(Verdict.UNRESOLVED, G3, landmarks=W)
+    with pytest.raises(Unsupported, match="a witness pair needs its landmark set"):
+        Certificate(Verdict.DIMENSION, G3, witness=((1, 1, 2), (3, 3, 3)))
     with pytest.raises(InvalidVertex):
         Certificate(Verdict.UNRESOLVED, G3, landmarks=W,
                     witness=((1, 1, 2), (1, 1, 2)))

@@ -245,6 +245,12 @@ def test_parallel_workers_are_capped_by_tasks(monkeypatch):
     cert = exists_resolving_of_size(G3, 5, SearchOptions(workers=1000))
     assert sizes == [23]  # first picks 1..23 leave four more among 27
     assert cert.candidates_examined == 1040
+    # a pick that trips its own budget trips the search's, where the
+    # serial walk does
+    with pytest.raises(BudgetExceeded) as info:
+        exists_resolving_of_size(G3, 5, SearchOptions(workers=1000, max_candidates=5))
+    assert (info.value.bound, info.value.candidates_examined) == ("max_candidates", 5)
+    assert sizes == [23, 23]
 
 
 STRESS = textwrap.dedent("""
