@@ -23,8 +23,8 @@ mask of such picks.  A node visits only the set bits of its index span
 AND its three codes' masks, and counts the skipped picks as pruned
 before each visit and at the end, as a pick by pick loop would, hit or
 not.  Without pruning every mask is all ones.  The 4x4x4 size-7 search
-makes about 145,000 lookups on 113 keys.  The memos live for one call
-and nothing is cached across calls.
+makes 76,020 lookups on 113 keys.  The memos live for one call and
+nothing is cached across calls.
 
 Candidates are checked without a pass over the vertices.  Non-landmarks
 whose landmark signatures coincide form collision classes, kept as
@@ -49,11 +49,30 @@ A node with two picks left is first checked whole, its classes largest
 first, as they clear the fewest final picks.  A class of more than six
 members kills the node: two picks split it into at most four parts and
 take at most two of its members.  Otherwise the node lives if some pick
-leaves a nonzero ``good``, and is walked like any other node.  A dead
-node's leaf and pruned counts depend only on its state (its start, its
-end and the three codes), so they are computed once per state and the
-leaves counted in one step.  The 4x4x4 size-7 search settles 26,730
-dead nodes from 3,325 states; at n = 3 and 4, only a hit's node lives.
+leaves a nonzero ``good``, and is walked like any other node.  A node
+with no hit has leaf and pruned counts that depend only on its state
+(its start, the picks left and the three codes), so a counter with a
+memo keyed by state counts such a node in one step; every dead node is
+counted so.
+
+Symmetry decides whole subtrees without walking them.  The automorphisms
+that fix ``fixed`` split the vertices into orbits: with (1, 1, 1) fixed,
+by the number of coordinates a vertex shares with it, and with nothing
+fixed, into one orbit.  The picks in the orbit of a first pick before q
+are spent for q.  A spent first pick's subtree is counted in one step,
+and under any other first pick q, a child whose pick is spent for q is
+counted, not walked; with two picks left, a node lives only by a pick
+that is not spent.  This is sound: if a set S under q held a spent pick
+g(p), with p an earlier first pick and g an automorphism fixing
+``fixed``, then g^-1(S) would be a resolving set holding ``fixed`` and
+p, so under a first pick no later than p.  The result of q is used only
+when no earlier pick hit, so none did, and S cannot resolve.  The counts
+are those the walk would make, so the first hit, the candidate counts,
+progress and budget errors are exact, and forked workers need no
+coordination.  The 4x4x4 size-7 search walks 3 of its 58 first picks,
+makes 2,835 counts (2,660 dead nodes and 175 spent subtrees) and keeps
+5,747 states in the counter's memo; unpruned, it counts all C(63, 6)
+candidates and keeps 149,165.
 
 A search is one loop over the first free picks, whatever the worker
 count.  The tables and memos are built once per search, into a
@@ -70,9 +89,11 @@ Budgets are explicit and trip a BudgetExceeded error rather than
 silently truncating.  The wall-time budget is one absolute deadline,
 shared by parallel workers.  The clock is read when each first free
 pick starts and at every count of leaves, before they are added: once
-per settled node, per node with one pick left, and per candidate when
-nothing is left to pick.  So a deadline already past trips at
-the first pick, with the same count at every worker count.
+per node counted in one step, per node with one pick left, and per
+candidate when nothing is left to pick.  So a deadline already past
+trips at the first pick, with the same count at every worker count, and
+a search overruns its deadline by at most one count's work: up to 6 ms
+in the pruned 4x4x4 size-7 search, up to 0.3 s in the unpruned one.
 Nonexistence certificates report the exact number of candidates
 examined.
 """
@@ -431,23 +452,47 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
                 return False
         return True
 
-    # settled[(lo, ends[2], k1, k2, k3)]: (pruned, leaves) of a dead node
-    # with two picks left, keyed by its state
-    settled: dict[tuple, tuple[int, int]] = {}
-
-    def settle(lo: int, k1: int, k2: int, k3: int, todo: int) -> tuple[int, int]:
-        """The pruned and leaf counts of a dead node, as the per-pick loop
-        with ``last`` would count them."""
+    def tally(key: tuple) -> tuple[int, int]:
+        """The pruned and leaf counts of a node with two or more picks
+        left, as rec counts them when it holds no hit."""
+        lo, t, k1, k2, k3 = key
+        kt = keep[t - 1]
+        todo = kt[k1] & kt[k2] & kt[k3] & ((1 << ends[t]) - (1 << lo))
         pruned = leaves = 0
         while todo:
             idx = (todo & -todo).bit_length() - 1
             todo &= todo - 1
             pruned += idx - lo
             lo = idx + 1
-            under = leaf_mask(lo, k1 + s1[idx], k2 + s2[idx], k3 + s3[idx]).bit_count()
-            pruned += ends[1] - lo - under
-            leaves += under
-        return pruned + ends[2] - lo, leaves
+            if t == 2:  # one pick left: last's count, kept out of the memo
+                under = leaf_mask(lo, k1 + s1[idx], k2 + s2[idx], k3 + s3[idx]).bit_count()
+                pruned += ends[1] - lo - under
+                leaves += under
+            else:
+                under = counts[lo, t - 1, k1 + s1[idx], k2 + s2[idx], k3 + s3[idx]]
+                pruned += under[0]
+                leaves += under[1]
+        return pruned + ends[t] - lo, leaves
+
+    # counts[lo, t, k1, k2, k3]: tally's counts by state; t = top only at
+    # a first pick, whose lo fixes the end
+    counts = _Memo(tally)
+
+    def counted(lo: int, t: int, k1: int, k2: int, k3: int) -> None:
+        """Count a node with no hit in one step."""
+        pruned, leaves = counts[lo, t, k1, k2, k3]
+        budget.pruned += pruned
+        budget.count(leaves)
+
+    # spent[q]: the vertices in the orbit of a first pick before q, under
+    # the automorphisms that fix ``fixed``; no set holding one has a hit
+    # under q (see the module docstring)
+    label = _orbit_labels(verts, fixed)
+    spent = [0] * total
+    picks = range(len(fixed), ends[top]) if top else range(1)
+    for p in picks[:-1]:
+        spent[p + 1] = spent[p] | sum(1 << v for v, c in enumerate(label) if c == label[p])
+    gone = 0  # spent[pick] of the first pick being walked
 
     def rec(lo: int, t: int, k1: int, k2: int, k3: int, classes: list[int]) -> list | None:
         if not t:
@@ -457,19 +502,17 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
             return last(lo, k1, k2, k3, cleared(classes, everyone, 0))  # kept whole
         kt = keep[t - 1]
         todo = kt[k1] & kt[k2] & kt[k3] & ((1 << ends[t]) - (1 << lo))
-        if t == 2 and dead(todo, classes):
-            key = (lo, ends[2], k1, k2, k3)
-            entry = settled.get(key)
-            if entry is None:
-                entry = settled[key] = settle(lo, k1, k2, k3, todo)
-            budget.pruned += entry[0]
-            budget.count(entry[1])
+        if t == 2 and dead(todo & ~gone, classes):
+            counted(lo, 2, k1, k2, k3)
             return None
         while todo:
             idx = (todo & -todo).bit_length() - 1
             todo &= todo - 1
             budget.pruned += idx - lo  # the picks skipped since the last visit
             lo = idx + 1
+            if t > 2 and gone >> idx & 1:  # with one left, last decides them at once
+                counted(lo, t - 1, k1 + s1[idx], k2 + s2[idx], k3 + s3[idx])
+                continue
             chosen.append(idx)
             hit = rec(lo, t - 1, k1 + s1[idx], k2 + s2[idx], k3 + s3[idx], refine(classes, idx))
             if hit:
@@ -479,21 +522,39 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
         return None
 
     def walk(pick: int, on: _Budget) -> list | None:
-        nonlocal budget
+        nonlocal budget, gone
         budget = on
         budget._check_clock()  # a deadline passed before any leaf trips here
         del chosen[len(fixed):]  # a hit leaves its picks behind
         ends[top] = pick + 1
+        gone = spent[pick]
         return rec(pick, top, *codes, classes)
 
     try:
-        yield range(len(fixed), ends[top]) if top else range(1), walk
+        yield picks, walk
     finally:
         # rec reaches itself through its closure, so this frame is freed
         # only by a cyclic collection; drop the memos now instead
         keep.clear()
         finals.clear()
-        settled.clear()
+        counts.clear()
+
+
+def _orbit_labels(verts: list, fixed: tuple) -> list[int]:
+    """Each vertex's orbit under the automorphisms that fix ``fixed``,
+    none or one vertex, as a label.
+
+    Symbol permutations within a coordinate and, on a diagonal graph,
+    permutations of the coordinates are automorphisms.  Those fixing one
+    vertex move any other onto any vertex sharing as many coordinates
+    with it, so that number is the label; with nothing fixed, the symbol
+    permutations alone move any vertex onto any other, and every label
+    is 0.
+    """
+    if not fixed:
+        return [0] * len(verts)
+    f = verts[fixed[0]]
+    return [sum(a == b for a, b in zip(x, f)) for x in verts]
 
 
 def _worker(walk, budget: _Budget, todo, conn):

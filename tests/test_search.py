@@ -34,7 +34,7 @@ from hammingdim import (
     metric_dimension,
 )
 from hammingdim.landmark import matching_triples
-from hammingdim.search import _Budget, _color_feasible, _shuffle, _walker
+from hammingdim.search import _Budget, _color_feasible, _orbit_labels, _shuffle, _walker
 
 G3 = hamming_graph(3, 3, 3)
 G4 = hamming_graph(4, 4, 4)
@@ -161,7 +161,7 @@ def test_wall_time_budget():
 
 def test_wall_time_read_inside_a_pick(monkeypatch):
     # the clock passes the deadline once the first count of leaves, the
-    # C(24, 2) = 276 of the first settled node, is added; the next count
+    # C(24, 2) = 276 of the first dead node, is added; the next count
     # reads it before adding its own leaves, at every worker count
     now = [0.0]
     count = _Budget.count
@@ -202,9 +202,10 @@ def test_wall_time_read_when_each_pick_starts(monkeypatch):
 
 
 def test_wall_time_budget_is_one_deadline_across_workers():
+    # the unpruned size-7 search, all C(63, 6) candidates, takes seconds
     t0 = time.monotonic()
     with pytest.raises(BudgetExceeded) as exc:
-        exists_resolving_of_size(G4, 7, SearchOptions(workers=2, max_seconds=0.1))
+        exists_resolving_of_size(G4, 7, SearchOptions(prune=False, workers=2, max_seconds=0.1))
     assert exc.value.bound == "max_seconds"
     assert time.monotonic() - t0 < 1.5
 
@@ -390,10 +391,28 @@ def test_pruned_walk_progress_n4s8(workers):
                                   (2, 2, 3), (3, 3, 2), (3, 4, 4), (4, 3, 4))
 
 
+# (candidates, pruned) of every progress report, taken before symmetry
+# decided subtrees: n = 3 in every prune and normalize mode, n = 4 pruned
+PROGRESS_PINS = json.loads((pathlib.Path(__file__).parent / "progress_pins.json").read_text())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(PROGRESS_PINS))
+def test_progress_pinned(name, workers):
+    n, s = int(name[1]), int(name[3])
+    mode = name.split("-")
+    reports = []
+    exists_resolving_of_size(hamming_graph(n, n, n), s, SearchOptions(
+        prune=mode[1] == "pruned", normalize=mode[2] == "normalized", workers=workers,
+        progress=reports.append))
+    assert [[p.candidates_examined, p.pruned_subtrees] for p in reports] == PROGRESS_PINS[name]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_candidate_budget_inside_a_settled_node(workers):
-    # leaf 200,001 of the size-7 search falls in a node with two picks
-    # left and no hit, whose runs are counted at once: it trips there
+    # leaf 200,001 of the size-7 search falls under the twelfth first
+    # pick, whose orbit is spent and whose subtree is counted at once:
+    # it trips there
     with pytest.raises(BudgetExceeded) as exc:
         exists_resolving_of_size(G4, 7, SearchOptions(max_candidates=200_000, workers=workers))
     assert (exc.value.bound, exc.value.candidates_examined, str(exc.value)) == (
@@ -401,9 +420,9 @@ def test_candidate_budget_inside_a_settled_node(workers):
 
 
 def test_wall_time_read_at_every_count(monkeypatch):
-    # every node with two picks left in the serial size-7 search is
-    # settled and makes one count; a clock that passes the deadline after
-    # the k-th count trips at count k + 1, with the leaves of the first k
+    # the serial size-7 search makes 2,835 counts, each of a dead node or
+    # a spent subtree; a clock that passes the deadline after the k-th
+    # count trips at count k + 1, with the leaves of the first k
     now = [0.0]
     monkeypatch.setattr(hammingdim.search.time, "monotonic", lambda: now[0])
     count = _Budget.count
@@ -416,7 +435,7 @@ def test_wall_time_read_at_every_count(monkeypatch):
             now[0] = 2.0
 
     monkeypatch.setattr(_Budget, "count", counted)
-    for k in (1, 700, 20_000):
+    for k in (1, 700, 2_000):
         now[0] = 0.0
         seen.clear()
         with pytest.raises(BudgetExceeded) as exc:
@@ -440,11 +459,63 @@ def closure_values(fn) -> dict:
 
 
 def test_walker_memos_dropped_on_exit():
+    # every dict the walk reaches is a memo, and so is the keep list
     with _walker(G4, 7, (0,), True) as (picks, walk):
         walk(picks[0], _Budget(None, None))
-        memos = {name: closure_values(walk)[name] for name in ("keep", "finals", "settled")}
-        assert all(memos.values())
-    assert not any(memos.values())
+        values = closure_values(walk)
+        memos = [v for v in values.values() if isinstance(v, dict)] + [values["keep"]]
+        assert len(memos) == 3 and all(memos)  # finals, counts and keep
+    assert not any(memos)
+
+
+def adjacent(g, u, v) -> bool:
+    return sum(a != b for a, b in zip(u, v)) in g.k
+
+
+def value_swaps(n, low):
+    """Swaps of two values from low..n within one coordinate."""
+    for i in range(3):
+        for a, b in itertools.combinations(range(low, n + 1), 2):
+            yield lambda x, i=i, a=a, b=b: tuple(
+                {a: b, b: a}.get(c, c) if j == i else c for j, c in enumerate(x))
+
+
+def coordinate_swaps():
+    for i, j in itertools.combinations(range(3), 2):
+        yield lambda x, i=i, j=j: tuple(x[{i: j, j: i}.get(m, m)] for m in range(3))
+
+
+def closure(start, gens) -> set:
+    """Every vertex the generators reach from start."""
+    seen, todo = {start}, [start]
+    while todo:
+        x = todo.pop()
+        for y in (gen(x) for gen in gens):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_orbit_labels_are_orbits(n):
+    """With (1, 1, 1) fixed, the labels are the orbits of its stabiliser;
+    with nothing fixed, one orbit holds every vertex."""
+    g = hamming_graph(n, n, n)
+    verts = list(g.vertices())
+    label = dict(zip(verts, _orbit_labels(verts, (0,))))
+    gens = list(value_swaps(n, 2)) + list(coordinate_swaps())
+    for gen in gens:
+        assert gen((1, 1, 1)) == (1, 1, 1)
+        assert all(label[gen(x)] == label[x] for x in verts)
+        assert all(adjacent(g, gen(u), gen(v)) == adjacent(g, u, v)
+                   for u, v in itertools.combinations(verts, 2))
+    for seed in ((1, 1, 2), (1, 2, 2), (2, 2, 2)):
+        assert closure(seed, gens) == {x for x in verts if label[x] == label[seed]}
+    assert sorted(set(label.values())) == [0, 1, 2, 3]
+    # value swaps alone move (1, 1, 1) onto every vertex
+    assert closure((1, 1, 1), list(value_swaps(n, 1))) == set(verts)
+    assert set(_orbit_labels(verts, ())) == {0}
 
 
 def test_search_domain_errors():
