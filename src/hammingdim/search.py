@@ -55,24 +55,43 @@ with no hit has leaf and pruned counts that depend only on its state
 memo keyed by state counts such a node in one step; every dead node is
 counted so.
 
-Symmetry decides whole subtrees without walking them.  The automorphisms
-that fix ``fixed`` split the vertices into orbits: with (1, 1, 1) fixed,
-by the number of coordinates a vertex shares with it, and with nothing
-fixed, into one orbit.  The picks in the orbit of a first pick before q
-are spent for q.  A spent first pick's subtree is counted in one step,
-and under any other first pick q, a child whose pick is spent for q is
-counted, not walked; with two picks left, a node lives only by a pick
-that is not spent.  This is sound: if a set S under q held a spent pick
-g(p), with p an earlier first pick and g an automorphism fixing
-``fixed``, then g^-1(S) would be a resolving set holding ``fixed`` and
-p, so under a first pick no later than p.  The result of q is used only
-when no earlier pick hit, so none did, and S cannot resolve.  The counts
-are those the walk would make, so the first hit, the candidate counts,
-progress and budget errors are exact, and forked workers need no
-coordination.  The 4x4x4 size-7 search walks 3 of its 58 first picks,
-makes 2,835 counts (2,660 dead nodes and 175 spent subtrees) and keeps
-5,747 states in the counter's memo; unpruned, it counts all C(63, 6)
-candidates and keeps 149,165.
+Symmetry decides whole subtrees without walking them.  Symbol
+permutations within a coordinate and permutations of the coordinates are
+automorphisms.  At a node with three or more picks left, let P be
+``fixed`` and the picks so far.  The automorphisms fixing every vertex
+of P split the other vertices into orbits, and a pick y is spent for the
+node's pick r when its orbit holds a vertex x outside P with x < r, that
+is, when the orbit's least member is below r.  Under r, at every level,
+a child whose pick is spent is counted in one step, not walked; with two
+picks left, a node lives only by a pick that is not spent.  This is
+sound: if a set S under r held a spent y = g(x), with g fixing P, then
+g^-1(S) would hold P and x, so it would come before every set under r in
+lexicographic order (x < r, and no set under r holds x), and it would
+resolve if S did.  The result under r is used only when no earlier set
+resolves, so S cannot resolve.  The counts are those the walk would
+make, so the first hit, the candidate counts, progress and budget errors
+are exact, and forked workers need no coordination.  The first pick is
+the root's case: with (1, 1, 1) fixed, the root's orbits group the
+vertices by the number of coordinates they share with it, and with
+nothing fixed there is one orbit.
+
+No group is enumerated.  An automorphism fixing P moves coordinate pi(i)
+to i, for a permutation pi, and maps p[pi(i)] to p[i] there for each p
+in P, so pi is possible only when each of those maps is well defined
+(around each cycle of pi, they are then one-to-one).  Under such a pi, a
+vertex y goes to the vertices whose coordinate i is the image of
+y[pi(i)] when P uses that value, and any value P leaves unused
+otherwise.  A vertex's label is the least of its images over the
+possible pi, each unused value read as the least one; two vertices share
+an orbit exactly when they share a label.  A node with only pi = id
+possible and at most one unused value per coordinate has orbits of one
+vertex, and so do its descendants: they skip this work.  Orbits are kept
+per prefix, so the first picks share the root's.  The 4x4x4 size-7
+search walks 317 nodes under 3 of its 58 first picks, makes 527 counts
+(191 dead nodes and 336 spent subtrees), and keeps 5,813 states in the
+counter's memo and the orbits of 69 prefixes; the size-8 search walks
+161 nodes and makes 275 counts before its hit.  Unpruned, size 7 counts
+all C(63, 6) candidates in 6,306 counts and keeps 150,232 states.
 
 A search is one loop over the first free picks, whatever the worker
 count.  The tables and memos are built once per search, into a
@@ -87,13 +106,15 @@ pick, and the last report holds the totals.
 
 Budgets are explicit and trip a BudgetExceeded error rather than
 silently truncating.  The wall-time budget is one absolute deadline,
-shared by parallel workers.  The clock is read when each first free
-pick starts and at every count of leaves, before they are added: once
-per node counted in one step, per node with one pick left, and per
-candidate when nothing is left to pick.  So a deadline already past
-trips at the first pick, with the same count at every worker count, and
-a search overruns its deadline by at most one count's work: up to 6 ms
-in the pruned 4x4x4 size-7 search, up to 0.3 s in the unpruned one.
+shared by parallel workers.  The clock is read when each first free pick
+starts, at every count of leaves, before they are added (once per node
+counted in one step, per node with one pick left, and per candidate when
+nothing is left to pick), and whenever the counter works out a state not
+yet in its memo.  So a deadline already past trips at the first pick,
+with the same count at every worker count; a trip adds none of the
+leaves of the count it interrupts; and a search overruns its deadline by
+at most the work between two reads: up to about 4 ms in the pruned 4x4x4
+size-7 search and 7 ms in the unpruned one, on a 2-core Xeon VM.
 Nonexistence certificates report the exact number of candidates
 examined.
 """
@@ -132,10 +153,10 @@ class SearchOptions:
 
     ``max_candidates`` bounds the number of complete candidate subsets
     whose resolving check runs; ``max_seconds`` bounds wall time, and
-    the clock is read when each first free pick starts and before each
-    count of leaves.  A candidate budget or worker count that is not an
-    integer, or a time budget that is negative or not finite, is
-    refused; so is a bool.  With
+    the clock is read when each first free pick starts, before each
+    count of leaves and whenever a new state is counted.  A candidate
+    budget or worker count that is not an integer, or a time budget that
+    is negative or not finite, is refused; so is a bool.  With
     ``workers`` > 1 the subtree under each first free pick is walked in
     a worker process; verdicts, counts and budget errors do not depend
     on the split.  ``progress`` gets one report per first free pick, in
@@ -455,6 +476,7 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
     def tally(key: tuple) -> tuple[int, int]:
         """The pruned and leaf counts of a node with two or more picks
         left, as rec counts them when it holds no hit."""
+        budget._check_clock()  # a state not yet counted: its work may be long
         lo, t, k1, k2, k3 = key
         kt = keep[t - 1]
         todo = kt[k1] & kt[k2] & kt[k3] & ((1 << ends[t]) - (1 << lo))
@@ -484,17 +506,49 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
         budget.pruned += pruned
         budget.count(leaves)
 
-    # spent[q]: the vertices in the orbit of a first pick before q, under
-    # the automorphisms that fix ``fixed``; no set holding one has a hit
-    # under q (see the module docstring)
-    label = _orbit_labels(verts, fixed)
-    spent = [0] * total
-    picks = range(len(fixed), ends[top]) if top else range(1)
-    for p in picks[:-1]:
-        spent[p + 1] = spent[p] | sum(1 << v for v, c in enumerate(label) if c == label[p])
-    gone = 0  # spent[pick] of the first pick being walked
+    # digits[v]: v's symbols from 0; weights: their place values in v
+    digits = [tuple(a - 1 for a in x) for x in verts]
+    weights = (n * n, n, 1)
 
-    def rec(lo: int, t: int, k1: int, k2: int, k3: int, classes: list[int]) -> list | None:
+    def orbits(prefix: tuple) -> list[tuple[int, int]]:
+        """(least member, mask) of each orbit of two or more vertices under
+        the automorphisms that fix every vertex of ``prefix``, by least
+        member; empty when every orbit is a single vertex."""
+        pts = [digits[i] for i in prefix]
+        used = [{p[i] for p in pts} for i in range(3)]
+        unused = [min(set(range(n)) - u, default=0) for u in used]
+        images = []
+        for pi in itertools.permutations(range(3)):
+            tables = []
+            # p[j] -> p[i] over the prefix must be a function for each i and
+            # j = pi[i]; then the members sharing coordinate j share i, and
+            # around each cycle of pi the reverse holds too: it is one-to-one
+            for i, j in enumerate(pi):
+                to = {}
+                if any(to.setdefault(p[j], p[i]) != p[i] for p in pts):
+                    break
+                tables.append([weights[i] * to.get(a, unused[i]) for a in range(n)])
+            else:
+                images.append((pi, tables))
+        if len(images) == 1 and all(len(u) >= n - 1 for u in used):
+            return []  # each vertex is the one vertex of its pattern
+        # a vertex's label: its least image, each unused value read as the
+        # least one
+        labels = [[a[v[i]] + b[v[j]] + c[v[k]] for v in digits]
+                  for (i, j, k), (a, b, c) in images]
+        members = {}
+        for v, label in enumerate(map(min, *labels) if len(labels) > 1 else labels[0]):
+            members[label] = members.get(label, 0) | 1 << v
+        return sorted(((m & -m).bit_length() - 1, m) for m in members.values() if m & (m - 1))
+
+    # orbit[prefix]: orbits(prefix); the root's is looked up once per
+    # first pick, any other prefix's once
+    orbit = _Memo(orbits)
+
+    def rec(lo: int, t: int, k1: int, k2: int, k3: int, classes: list[int], gone: int,
+            sym: bool) -> list | None:
+        # gone: the picks spent here (see the module docstring); sym: whether
+        # any orbit above held two vertices
         if not t:
             budget.count(1)
             return None if classes else [verts[i] for i in chosen]
@@ -502,33 +556,43 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
             return last(lo, k1, k2, k3, cleared(classes, everyone, 0))  # kept whole
         kt = keep[t - 1]
         todo = kt[k1] & kt[k2] & kt[k3] & ((1 << ends[t]) - (1 << lo))
-        if t == 2 and dead(todo & ~gone, classes):
-            counted(lo, 2, k1, k2, k3)
-            return None
+        if t == 2:
+            if dead(todo & ~gone, classes):
+                counted(lo, 2, k1, k2, k3)
+                return None
+            orbs = ()
+        else:
+            orbs = orbit[tuple(chosen)] if sym else ()
+        j = 0
         while todo:
             idx = (todo & -todo).bit_length() - 1
             todo &= todo - 1
             budget.pruned += idx - lo  # the picks skipped since the last visit
             lo = idx + 1
+            while j < len(orbs) and orbs[j][0] < idx:  # spent for idx from here on
+                gone |= orbs[j][1]
+                j += 1
             if t > 2 and gone >> idx & 1:  # with one left, last decides them at once
                 counted(lo, t - 1, k1 + s1[idx], k2 + s2[idx], k3 + s3[idx])
                 continue
             chosen.append(idx)
-            hit = rec(lo, t - 1, k1 + s1[idx], k2 + s2[idx], k3 + s3[idx], refine(classes, idx))
+            hit = rec(lo, t - 1, k1 + s1[idx], k2 + s2[idx], k3 + s3[idx], refine(classes, idx),
+                      gone, bool(orbs))
             if hit:
                 return hit
             chosen.pop()
         budget.pruned += ends[t] - lo
         return None
 
+    picks = range(len(fixed), ends[top]) if top else range(1)
+
     def walk(pick: int, on: _Budget) -> list | None:
-        nonlocal budget, gone
+        nonlocal budget
         budget = on
         budget._check_clock()  # a deadline passed before any leaf trips here
         del chosen[len(fixed):]  # a hit leaves its picks behind
         ends[top] = pick + 1
-        gone = spent[pick]
-        return rec(pick, top, *codes, classes)
+        return rec(pick, top, *codes, classes, 0, True)
 
     try:
         yield picks, walk
@@ -538,23 +602,7 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
         keep.clear()
         finals.clear()
         counts.clear()
-
-
-def _orbit_labels(verts: list, fixed: tuple) -> list[int]:
-    """Each vertex's orbit under the automorphisms that fix ``fixed``,
-    none or one vertex, as a label.
-
-    Symbol permutations within a coordinate and, on a diagonal graph,
-    permutations of the coordinates are automorphisms.  Those fixing one
-    vertex move any other onto any vertex sharing as many coordinates
-    with it, so that number is the label; with nothing fixed, the symbol
-    permutations alone move any vertex onto any other, and every label
-    is 0.
-    """
-    if not fixed:
-        return [0] * len(verts)
-    f = verts[fixed[0]]
-    return [sum(a == b for a, b in zip(x, f)) for x in verts]
+        orbit.clear()
 
 
 def _worker(walk, budget: _Budget, todo, conn):

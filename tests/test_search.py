@@ -14,6 +14,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import traceback
 
 import pytest
 
@@ -34,7 +35,7 @@ from hammingdim import (
     metric_dimension,
 )
 from hammingdim.landmark import matching_triples
-from hammingdim.search import _Budget, _color_feasible, _orbit_labels, _shuffle, _walker
+from hammingdim.search import _Budget, _color_feasible, _shuffle, _walker
 
 G3 = hamming_graph(3, 3, 3)
 G4 = hamming_graph(4, 4, 4)
@@ -419,30 +420,102 @@ def test_candidate_budget_inside_a_settled_node(workers):
         "max_candidates", 200_000, "candidate budget of 200000 exceeded")
 
 
+# (size, budget): leaf budget + 1 of the serial search falls in a subtree
+# counted at once because its pick is spent at the second pick (58,870 and
+# 45,000) or the third (47,950 and 26,500); recorded before orbits were
+# taken below the first pick, with the reports made before the trip
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("s, k, reports", [
+    (7, 58_870, 4), (7, 47_950, 4), (8, 45_000, 0), (8, 26_500, 0)])
+def test_candidate_budget_inside_a_deeper_spent_subtree(s, k, reports, workers):
+    seen = []
+    with pytest.raises(BudgetExceeded) as exc:
+        exists_resolving_of_size(G4, s, SearchOptions(
+            max_candidates=k, workers=workers, progress=seen.append))
+    assert (exc.value.bound, exc.value.candidates_examined, str(exc.value)) == (
+        "max_candidates", k, f"candidate budget of {k} exceeded")
+    assert [(p.candidates_examined, p.pruned_subtrees) for p in seen] == N4S7_PROGRESS[:reports]
+
+
 def test_wall_time_read_at_every_count(monkeypatch):
-    # the serial size-7 search makes 2,835 counts, each of a dead node or
-    # a spent subtree; a clock that passes the deadline after the k-th
-    # count trips at count k + 1, with the leaves of the first k
+    # the serial size-7 search makes 527 counts, each of a dead node or a
+    # spent subtree; the clock is read before each count adds its leaves
+    # and whenever the counter works out a new state.  A clock that passes
+    # the deadline after the k-th count trips at the next read, with the
+    # leaves of the first k: in count k + 1 (k = 200, 500), in a state
+    # worked out for it (k = 1) or when the next first pick starts (k = 137)
     now = [0.0]
     monkeypatch.setattr(hammingdim.search.time, "monotonic", lambda: now[0])
-    count = _Budget.count
-    seen = []
+    count, check = _Budget.count, _Budget._check_clock
+    seen, reads = [], []  # reads: the caller of each clock read
 
     def counted(budget, leaves):
         seen.append(leaves)
         count(budget, leaves)
+        reads.append("added")
         if len(seen) == k:
             now[0] = 2.0
+            reads.clear()
+
+    def read(budget):
+        reads.append(sys._getframe(1).f_code.co_name)
+        check(budget)
 
     monkeypatch.setattr(_Budget, "count", counted)
-    for k in (1, 700, 2_000):
+    monkeypatch.setattr(_Budget, "_check_clock", read)
+    for k, made, at in ((1, 1, "tally"), (137, 137, "walk"), (200, 201, "count"),
+                        (500, 501, "count")):
         now[0] = 0.0
         seen.clear()
         with pytest.raises(BudgetExceeded) as exc:
             exists_resolving_of_size(G4, 7, SearchOptions(max_seconds=1.0))
         assert exc.value.bound == "max_seconds"
-        assert len(seen) == k + 1
+        assert reads == [at]  # the first read after count k tripped
+        assert len(seen) == made
         assert exc.value.candidates_examined == sum(seen[:k])
+    # every count reads the clock itself just before it adds its leaves
+    now[0] = 0.0
+    seen.clear()
+    reads.clear()
+    k = None
+    exists_resolving_of_size(G4, 7, SearchOptions(max_seconds=1.0))
+    assert len(seen) == reads.count("added") == 527
+    assert all(reads[i - 1] == "count" for i, e in enumerate(reads) if e == "added")
+
+
+def test_wall_time_read_inside_a_counted_subtree(monkeypatch):
+    # the clock passes the deadline just as the counter starts on its j-th
+    # state; its next read, on a state nested inside the same count, trips
+    # before that count adds any of its leaves
+    now = [0.0]
+    monkeypatch.setattr(hammingdim.search.time, "monotonic", lambda: now[0])
+    count, check = _Budget.count, _Budget._check_clock
+    seen, states = [], []
+
+    def counted(budget, leaves):
+        seen.append(leaves)
+        count(budget, leaves)
+
+    def read(budget):
+        if sys._getframe(1).f_code.co_name == "tally":
+            states.append(None)
+        check(budget)
+        if len(states) == j:
+            now[0] = 2.0
+
+    monkeypatch.setattr(_Budget, "count", counted)
+    monkeypatch.setattr(_Budget, "_check_clock", read)
+    for j in (50, 100, 200):
+        now[0] = 0.0
+        seen.clear()
+        states.clear()
+        with pytest.raises(BudgetExceeded) as exc:
+            exists_resolving_of_size(G3, 5, SearchOptions(prune=False, max_seconds=1.0))
+        frames = [f.name for f in traceback.extract_tb(exc.value.__traceback__)]
+        assert frames[frames.index("read") - 1] == "tally" and frames.count("tally") >= 2
+        assert len(states) == j + 1
+        assert exc.value.bound == "max_seconds"
+        assert exc.value.candidates_examined == sum(seen)
 
 
 def closure_values(fn) -> dict:
@@ -464,7 +537,8 @@ def test_walker_memos_dropped_on_exit():
         walk(picks[0], _Budget(None, None))
         values = closure_values(walk)
         memos = [v for v in values.values() if isinstance(v, dict)] + [values["keep"]]
-        assert len(memos) == 3 and all(memos)  # finals, counts and keep
+        assert len(memos) == 4 and all(memos)  # finals, counts, orbit and keep
+        assert values["orbit"] in memos
     assert not any(memos)
 
 
@@ -472,50 +546,61 @@ def adjacent(g, u, v) -> bool:
     return sum(a != b for a, b in zip(u, v)) in g.k
 
 
-def value_swaps(n, low):
-    """Swaps of two values from low..n within one coordinate."""
-    for i in range(3):
-        for a, b in itertools.combinations(range(low, n + 1), 2):
-            yield lambda x, i=i, a=a, b=b: tuple(
-                {a: b, b: a}.get(c, c) if j == i else c for j, c in enumerate(x))
+def automorphisms(n, low):
+    """Each coordinate permutation and symbol permutations fixing the
+    values below low, as the tuple of vertex indices each vertex goes to:
+    coordinate i of the image is f[i] of coordinate pi[i]."""
+    verts = list(hamming_graph(n, n, n).vertices())
+    index = {x: v for v, x in enumerate(verts)}
+    fixes = tuple(range(1, low))
+    symbols = [fixes + p for p in itertools.permutations(range(low, n + 1))]
+    for pi in itertools.permutations(range(3)):
+        for f in itertools.product(symbols, repeat=3):
+            yield tuple(index[tuple(f[i][x[pi[i]] - 1] for i in range(3))] for x in verts)
 
 
-def coordinate_swaps():
-    for i, j in itertools.combinations(range(3), 2):
-        yield lambda x, i=i, j=j: tuple(x[{i: j, j: i}.get(m, m)] for m in range(3))
-
-
-def closure(start, gens) -> set:
-    """Every vertex the generators reach from start."""
-    seen, todo = {start}, [start]
-    while todo:
-        x = todo.pop()
-        for y in (gen(x) for gen in gens):
-            if y not in seen:
-                seen.add(y)
-                todo.append(y)
-    return seen
+def stabiliser_orbits(group, prefix) -> list:
+    """(least member, mask) of each orbit of two or more vertices under
+    the elements that fix every vertex of prefix, by least member."""
+    stab = [g for g in group if all(g[p] == p for p in prefix)]
+    masks = {sum(1 << w for w in {g[v] for g in stab}) for v in range(len(group[0]))}
+    return sorted(((m & -m).bit_length() - 1, m) for m in masks if m & (m - 1))
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_orbit_labels_are_orbits(n):
-    """With (1, 1, 1) fixed, the labels are the orbits of its stabiliser;
-    with nothing fixed, one orbit holds every vertex."""
+def test_prefix_orbits_are_stabiliser_orbits(n):
+    """The walker's orbits of each prefix are those of the automorphisms
+    fixing every vertex of it, found by brute force: over the whole group
+    at n = 3, over the stabiliser of (1, 1, 1) at n = 4, with prefixes
+    that hold it."""
     g = hamming_graph(n, n, n)
     verts = list(g.vertices())
-    label = dict(zip(verts, _orbit_labels(verts, (0,))))
-    gens = list(value_swaps(n, 2)) + list(coordinate_swaps())
-    for gen in gens:
-        assert gen((1, 1, 1)) == (1, 1, 1)
-        assert all(label[gen(x)] == label[x] for x in verts)
-        assert all(adjacent(g, gen(u), gen(v)) == adjacent(g, u, v)
-                   for u, v in itertools.combinations(verts, 2))
-    for seed in ((1, 1, 2), (1, 2, 2), (2, 2, 2)):
-        assert closure(seed, gens) == {x for x in verts if label[x] == label[seed]}
-    assert sorted(set(label.values())) == [0, 1, 2, 3]
-    # value swaps alone move (1, 1, 1) onto every vertex
-    assert closure((1, 1, 1), list(value_swaps(n, 1))) == set(verts)
-    assert set(_orbit_labels(verts, ())) == {0}
+    index = {x: v for v, x in enumerate(verts)}
+    group = list(automorphisms(n, 1 if n == 3 else 2))
+    assert len(group) == 6 * 6 ** 3
+    rng = random.Random(5)
+    for perm in rng.sample(group, 10):
+        assert all(adjacent(g, verts[perm[u]], verts[perm[v]]) == adjacent(g, verts[u], verts[v])
+                   for u, v in itertools.combinations(range(len(verts)), 2))
+    # two prefixes whose stabiliser permutes the coordinates
+    prefixes = [((1, 1, 1),), ((1, 1, 1), (2, 2, 2)), ((1, 1, 1), (1, 2, 2))]
+    if n == 3:
+        prefixes += [()] + list(itertools.combinations(verts, 2))
+        prefixes += [tuple(sorted(rng.sample(verts, size))) for size in (3, 4) for _ in range(100)]
+    else:
+        prefixes += [((1, 1, 1),) + tuple(sorted(rng.sample(verts[1:], size)))
+                     for size in (1, 2, 3) for _ in range(60)]
+    with _walker(g, 2 * n, (), True) as (picks, walk):
+        orbit = closure_values(walk)["orbit"]
+        for prefix in prefixes:
+            key = tuple(index[x] for x in prefix)
+            assert orbit[key] == stabiliser_orbits(group, key), prefix
+        # with nothing fixed, one orbit; with (1, 1, 1), one per number of
+        # coordinates shared with it
+        if n == 3:
+            assert orbit[()] == [(0, (1 << len(verts)) - 1)]
+        assert [verts[least] for least, _ in orbit[0,]] == [(1, 1, 2), (1, 2, 2), (2, 2, 2)]
+        assert len(orbit[index[1, 1, 1], index[2, 2, 2]]) > len(orbit[0,])
 
 
 def test_search_domain_errors():
