@@ -64,8 +64,8 @@ with tempfile.TemporaryDirectory() as td:
 code, out = cli("verify", "--graph", "3x3x3", "--in", "-", stdin="1 1 1\n")
 print(f"\nverifying a single landmark from stdin: exit {code}")
 
-code, out = cli("dimension", "--graph", "3x3x3", "--exhaustive")
-print(f"\n$ hammingdim dimension --graph 3x3x3 --exhaustive  (exit {code})")
+code, out = cli("dimension", "--graph", "3x3x3")
+print(f"\n$ hammingdim dimension --graph 3x3x3  (exit {code})")
 print(out.splitlines()[0], "...")
 
 code, out = cli("scan", "--graph", "4x4x4", "--in", "-",

@@ -19,7 +19,6 @@ import argparse
 import contextlib
 import functools
 import json
-import os
 import sys
 
 from .construct import FIXTURE_NAMES, fixture, metric_basis
@@ -34,9 +33,6 @@ EXIT_OK = 0
 EXIT_UNRESOLVED = 1
 EXIT_ERROR = 2
 EXIT_BUDGET = 3
-
-BUDGET_ENV = "HAMMINGDIM_BUDGET"
-DEFAULT_BUDGET = 2_000_000
 
 
 def _read_text(path: str) -> str:
@@ -93,19 +89,8 @@ def _progress(p) -> None:
 
 def _cmd_dimension(args: argparse.Namespace) -> int:
     g = GhgParams.parse(args.graph)
-    budget: int | None
-    if args.budget is not None:
-        budget = args.budget
-    elif args.exhaustive:
-        budget = None
-    else:
-        text = os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET))
-        try:
-            budget = _integer(text)
-        except ValueError:
-            raise ParseError(f"{BUDGET_ENV}={text!r} is not an integer") from None
     opts = SearchOptions(
-        max_candidates=budget,
+        max_candidates=args.budget,
         workers=args.workers,
         progress=_progress if args.verbose else None,
     )
@@ -213,11 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dimension", help="metric dimension with certificate")
     p.add_argument("--graph", required=True)
-    limit = p.add_mutually_exclusive_group()
-    limit.add_argument("--exhaustive", action="store_true",
-                       help="lift the candidate budget")
-    limit.add_argument("--budget", type=_number, default=None,
-                       help=f"candidate cap (default ${BUDGET_ENV} or {DEFAULT_BUDGET})")
+    p.add_argument("--budget", type=_number, default=None,
+                   help="candidate cap per size searched (default none)")
     p.add_argument("--workers", type=_number, default=1,
                    help="parallel subtree workers")
     p.add_argument("--verbose", action="store_true",

@@ -32,6 +32,11 @@ from .hamming import GhgParams
 from .landmark import extend_triple_looped, matching_triples
 from .resolving import LandmarkSet
 
+# The largest k construct_cubic builds.  Its lists grow with k, and
+# metric_basis(10**5) takes seconds and a few hundred MB, so a larger k
+# is refused before anything is built.
+CUBIC_K_LIMIT = 10**5
+
 
 @dataclass(frozen=True)
 class ColoredCubicGraph:
@@ -68,10 +73,13 @@ class ColoredCubicGraph:
 def construct_cubic(k: int) -> ColoredCubicGraph:
     """The order-2k properly colored cubic graph behind the constructions.
 
-    Supported for k = 4 and k >= 6.  k = 5 is refused: no order-10 cubic
-    graph admits a proper 3-edge-coloring free of forbidden 4-cycles,
-    6-cycles, and rainbow triangles.
+    Supported for k = 4 and 6 <= k <= CUBIC_K_LIMIT.  k = 5 is refused:
+    no order-10 cubic graph admits a proper 3-edge-coloring free of
+    forbidden 4-cycles, 6-cycles, and rainbow triangles.
     """
+    if k > CUBIC_K_LIMIT:
+        raise Unsupported(f"k={k}: cubic graphs are built up to k = {CUBIC_K_LIMIT}, "
+                          f"bases up to n = {CUBIC_K_LIMIT + 1}")
     if k == 5:
         raise Unsupported(
             "k=5: every proper 3-edge-coloring of an order-10 cubic graph "
@@ -167,7 +175,8 @@ def fixture(name: str) -> LandmarkSet:
 
 
 def metric_basis(n: int) -> LandmarkSet:
-    """A minimum resolving set of the n-diagonal graph, n >= 3.
+    """A minimum resolving set of the n-diagonal graph, n >= 3 (n - 1 is
+    refused above CUBIC_K_LIMIT).
 
     Sizes: 2n for n in {3, 4} (searches show 2n - 1 is impossible there),
     2n - 1 for n >= 5.
@@ -184,6 +193,7 @@ def metric_basis(n: int) -> LandmarkSet:
 
 
 __all__ = [
+    "CUBIC_K_LIMIT",
     "ColoredCubicGraph",
     "construct_cubic",
     "graph_to_landmarks",

@@ -96,13 +96,13 @@ all C(63, 6) candidates in 6,306 counts and keeps 150,232 states.
 A search is one loop over the first free picks, whatever the worker
 count.  The tables and memos are built once per search, into a
 ``walk(pick, budget)`` that walks the subtree under one first pick.
-Serially the loop walks each pick on the search's one budget.  With
-workers, forked processes run the same inherited walk on pick indices,
-each pick on a budget of its own, and the parent adds each pick's
-leaves, pruned subtrees and tripped bound to the search's budget in
-tree order.  So candidate counts, budget errors and progress do not
-depend on the worker count: progress is one report per first free
-pick, and the last report holds the totals.
+Serially the loop walks each pick on the search's one budget.  With w
+workers, forked processes run the same inherited walk, worker j on the
+fixed share of picks j, j + w, j + 2w, ..., each pick on a budget of its
+own, and the parent adds each pick's leaves, pruned subtrees and tripped
+bound to the search's budget in tree order.  So candidate counts, budget
+errors and progress do not depend on the worker count: progress is one
+report per first free pick, and the last report holds the totals.
 
 Budgets are explicit and trip a BudgetExceeded error rather than
 silently truncating.  The wall-time budget is one absolute deadline,
@@ -605,59 +605,46 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
         orbit.clear()
 
 
-def _worker(walk, budget: _Budget, todo, conn):
-    """Answer on conn for each pick taken off ``todo``, until the parent,
-    holding every result it needs, kills the worker."""
-    while True:
-        pick = todo.get()
-        conn.send((pick, budget.alone(walk, pick)))
+def _worker(walk, budget: _Budget, picks, conn):
+    """Answer on conn for each of ``picks`` in turn."""
+    for pick in picks:
+        conn.send(budget.alone(walk, pick))
 
 
 def _forked(walk, picks, budget: _Budget, workers: int) -> Iterator:
     """Each pick's ``walk`` result, from forked workers, its counts added
     to ``budget`` in pick order.
 
-    The workers inherit ``walk`` with its tables and memos, take picks
-    off one queue as they fall free, and each answers on a pipe of its
-    own.  The parent holds no lock a worker takes, so closing the
-    generator may kill the workers at any point; ``Pool.terminate`` can
-    hang joining its task thread when it kills a worker halfway through
-    sending a result.
+    The workers inherit ``walk`` with its tables and memos.  Worker w
+    walks the fixed share ``picks[w::workers]`` and answers on a pipe of
+    its own, so pick i is read from pipe i % workers.  No lock is shared,
+    so closing the generator may kill the workers at any point;
+    ``Pool.terminate`` can hang joining its task thread when it kills a
+    worker halfway through sending a result.
     """
-    # imported here: they load subprocess and friends, about 1 MB of RSS
+    # imported here: it loads subprocess and friends, about 1 MB of RSS
     # and 7 ms that serial callers never need
     import multiprocessing
-    from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
-    todo = ctx.SimpleQueue()
-    # at most n**3 = 64 small indices: they fit the pipe's buffer, so
-    # these puts return before any worker reads
-    for pick in picks:
-        todo.put(pick)
     conns, procs = [], []
     try:
-        for _ in range(workers):
+        for w in range(workers):
             conn, child = ctx.Pipe(duplex=False)
             conns.append(conn)
-            proc = ctx.Process(target=_worker, args=(walk, budget, todo, child), daemon=True)
+            proc = ctx.Process(target=_worker, args=(walk, budget, picks[w::workers], child),
+                               daemon=True)
             proc.start()
             child.close()
             procs.append(proc)
-        done = {}
-        for pick in picks:
-            while pick not in done:
-                for conn in wait(conns):
-                    j, result = conn.recv()
-                    done[j] = result
-            yield budget.add(*done.pop(pick))
+        for i in range(len(picks)):
+            yield budget.add(*conns[i % workers].recv())
     finally:
         for proc in procs:
             proc.kill()
             proc.join()
         for conn in conns:
             conn.close()
-        todo.close()
 
 
 def _diagonal_n(g: GhgParams) -> int:

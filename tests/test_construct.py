@@ -25,6 +25,7 @@ from hammingdim import (
     metric_basis,
     predict_resolving,
 )
+from hammingdim.construct import CUBIC_K_LIMIT
 
 # the order-8 Moebius ladder behind n=4: octagon with pink/blue
 # alternation and green antipodal rungs
@@ -89,6 +90,14 @@ def test_construct_unsupported():
         construct_cubic(5)
     with pytest.raises(Unsupported):
         construct_cubic(3)
+
+
+def test_construct_refuses_past_the_limit():
+    # refused before any list of length O(k) is built
+    with pytest.raises(Unsupported, match="up to k = 100000"):
+        construct_cubic(CUBIC_K_LIMIT + 1)
+    with pytest.raises(Unsupported, match="bases up to n = 100001"):
+        metric_basis(CUBIC_K_LIMIT + 2)
 
 
 @pytest.mark.parametrize("k", [4, 6, 7, 8, 9, 12, 21, 40, 64])

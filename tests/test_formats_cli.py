@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -335,10 +336,21 @@ def test_cli_construct_writes_grid_as_it_goes(tmp_path, capsys):
     assert out.stat().st_size == 5 * 10**6
     assert peak < out.stat().st_size
     assert out.read_text() == emit_pls(metric_basis(1000))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "09fccc00965828a3a5073f74400717a803a75fbee433ddcf69090a87afea6727")
+
+
+def test_cli_construct_refuses_a_huge_n(capsys):
+    # refused before a basis of O(n) lists is built, not killed for memory
+    t0 = time.monotonic()
+    assert main(["construct", "--n", "99999999999999999999"]) == 2
+    assert time.monotonic() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bases up to n = 100001" in captured.err
 
 
 def test_cli_dimension(capsys):
-    assert main(["dimension", "--graph", "3x3x3", "--exhaustive"]) == 0
+    assert main(["dimension", "--graph", "3x3x3"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "DIMENSION"
     assert doc["dimension"] == 6
@@ -362,34 +374,12 @@ def test_cli_dimension_verbose_parallel(capsys):
     assert runs[0].out == runs[1].out == runs[2].out
 
 
-def test_cli_dimension_budget(capsys, monkeypatch):
+def test_cli_dimension_budget(capsys):
     assert main(["dimension", "--graph", "3x3x3", "--budget", "50"]) == 3
     assert "budget" in capsys.readouterr().err
-    monkeypatch.setenv("HAMMINGDIM_BUDGET", "50")
-    assert main(["dimension", "--graph", "3x3x3"]) == 3
-    capsys.readouterr()
-    monkeypatch.setenv("HAMMINGDIM_BUDGET", "abc")
-    assert main(["dimension", "--graph", "3x3x3"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "HAMMINGDIM_BUDGET" in err
     # a negative budget is bad input, not an exhausted search
-    monkeypatch.setenv("HAMMINGDIM_BUDGET", "-1")
-    assert main(["dimension", "--graph", "3x3x3"]) == 2
-    assert "non-negative" in capsys.readouterr().err
-    monkeypatch.delenv("HAMMINGDIM_BUDGET")
     assert main(["dimension", "--graph", "3x3x3", "--budget", "-1"]) == 2
     assert "non-negative" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", [["--exhaustive", "--budget", "50"],
-                                  ["--budget", "50", "--exhaustive"]])
-def test_cli_dimension_exhaustive_excludes_budget(capsys, argv):
-    # a usage error, not a search cut at 50 candidates
-    with pytest.raises(SystemExit) as e:
-        main(["dimension", "--graph", "3x3x3", *argv])
-    assert e.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "not allowed with argument" in captured.err
 
 
 @pytest.mark.parametrize("value", ["1_0", "\u0661\u0660"], ids=["underscore", "arabic-indic"])
@@ -408,15 +398,6 @@ def test_cli_numbers_by_the_ascii_rule(capsys, argv, value):
     assert e.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"{value!r} is not an integer" in captured.err
-
-
-@pytest.mark.parametrize("value", ["1_0", "\u0661\u0660"], ids=["underscore", "arabic-indic"])
-def test_cli_budget_env_by_the_ascii_rule(capsys, monkeypatch, value):
-    monkeypatch.setenv("HAMMINGDIM_BUDGET", value)
-    assert main(["dimension", "--graph", "3x3x3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: HAMMINGDIM_BUDGET={value!r} is not an integer\n"
 
 
 def test_cli_parser_built_once(tmp_path, capsys):

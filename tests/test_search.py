@@ -5,6 +5,7 @@ pruning is off: fixing (1,1,1) leaves C(26,4) = 14,950 subsets at n=3
 s=5, and the full space has C(27,5) = 80,730.
 """
 
+import collections
 import itertools
 import json
 import os
@@ -16,6 +17,7 @@ import textwrap
 import time
 import traceback
 
+import numpy as np
 import pytest
 
 import hammingdim.search
@@ -230,7 +232,7 @@ def test_parallel_progress_reports_running_totals(s, normalize, pruned):
     assert len(serial) == {5: 23, 6: 4}[s]
     assert serial == sorted(serial)
     assert serial[-1] == (json.loads(cert)["candidates_examined"], pruned)
-    for workers in (2, 4):
+    for workers in (2, 3, 4):
         assert progress_counts(s, normalize=normalize, workers=workers) == (serial, cert)
 
 
@@ -397,7 +399,7 @@ def test_pruned_walk_progress_n4s8(workers):
 PROGRESS_PINS = json.loads((pathlib.Path(__file__).parent / "progress_pins.json").read_text())
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(PROGRESS_PINS))
 def test_progress_pinned(name, workers):
     n, s = int(name[1]), int(name[3])
@@ -542,6 +544,36 @@ def test_walker_memos_dropped_on_exit():
     assert not any(memos)
 
 
+@pytest.mark.parametrize("s, figures", [
+    (7, {"rec": 317, "counted": 527, "counts": 5813, "orbit": 69, "keep": 113}),
+    (8, {"rec": 161, "counted": 275}),
+])
+def test_walk_figures_in_the_docstring(s, figures):
+    """The 4x4x4 walk figures that the module docstring quotes: nodes
+    walked, counts made, and the sizes of the counter's, the orbits' and
+    the keep memos, read by a profiler hook and from the closures."""
+    calls = collections.Counter()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == hammingdim.search.__file__:
+            calls[frame.f_code.co_name] += 1
+
+    with _walker(G4, s, (0,), True) as (picks, walk):
+        budget = _Budget(None, None)
+        sys.setprofile(hook)
+        try:
+            for pick in picks:
+                if walk(pick, budget):
+                    break
+        finally:
+            sys.setprofile(None)
+        values = closure_values(walk)
+        seen = {"rec": calls["rec"], "counted": calls["counted"],
+                "counts": len(values["counts"]), "orbit": len(values["orbit"]),
+                "keep": sum(map(len, values["keep"]))}
+    assert {name: seen[name] for name in figures} == figures
+
+
 def adjacent(g, u, v) -> bool:
     return sum(a != b for a, b in zip(u, v)) in g.k
 
@@ -601,6 +633,48 @@ def test_prefix_orbits_are_stabiliser_orbits(n):
             assert orbit[()] == [(0, (1 << len(verts)) - 1)]
         assert [verts[least] for least, _ in orbit[0,]] == [(1, 1, 2), (1, 2, 2), (2, 2, 2)]
         assert len(orbit[index[1, 1, 1], index[2, 2, 2]]) > len(orbit[0,])
+
+
+def resolving_subsets(size: int) -> np.ndarray:
+    """Every resolving size-set of the 3x3x3 graph with K={3}, by vertex
+    index in lexicographic order, decided from distance rows alone: two
+    vertices are 1 apart when they share no coordinate and 2 apart
+    otherwise."""
+    verts = np.array(list(itertools.product(range(3), repeat=3)))
+    shared = (verts[:, None, :] == verts[None, :, :]).any(axis=2)
+    dist = np.where(shared, 2, 1).astype(np.int16)
+    np.fill_diagonal(dist, 0)
+    sets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(27), size)),
+                       dtype=np.int16).reshape(-1, size)
+    # each vertex's distances to the set, read as one base-3 number
+    codes = np.zeros((len(sets), 27), dtype=np.int16)
+    for j in range(size):
+        codes = codes * 3 + dist[:, sets[:, j]].T
+    codes.sort(axis=1)
+    return sets[(codes[:, 1:] != codes[:, :-1]).all(axis=1)]
+
+
+def test_n3_verdicts_by_brute_force():
+    """Every subset of sizes 1-6, decided with numpy and neither the
+    search's walk nor the code verifier: each size's verdict is the
+    search's, and the search's size-6 hit is the first resolving set."""
+    verts = list(G3.vertices())
+    for size in range(1, 7):
+        found = resolving_subsets(size)
+        cert = exists_resolving_of_size(G3, size)
+        assert (cert.verdict is Verdict.RESOLVING) == (len(found) > 0), size
+    assert len(found) == 324
+    holding = found[found[:, 0] == 0]  # the sets holding (1, 1, 1)
+    assert len(holding) == 72
+    assert cert.basis.members == tuple(verts[v] for v in holding[0])
+    # Burnside: 2,592 fixed (automorphism, set) pairs over 1,296
+    # automorphisms make 2 orbits, as the least image of each set shows
+    group = np.array(list(automorphisms(3, 1)))
+    assert len(group) == 1296
+    masks = (np.int64(1) << found.astype(np.int64)).sum(axis=1)
+    images = (np.int64(1) << group[:, found].astype(np.int64)).sum(axis=2)
+    assert (images == masks).sum() == 2592
+    assert len(np.unique(images.min(axis=0))) == 2
 
 
 def test_search_domain_errors():
