@@ -19,12 +19,13 @@ counts, the suffix start and the picks left.  The walker carries each
 color's counts as one integer code k; a pick fixes the suffix start
 after it, so whether pick idx keeps k feasible with t picks left after
 it depends only on (t, k, idx).  One memo, ``keep[t][k]``, holds the
-mask of such picks.  A node visits only the set bits of its index span
-AND its three codes' masks, and counts the skipped picks as pruned
-before each visit and at the end, as a pick by pick loop would, hit or
-not.  Without pruning every mask is all ones.  The 4x4x4 size-7 search
-makes 76,020 lookups on 113 keys.  The memos live for one call and
-nothing is cached across calls.
+mask of such picks; in each block they are a prefix, found by bisection.
+A node visits only the set bits of its index span AND its three codes'
+masks, and counts the skipped picks as pruned before each visit and at
+the end, as a pick by pick loop would, hit or not.  Without pruning
+every mask is all ones.  The 4x4x4 size-7 search makes 12,183 lookups
+on 113 keys.  The memos live for one call and nothing is cached across
+calls.
 
 Candidates are checked without a pass over the vertices.  Non-landmarks
 whose landmark signatures coincide form collision classes, kept as
@@ -50,10 +51,12 @@ first, as they clear the fewest final picks.  A class of more than six
 members kills the node: two picks split it into at most four parts and
 take at most two of its members.  Otherwise the node lives if some pick
 leaves a nonzero ``good``, and is walked like any other node.  A node
-with no hit has leaf and pruned counts that depend only on its state
-(its start, the picks left and the three codes), so a counter with a
-memo keyed by state counts such a node in one step; every dead node is
-counted so.
+with no hit is counted in one step, and every dead node is counted so.
+Its counts depend only on its start lo and its group: the picks left,
+the three codes and the loop's end.  Each of the group's kept picks from
+lo on adds its child's counts, and every other index from lo to the end
+is pruned.  So the counter keeps, per group, running sums over its kept
+picks from the top down, extended only as far down as a node asks.
 
 Symmetry decides whole subtrees without walking them.  Symbol
 permutations within a coordinate and permutations of the coordinates are
@@ -88,10 +91,10 @@ possible and at most one unused value per coordinate has orbits of one
 vertex, and so do its descendants: they skip this work.  Orbits are kept
 per prefix, so the first picks share the root's.  The 4x4x4 size-7
 search walks 317 nodes under 3 of its 58 first picks, makes 527 counts
-(191 dead nodes and 336 spent subtrees), and keeps 5,813 states in the
+(191 dead nodes and 336 spent subtrees), and keeps 1,191 groups in the
 counter's memo and the orbits of 69 prefixes; the size-8 search walks
-161 nodes and makes 275 counts before its hit.  Unpruned, size 7 counts
-all C(63, 6) candidates in 6,306 counts and keeps 150,232 states.
+161 nodes and makes 275 counts on 521 groups before its hit.  Unpruned,
+size 7 counts all C(63, 6) candidates in 6,306 counts on 44,095 groups.
 
 A search is one loop over the first free picks, whatever the worker
 count.  The tables and memos are built once per search, into a
@@ -109,18 +112,20 @@ silently truncating.  The wall-time budget is one absolute deadline,
 shared by parallel workers.  The clock is read when each first free pick
 starts, at every count of leaves, before they are added (once per node
 counted in one step, per node with one pick left, and per candidate when
-nothing is left to pick), and whenever the counter works out a state not
-yet in its memo.  So a deadline already past trips at the first pick,
-with the same count at every worker count; a trip adds none of the
-leaves of the count it interrupts; and a search overruns its deadline by
-at most the work between two reads: up to about 4 ms in the pruned 4x4x4
-size-7 search and 7 ms in the unpruned one, on a 2-core Xeon VM.
+nothing is left to pick), and whenever the counter extends a group's
+sums.  So a deadline already past trips at the first pick, with the same
+count at every worker count; a trip adds none of the leaves of the count
+it interrupts; and a search overruns its deadline by at most the work
+between two reads: up to about 2.5 ms in the pruned 4x4x4 size-7 search
+and 17 ms in the unpruned one, most of it a full garbage collection, on
+a 2-core Xeon VM.
 Nonexistence certificates report the exact number of candidates
 examined.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import itertools
@@ -154,13 +159,14 @@ class SearchOptions:
     ``max_candidates`` bounds the number of complete candidate subsets
     whose resolving check runs; ``max_seconds`` bounds wall time, and
     the clock is read when each first free pick starts, before each
-    count of leaves and whenever a new state is counted.  A candidate
+    count of leaves and whenever the counter does new work.  A candidate
     budget or worker count that is not an integer, or a time budget that
-    is negative or not finite, is refused; so is a bool.  With
-    ``workers`` > 1 the subtree under each first free pick is walked in
-    a worker process; verdicts, counts and budget errors do not depend
-    on the split.  ``progress`` gets one report per first free pick, in
-    tree order, with the size searched and its running totals.
+    is negative or not finite, is refused; so is a bool.  ``prune`` and
+    ``normalize`` must be bools.  With ``workers`` > 1 the subtree under
+    each first free pick is walked in a worker process; verdicts, counts
+    and budget errors do not depend on the split.  ``progress`` gets one
+    report per first free pick, in tree order, with the size searched
+    and its running totals.
     """
 
     prune: bool = True
@@ -171,6 +177,9 @@ class SearchOptions:
     progress: Callable[[SearchProgress], None] | None = None
 
     def __post_init__(self):
+        for name in ("prune", "normalize"):
+            if type(getattr(self, name)) is not bool:  # "no" is truthy
+                raise Unsupported(f"{name} must be True or False, got {getattr(self, name)!r}")
         if self.max_candidates is not None and not _whole(self.max_candidates, 0):
             raise Unsupported("candidate budget must be a non-negative integer, "
                               f"got {self.max_candidates!r}")
@@ -367,23 +376,27 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
     base = s + 1
     span = base ** n
 
+    # blocks[i][a]: the vertices of coord[i][a], by index
+    blocks = [[[v for v in range(total) if m >> v & 1] for m in row] for row in coord]
+
     def kept(t: int, k: int) -> int:
         """The picks idx after which color code k plus idx's block is still
-        feasible with t more picks from idx + 1 on: in each block, a prefix,
-        as availability only falls as idx rises."""
+        feasible with t more picks from idx + 1 on.  In each block they are
+        a prefix, as availability only falls as idx rises, so the block's
+        first infeasible member is found by bisection."""
         i, code = divmod(k, span)
         cnt = [code // base ** a % base for a in range(n)]
+
+        def infeasible(idx: int) -> bool:
+            return not _color_feasible(cnt, [(m >> idx + 1).bit_count() for m in coord[i]], t)
+
         out = 0
-        for a, block in enumerate(coord[i]):
+        for a, block in enumerate(blocks[i]):
             cnt[a] += 1
-            while block:
-                low = block & -block
-                j = low.bit_length()  # the suffix start after this pick
-                if not _color_feasible(cnt, [(m >> j).bit_count() for m in coord[i]], t):
-                    break
-                out |= low
-                block ^= low
+            cut = bisect.bisect(block, False, key=infeasible)
             cnt[a] -= 1
+            if cut:
+                out |= coord[i][a] & (2 << block[cut - 1]) - 1
         return out
 
     # keep[t][k]: kept(t, k), or every pick when nothing is pruned
@@ -473,36 +486,50 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
                 return False
         return True
 
-    def tally(key: tuple) -> tuple[int, int]:
-        """The pruned and leaf counts of a node with two or more picks
-        left, as rec counts them when it holds no hit."""
-        budget._check_clock()  # a state not yet counted: its work may be long
-        lo, t, k1, k2, k3 = key
+    def group(key: tuple) -> tuple:
+        """A new entry of ``groups``: nothing summed yet."""
+        end, t, k1, k2, k3 = key
         kt = keep[t - 1]
-        todo = kt[k1] & kt[k2] & kt[k3] & ((1 << ends[t]) - (1 << lo))
-        pruned = leaves = 0
-        while todo:
-            idx = (todo & -todo).bit_length() - 1
-            todo &= todo - 1
-            pruned += idx - lo
-            lo = idx + 1
-            if t == 2:  # one pick left: last's count, kept out of the memo
-                under = leaf_mask(lo, k1 + s1[idx], k2 + s2[idx], k3 + s3[idx]).bit_count()
-                pruned += ends[1] - lo - under
-                leaves += under
-            else:
-                under = counts[lo, t - 1, k1 + s1[idx], k2 + s2[idx], k3 + s3[idx]]
-                pruned += under[0]
-                leaves += under[1]
-        return pruned + ends[t] - lo, leaves
+        return kt[k1] & kt[k2] & kt[k3] & ((1 << end) - 1), end, (0,), (0,)
 
-    # counts[lo, t, k1, k2, k3]: tally's counts by state; t = top only at
-    # a first pick, whose lo fixes the end
-    counts = _Memo(tally)
+    # groups[end, t, k1, k2, k3], for the nodes with t picks left, these
+    # codes and this loop end (only t = top moves it): their kept picks,
+    # the least from which all are summed, and the sums of the children's
+    # pruned and leaf counts over the m highest, at index m; as tuples of
+    # ints, the garbage collector soon stops tracking them
+    groups = _Memo(group)
+
+    def tally(lo: int, t: int, k1: int, k2: int, k3: int) -> tuple[int, int]:
+        """The pruned and leaf counts of a node with two or more picks
+        left, as rec counts them when it holds no hit: of its group's m
+        kept picks from lo on, each adds its child's counts, and every
+        other index from lo to the end is pruned.  The sums are extended
+        down only as far as some lo asks."""
+        key = ends[t], t, k1, k2, k3
+        mask, done, pruned, leaves = groups[key]
+        m = (mask >> lo).bit_count()
+        if m >= len(pruned):
+            budget._check_clock()  # new work, and it may be long
+            todo = mask & ((1 << done) - (1 << lo))  # from the top down
+            pruned, leaves = list(pruned), list(leaves)
+            end, k0 = ends[1], keep[0]
+            while todo:
+                idx = todo.bit_length() - 1
+                todo ^= 1 << idx
+                if t == 2:  # one pick left: leaf_mask, inline
+                    under = (((1 << end) - (2 << idx)) & k0[k1 + s1[idx]] & k0[k2 + s2[idx]]
+                             & k0[k3 + s3[idx]]).bit_count()
+                    child = end - idx - 1 - under, under
+                else:
+                    child = tally(idx + 1, t - 1, k1 + s1[idx], k2 + s2[idx], k3 + s3[idx])
+                pruned.append(pruned[-1] + child[0])
+                leaves.append(leaves[-1] + child[1])
+            groups[key] = mask, lo, tuple(pruned), tuple(leaves)
+        return ends[t] - lo - m + pruned[m], leaves[m]
 
     def counted(lo: int, t: int, k1: int, k2: int, k3: int) -> None:
         """Count a node with no hit in one step."""
-        pruned, leaves = counts[lo, t, k1, k2, k3]
+        pruned, leaves = tally(lo, t, k1, k2, k3)
         budget.pruned += pruned
         budget.count(leaves)
 
@@ -601,7 +628,7 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
         # only by a cyclic collection; drop the memos now instead
         keep.clear()
         finals.clear()
-        counts.clear()
+        groups.clear()
         orbit.clear()
 
 

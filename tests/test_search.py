@@ -6,6 +6,8 @@ s=5, and the full space has C(27,5) = 80,730.
 """
 
 import collections
+import contextlib
+import functools
 import itertools
 import json
 import os
@@ -133,6 +135,15 @@ def test_bounds_that_do_not_bound_refused(make):
     # a bool is an int to Python, but not a count or a time
     with pytest.raises(Unsupported):
         make()
+
+
+@pytest.mark.parametrize("value", ["no", "", 0, 1, None, np.bool_(True)])
+@pytest.mark.parametrize("field", ["prune", "normalize"])
+def test_switches_that_are_not_bools_refused(field, value):
+    # "no" is truthy: taken as it is, it would prune and the certificate
+    # would say pruned=no
+    with pytest.raises(Unsupported, match=f"{field} must be True or False"):
+        SearchOptions(**{field: value})
 
 
 @pytest.mark.parametrize("g, s, hit", [(G3, 6, 13828), (G4, 8, 60735)], ids=["n3s6", "n4s8"])
@@ -305,6 +316,97 @@ def test_color_feasible_against_brute_force():
                 for t in range(6):
                     expected = least is not None and least <= t
                     assert _color_feasible(cnt, avail, t) == expected, (cnt, avail, t)
+
+
+@contextlib.contextmanager
+def walked(g, s, prune=True, fixed=(0,)):
+    """The walk of a walker whose first picks have all been walked, up to
+    the first hit; its memos are dropped on exit."""
+    with _walker(g, s, fixed, prune) as (picks, walk):
+        budget = _Budget(None, None)
+        for pick in picks:
+            if walk(pick, budget):
+                break
+        yield walk
+
+
+@pytest.mark.parametrize("g, sizes", [(G3, (4, 5, 6)), (G4, (6, 7, 8))], ids=["n3", "n4"])
+def test_keep_masks_against_a_scan(g, sizes):
+    """Every keep mask that the pruned walks reach equals a pick-by-pick
+    scan of each block, and feasibility is monotone over every member of
+    a block, not only up to its first failure: ``kept`` bisects on it."""
+    reached = 0
+    for s in sizes:
+        with walked(g, s) as walk:
+            keep = closure_values(walk)["keep"]
+            kept = closure_values(keep[0].fn.func)  # keep[t].fn is partial(kept, t)
+            coord, span, base = kept["coord"], kept["span"], kept["base"]
+            for t, memo in enumerate(keep):
+                for k, mask in memo.items():
+                    i, code = divmod(k, span)
+                    scan = 0
+                    for a, block in enumerate(coord[i]):
+                        cnt = [code // base ** b % base + (b == a) for b in range(len(coord[i]))]
+                        members = [x for x in range(block.bit_length()) if block >> x & 1]
+                        feasible = [_color_feasible(cnt, [(m >> x + 1).bit_count()
+                                                          for m in coord[i]], t)
+                                    for x in members]
+                        assert feasible == sorted(feasible, reverse=True), (s, t, k, a)
+                        scan |= sum(1 << x for x, ok in zip(members, feasible) if ok)
+                    assert mask == scan, (s, t, k)
+                    reached += 1
+    assert reached > 100
+
+
+@pytest.mark.parametrize("g, s, prune, fixed, states", [
+    (G4, 7, True, (0,), 5813), (G4, 8, True, (0,), 1680), (G3, 5, False, (0,), 296),
+    (G3, 5, False, (), 1783),
+], ids=["n4s7", "n4s8", "n3s5-unpruned", "n3s5-unpruned-full"])
+def test_counter_against_a_per_state_loop(g, s, prune, fixed, states):
+    """Every state the walk asks the counter for, from rec or from the
+    counter itself, has the counts of a loop over that state's own picks,
+    restated here: the counter before its states were grouped."""
+    asked = []
+
+    def hook(frame, event, arg):
+        if (event == "return" and frame.f_code.co_name == "tally"
+                and frame.f_code.co_filename == hammingdim.search.__file__):
+            asked.append((frame.f_locals["lo"], frame.f_locals["key"], arg))
+
+    sys.setprofile(hook)
+    try:
+        with walked(g, s, prune, fixed) as walk:
+            sys.setprofile(None)
+            values = closure_values(walk)
+            keep, ends, leaf_mask = values["keep"], values["ends"], values["leaf_mask"]
+            s1, s2, s3 = values["s1"], values["s2"], values["s3"]
+
+            @functools.cache
+            def per_state(lo, end, t, k1, k2, k3):
+                kt = keep[t - 1]
+                todo = kt[k1] & kt[k2] & kt[k3] & ((1 << end) - (1 << lo))
+                pruned = leaves = 0
+                while todo:
+                    idx = (todo & -todo).bit_length() - 1
+                    todo &= todo - 1
+                    pruned += idx - lo
+                    lo = idx + 1
+                    codes = k1 + s1[idx], k2 + s2[idx], k3 + s3[idx]
+                    if t == 2:
+                        under = leaf_mask(lo, *codes).bit_count()
+                        pruned += ends[1] - lo - under
+                        leaves += under
+                    else:
+                        under = per_state(lo, ends[t - 1], t - 1, *codes)
+                        pruned += under[0]
+                        leaves += under[1]
+                return pruned + end - lo, leaves
+
+            # the states are those the per-state counter kept
+            assert len({(lo, key) for lo, key, _ in asked}) == states
+            assert all(per_state(lo, *key) == counts for lo, key, counts in asked)
+    finally:
+        sys.setprofile(None)
 
 
 def walk_counts(g, s, normalize):
@@ -539,14 +641,14 @@ def test_walker_memos_dropped_on_exit():
         walk(picks[0], _Budget(None, None))
         values = closure_values(walk)
         memos = [v for v in values.values() if isinstance(v, dict)] + [values["keep"]]
-        assert len(memos) == 4 and all(memos)  # finals, counts, orbit and keep
-        assert values["orbit"] in memos
+        assert len(memos) == 4 and all(memos)  # finals, groups, orbit and keep
+        assert values["orbit"] in memos and values["groups"] in memos
     assert not any(memos)
 
 
 @pytest.mark.parametrize("s, figures", [
-    (7, {"rec": 317, "counted": 527, "counts": 5813, "orbit": 69, "keep": 113}),
-    (8, {"rec": 161, "counted": 275}),
+    (7, {"rec": 317, "counted": 527, "groups": 1191, "orbit": 69, "keep": 113}),
+    (8, {"rec": 161, "counted": 275, "groups": 521}),
 ])
 def test_walk_figures_in_the_docstring(s, figures):
     """The 4x4x4 walk figures that the module docstring quotes: nodes
@@ -569,7 +671,7 @@ def test_walk_figures_in_the_docstring(s, figures):
             sys.setprofile(None)
         values = closure_values(walk)
         seen = {"rec": calls["rec"], "counted": calls["counted"],
-                "counts": len(values["counts"]), "orbit": len(values["orbit"]),
+                "groups": len(values["groups"]), "orbit": len(values["orbit"]),
                 "keep": sum(map(len, values["keep"]))}
     assert {name: seen[name] for name in figures} == figures
 
