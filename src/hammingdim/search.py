@@ -57,6 +57,9 @@ the three codes and the loop's end.  Each of the group's kept picks from
 lo on adds its child's counts, and every other index from lo to the end
 is pruned.  So the counter keeps, per group, running sums over its kept
 picks from the top down, extended only as far down as a node asks.
+Unpruned, every pick is kept: a node with t picks left counts the
+C(total - lo, t) - C(total - end, t) t-subsets of [lo, total) whose least
+member is below its end, prunes nothing and keeps no group.
 
 Symmetry decides whole subtrees without walking them.  Symbol
 permutations within a coordinate and permutations of the coordinates are
@@ -94,7 +97,7 @@ search walks 317 nodes under 3 of its 58 first picks, makes 527 counts
 (191 dead nodes and 336 spent subtrees), and keeps 1,191 groups in the
 counter's memo and the orbits of 69 prefixes; the size-8 search walks
 161 nodes and makes 275 counts on 521 groups before its hit.  Unpruned,
-size 7 counts all C(63, 6) candidates in 6,306 counts on 44,095 groups.
+size 7 counts all C(63, 6) candidates in 6,306 counts, each in closed form.
 
 A search is one loop over the first free picks, whatever the worker
 count.  The tables and memos are built once per search, into a
@@ -116,9 +119,8 @@ nothing is left to pick), and whenever the counter extends a group's
 sums.  So a deadline already past trips at the first pick, with the same
 count at every worker count; a trip adds none of the leaves of the count
 it interrupts; and a search overruns its deadline by at most the work
-between two reads: up to about 2.5 ms in the pruned 4x4x4 size-7 search
-and 17 ms in the unpruned one, most of it a full garbage collection, on
-a 2-core Xeon VM.
+between two reads: up to about 2 ms in the 4x4x4 size-7 search, pruned
+or not, on a 2-core Xeon VM.
 Nonexistence certificates report the exact number of candidates
 examined.
 """
@@ -129,6 +131,7 @@ import bisect
 import contextlib
 import functools
 import itertools
+import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -195,30 +198,29 @@ class SearchOptions:
 def _color_feasible(cnt, avail, t) -> bool:
     """Can t more picks bring every block pair of this color to sum >= 3?
 
-    Either every block reaches 2, or exactly one block a0 ends at a size
-    v in {0, 1}, no less than its count and within its availability, and
+    Either every block reaches 2, or exactly one block ends at a size v
+    in {0, 1}, no less than its count and within its availability, and
     every other block reaches 3 - v.  Availability caps come from the
-    lexicographic suffix.
+    lexicographic suffix.  One pass sums the deficits to 2 and to 3 and
+    counts the blocks short of each; a block that ends at v then lowers
+    the sum by its own deficit and must be the only one short.
     """
-    n = len(cnt)
-
-    def cost(target: int, skip: int = -1) -> int:
-        """Picks raising every block but ``skip`` to target; t + 1 if short."""
-        need = 0
-        for a in range(n):
-            d = target - cnt[a]
-            if a != skip and d > 0:
-                if d > avail[a]:
-                    return t + 1
-                need += d
-        return need
-
-    return cost(2) <= t or any(
-        v - cnt[a0] + cost(3 - v, a0) <= t
-        for a0 in range(n)
-        for v in range(cnt[a0], 2)
-        if v - cnt[a0] <= avail[a0]
-    )
+    need2 = need3 = short2 = short3 = 0
+    for c, a in zip(cnt, avail):
+        if c < 3:
+            need3 += 3 - c
+            short3 += 3 - c > a
+            if c < 2:
+                need2 += 2 - c
+                short2 += 2 - c > a
+    if need2 <= t and not short2:
+        return True
+    for c, a in zip(cnt, avail):
+        if c < 2 and need2 - 1 <= t and 1 - c <= a and short2 == (2 - c > a):
+            return True  # v = 1: this block ends at 1, every other reaches 2
+        if c == 0 and need3 - 3 <= t and short3 == (3 > a):
+            return True  # v = 0: it stays empty, every other reaches 3
+    return False
 
 
 class _Budget:
@@ -504,7 +506,10 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
         left, as rec counts them when it holds no hit: of its group's m
         kept picks from lo on, each adds its child's counts, and every
         other index from lo to the end is pruned.  The sums are extended
-        down only as far as some lo asks."""
+        down only as far as some lo asks.  Unpruned, the leaves are the
+        t-subsets of [lo, total) whose least member is below the end."""
+        if not prune:
+            return 0, math.comb(total - lo, t) - math.comb(total - ends[t], t)
         key = ends[t], t, k1, k2, k3
         mask, done, pruned, leaves = groups[key]
         m = (mask >> lo).bit_count()

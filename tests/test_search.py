@@ -215,13 +215,20 @@ def test_wall_time_read_when_each_pick_starts(monkeypatch):
     assert exc.value.candidates_examined == reports[-1].candidates_examined > 0
 
 
-def test_wall_time_budget_is_one_deadline_across_workers():
-    # the unpruned size-7 search, all C(63, 6) candidates, takes seconds
-    t0 = time.monotonic()
+def test_wall_time_budget_is_one_deadline_across_workers(monkeypatch):
+    # the deadline is fixed when the search starts, not when a worker or a
+    # pick does: the clock stands still here and reads two seconds later in
+    # the workers, as if the search had run long before they started.  So
+    # each trips at its first read; a worker that set its own deadline
+    # would walk all C(63, 6) unpruned candidates and return
+    parent = os.getpid()
+    monkeypatch.setattr(hammingdim.search.time, "monotonic",
+                        lambda: 0.0 if os.getpid() == parent else 2.0)
+    t0 = time.perf_counter()
     with pytest.raises(BudgetExceeded) as exc:
-        exists_resolving_of_size(G4, 7, SearchOptions(prune=False, workers=2, max_seconds=0.1))
-    assert exc.value.bound == "max_seconds"
-    assert time.monotonic() - t0 < 1.5
+        exists_resolving_of_size(G4, 7, SearchOptions(prune=False, workers=2, max_seconds=1.0))
+    assert (exc.value.bound, exc.value.candidates_examined) == ("max_seconds", 0)
+    assert time.perf_counter() - t0 < 1.5
 
 
 def progress_counts(s, **kw):
@@ -309,11 +316,13 @@ def brute_force_feasible(cnt, avail):
 
 
 def test_color_feasible_against_brute_force():
-    for n in (3, 4):
+    # availability up to most, t below picks: at n = 3 a block can reach 3
+    # from 0, the case where one block stays empty
+    for n, most, picks in ((3, 3, 8), (4, 2, 6)):
         for cnt in itertools.product(range(4), repeat=n):
-            for avail in itertools.product(range(3), repeat=n):
+            for avail in itertools.product(range(most + 1), repeat=n):
                 least = brute_force_feasible(cnt, avail)
-                for t in range(6):
+                for t in range(picks):
                     expected = least is not None and least <= t
                     assert _color_feasible(cnt, avail, t) == expected, (cnt, avail, t)
 
@@ -359,19 +368,23 @@ def test_keep_masks_against_a_scan(g, sizes):
 
 
 @pytest.mark.parametrize("g, s, prune, fixed, states", [
-    (G4, 7, True, (0,), 5813), (G4, 8, True, (0,), 1680), (G3, 5, False, (0,), 296),
-    (G3, 5, False, (), 1783),
+    (G4, 7, True, (0,), 5813), (G4, 8, True, (0,), 1680), (G3, 5, False, (0,), 74),
+    (G3, 5, False, (), 96),
 ], ids=["n4s7", "n4s8", "n3s5-unpruned", "n3s5-unpruned-full"])
 def test_counter_against_a_per_state_loop(g, s, prune, fixed, states):
     """Every state the walk asks the counter for, from rec or from the
     counter itself, has the counts of a loop over that state's own picks,
-    restated here: the counter before its states were grouped."""
+    restated here: the counter before its states were grouped.  Unpruned,
+    the counter answers in closed form without asking for any child, so
+    only rec's states are asked."""
     asked = []
 
     def hook(frame, event, arg):
         if (event == "return" and frame.f_code.co_name == "tally"
                 and frame.f_code.co_filename == hammingdim.search.__file__):
-            asked.append((frame.f_locals["lo"], frame.f_locals["key"], arg))
+            v = frame.f_locals
+            key = v["ends"][v["t"]], v["t"], v["k1"], v["k2"], v["k3"]
+            asked.append((v["lo"], key, arg))
 
     sys.setprofile(hook)
     try:
@@ -496,6 +509,33 @@ def test_pruned_walk_progress_n4s8(workers):
                                   (2, 2, 3), (3, 3, 2), (3, 4, 4), (4, 3, 4))
 
 
+# the candidates of each of the 58 progress reports of the unpruned 4x4x4
+# size-7 search, recorded with a counter that summed every group, not with
+# the closed form they check; none is pruned.  With size 8 below, these are
+# the largest searches counted in closed form
+N4S7_UNPRUNED_CANDIDATES = [
+    6471002, 12420149, 17881661, 22888047, 27470163, 31657269, 35477085, 38955846, 42118356,
+    44988041, 47587001, 49936061, 52054821, 53961705, 55674009, 57207948, 58578702,
+    59800461, 60886469, 61849067, 62699735, 63449133, 64107141, 64682898, 65184840,
+    65620737, 65997729, 66322361, 66600617, 66837953, 67039329, 67209240, 67351746,
+    67470501, 67568781, 67649511, 67715291, 67768421, 67810925, 67844574, 67870908,
+    67891257, 67906761, 67918389, 67926957, 67933145, 67937513, 67940516, 67942518,
+    67943805, 67944597, 67945059, 67945311, 67945437, 67945493, 67945514, 67945520, 67945521,
+]
+
+
+@pytest.mark.parametrize("s, candidates", [(7, N4S7_UNPRUNED_CANDIDATES), (8, [14780172])],
+                         ids=["n4s7", "n4s8"])
+def test_unpruned_walk_progress_n4(s, candidates):
+    reports = []
+    cert = exists_resolving_of_size(G4, s, SearchOptions(prune=False, progress=reports.append))
+    assert [(p.candidates_examined, p.pruned_subtrees) for p in reports] == [
+        (c, 0) for c in candidates]
+    assert cert.candidates_examined == candidates[-1]
+    # the same hit as the pruned search, or none: pruning skips only sets that fail
+    assert cert.basis == exists_resolving_of_size(G4, s).basis
+
+
 # (candidates, pruned) of every progress report, taken before symmetry
 # decided subtrees: n = 3 in every prune and normalize mode, n = 4 pruned
 PROGRESS_PINS = json.loads((pathlib.Path(__file__).parent / "progress_pins.json").read_text())
@@ -589,8 +629,9 @@ def test_wall_time_read_at_every_count(monkeypatch):
 
 def test_wall_time_read_inside_a_counted_subtree(monkeypatch):
     # the clock passes the deadline just as the counter starts on its j-th
-    # state; its next read, on a state nested inside the same count, trips
-    # before that count adds any of its leaves
+    # group; its next read, on a group nested inside the same count, trips
+    # before that count adds any of its leaves.  The pruned size-7 search
+    # nests: unpruned, the counter reads no clock of its own
     now = [0.0]
     monkeypatch.setattr(hammingdim.search.time, "monotonic", lambda: now[0])
     count, check = _Budget.count, _Budget._check_clock
@@ -614,7 +655,7 @@ def test_wall_time_read_inside_a_counted_subtree(monkeypatch):
         seen.clear()
         states.clear()
         with pytest.raises(BudgetExceeded) as exc:
-            exists_resolving_of_size(G3, 5, SearchOptions(prune=False, max_seconds=1.0))
+            exists_resolving_of_size(G4, 7, SearchOptions(max_seconds=1.0))
         frames = [f.name for f in traceback.extract_tb(exc.value.__traceback__)]
         assert frames[frames.index("read") - 1] == "tally" and frames.count("tally") >= 2
         assert len(states) == j + 1
