@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidOrder, NotFound, Unsupported
-from .hamming import GhgParams
+from .hamming import GhgParams, _whole
 from .landmark import extend_triple_looped, matching_triples
 from .resolving import LandmarkSet
 
@@ -77,6 +77,8 @@ def construct_cubic(k: int) -> ColoredCubicGraph:
     no order-10 cubic graph admits a proper 3-edge-coloring free of
     forbidden 4-cycles, 6-cycles, and rainbow triangles.
     """
+    if not _whole(k):
+        raise Unsupported(f"k must be an integer, got {k!r}")
     if k > CUBIC_K_LIMIT:
         raise Unsupported(f"k={k}: cubic graphs are built up to k = {CUBIC_K_LIMIT}, "
                           f"bases up to n = {CUBIC_K_LIMIT + 1}")
@@ -181,6 +183,8 @@ def metric_basis(n: int) -> LandmarkSet:
     Sizes: 2n for n in {3, 4} (searches show 2n - 1 is impossible there),
     2n - 1 for n >= 5.
     """
+    if not _whole(n):
+        raise Unsupported(f"n must be an integer, got {n!r}")
     if n < 3:
         raise Unsupported(f"n={n}: the diagonal family starts at n=3")
     if n == 3:

@@ -516,8 +516,8 @@ def lower_bound(n1: int, n2: int, n3: int) -> int:
     Each coordinate's blocks must pairwise sum to at least 3 landmarks,
     which forces at least 2*max(n1, n2, n3) - 1 landmarks in total.
     """
-    if min(n1, n2, n3) < 3:
-        raise Unsupported(f"lower bound needs all dims >= 3, got {(n1, n2, n3)}")
+    if not all(_whole(d, 3) for d in (n1, n2, n3)):
+        raise Unsupported(f"lower bound needs integer dims >= 3, got {(n1, n2, n3)!r}")
     return 2 * max(n1, n2, n3) - 1
 
 

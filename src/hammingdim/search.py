@@ -19,13 +19,15 @@ counts, the suffix start and the picks left.  The walker carries each
 color's counts as one integer code k; a pick fixes the suffix start
 after it, so whether pick idx keeps k feasible with t picks left after
 it depends only on (t, k, idx).  One memo, ``keep[t][k]``, holds the
-mask of such picks; in each block they are a prefix, found by bisection.
-A node visits only the set bits of its index span AND its three codes'
-masks, and counts the skipped picks as pruned before each visit and at
-the end, as a pick by pick loop would, hit or not.  Without pruning
-every mask is all ones.  The 4x4x4 size-7 search makes 12,183 lookups
-on 113 keys.  The memos live for one call and nothing is cached across
-calls.
+mask of such picks.  In each block they are a prefix: its two ends are
+tested first, as most blocks keep none or all, then bisection finds the
+cut, reading block sizes from one table per search.  A node visits only
+the set bits of its index span AND its three codes' masks, and counts
+the skipped picks as pruned before each visit and at the end, as a pick
+by pick loop would, hit or not.  Without pruning every mask is all ones.
+The 4x4x4 size-7 search makes 12,183 lookups on 113 keys, found by 1,256
+feasibility tests (1,161 at size 8).  The memos live for one call and
+nothing is cached across calls.
 
 Candidates are checked without a pass over the vertices.  Non-landmarks
 whose landmark signatures coincide form collision classes, kept as
@@ -84,20 +86,22 @@ nothing fixed there is one orbit.
 No group is enumerated.  An automorphism fixing P moves coordinate pi(i)
 to i, for a permutation pi, and maps p[pi(i)] to p[i] there for each p
 in P, so pi is possible only when each of those maps is well defined
-(around each cycle of pi, they are then one-to-one).  Under such a pi, a
-vertex y goes to the vertices whose coordinate i is the image of
-y[pi(i)] when P uses that value, and any value P leaves unused
-otherwise.  A vertex's label is the least of its images over the
-possible pi, each unused value read as the least one; two vertices share
-an orbit exactly when they share a label.  A node with only pi = id
-possible and at most one unused value per coordinate has orbits of one
-vertex, and so do its descendants: they skip this work.  Orbits are kept
-per prefix, so the first picks share the root's.  The 4x4x4 size-7
-search walks 317 nodes under 3 of its 58 first picks, makes 527 counts
-(191 dead nodes and 336 spent subtrees), and keeps 1,191 groups in the
-counter's memo and the orbits of 69 prefixes; the size-8 search walks
-161 nodes and makes 275 counts on 521 groups before its hit.  Unpruned,
-size 7 counts all C(63, 6) candidates in 6,306 counts, each in closed form.
+(around each cycle of pi, they are then one-to-one).  The nine maps
+between coordinates are built once per prefix, and each pi is read from
+them.  Under such a pi, a vertex y goes to the vertices whose coordinate
+i is the image of y[pi(i)] when P uses that value, and any value P
+leaves unused otherwise.  A vertex's label is the least of its images
+over the possible pi, each unused value read as the least one; two
+vertices share an orbit exactly when they share a label.  A node with
+only pi = id possible and at most one unused value per coordinate has
+orbits of one vertex, and so do its descendants: they skip this work.
+Orbits are kept per prefix, so the first picks share the root's.  The
+4x4x4 size-7 search walks 317 nodes under 3 of its 58 first picks, makes
+527 counts (191 dead nodes and 336 spent subtrees), and keeps 1,191
+groups in the counter's memo and the orbits of 69 prefixes; the size-8
+search walks 161 nodes and makes 275 counts on 521 groups before its
+hit.  Unpruned, size 7 counts all C(63, 6) candidates in 6,306 counts,
+each in closed form.
 
 A search is one loop over the first free picks, whatever the worker
 count.  The tables and memos are built once per search, into a
@@ -380,22 +384,25 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
 
     # blocks[i][a]: the vertices of coord[i][a], by index
     blocks = [[[v for v in range(total) if m >> v & 1] for m in row] for row in coord]
+    # avail[i][idx]: color i's block sizes over the suffix after idx
+    avail = [[[(m >> idx + 1).bit_count() for m in row] for idx in range(total)] for row in coord]
 
     def kept(t: int, k: int) -> int:
         """The picks idx after which color code k plus idx's block is still
         feasible with t more picks from idx + 1 on.  In each block they are
-        a prefix, as availability only falls as idx rises, so the block's
-        first infeasible member is found by bisection."""
+        a prefix, as availability only falls as idx rises: its two ends are
+        tested, then bisection finds the first infeasible member between."""
         i, code = divmod(k, span)
         cnt = [code // base ** a % base for a in range(n)]
 
         def infeasible(idx: int) -> bool:
-            return not _color_feasible(cnt, [(m >> idx + 1).bit_count() for m in coord[i]], t)
+            return not _color_feasible(cnt, avail[i][idx], t)
 
         out = 0
         for a, block in enumerate(blocks[i]):
             cnt[a] += 1
-            cut = bisect.bisect(block, False, key=infeasible)
+            cut = (0 if infeasible(block[0]) else len(block) if not infeasible(block[-1])
+                   else bisect.bisect(block, False, 1, len(block) - 1, key=infeasible))
             cnt[a] -= 1
             if cut:
                 out |= coord[i][a] & (2 << block[cut - 1]) - 1
@@ -517,18 +524,26 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
             budget._check_clock()  # new work, and it may be long
             todo = mask & ((1 << done) - (1 << lo))  # from the top down
             pruned, leaves = list(pruned), list(leaves)
+            p, q = pruned[-1], leaves[-1]  # the running sums
             end, k0 = ends[1], keep[0]
-            while todo:
-                idx = todo.bit_length() - 1
-                todo ^= 1 << idx
-                if t == 2:  # one pick left: leaf_mask, inline
+            if t == 2:  # one pick left: leaf_mask, inline
+                while todo:
+                    idx = todo.bit_length() - 1
+                    todo ^= 1 << idx
                     under = (((1 << end) - (2 << idx)) & k0[k1 + s1[idx]] & k0[k2 + s2[idx]]
                              & k0[k3 + s3[idx]]).bit_count()
-                    child = end - idx - 1 - under, under
-                else:
-                    child = tally(idx + 1, t - 1, k1 + s1[idx], k2 + s2[idx], k3 + s3[idx])
-                pruned.append(pruned[-1] + child[0])
-                leaves.append(leaves[-1] + child[1])
+                    p += end - idx - 1 - under
+                    q += under
+                    pruned.append(p)
+                    leaves.append(q)
+            while todo:  # t > 2: the loop above left nothing to do
+                idx = todo.bit_length() - 1
+                todo ^= 1 << idx
+                dp, dq = tally(idx + 1, t - 1, k1 + s1[idx], k2 + s2[idx], k3 + s3[idx])
+                p += dp
+                q += dq
+                pruned.append(p)
+                leaves.append(q)
             groups[key] = mask, lo, tuple(pruned), tuple(leaves)
         return ends[t] - lo - m + pruned[m], leaves[m]
 
@@ -546,28 +561,29 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
         """(least member, mask) of each orbit of two or more vertices under
         the automorphisms that fix every vertex of ``prefix``, by least
         member; empty when every orbit is a single vertex."""
-        pts = [digits[i] for i in prefix]
-        used = [{p[i] for p in pts} for i in range(3)]
+        cols = [[digits[v][i] for v in prefix] for i in range(3)]
+        used = [set(col) for col in cols]
         unused = [min(set(range(n)) - u, default=0) for u in used]
-        images = []
-        for pi in itertools.permutations(range(3)):
-            tables = []
-            # p[j] -> p[i] over the prefix must be a function for each i and
-            # j = pi[i]; then the members sharing coordinate j share i, and
-            # around each cycle of pi the reverse holds too: it is one-to-one
-            for i, j in enumerate(pi):
-                to = {}
-                if any(to.setdefault(p[j], p[i]) != p[i] for p in pts):
-                    break
-                tables.append([weights[i] * to.get(a, unused[i]) for a in range(n)])
-            else:
-                images.append((pi, tables))
+        # to[j][i]: the map p[j] -> p[i] over the prefix, as place values in
+        # coordinate i with unused values read as the least one, or None if
+        # no function.  pi is possible when each to[pi[i]][i] is one; then
+        # the members sharing coordinate pi[i] share i, and around each
+        # cycle of pi the reverse holds too: it is one-to-one
+        to = [[None] * 3 for _ in range(3)]
+        for i, j in itertools.product(range(3), repeat=2):
+            pairs = set(zip(cols[j], cols[i]))
+            if len(pairs) == len(used[j]):
+                table = to[j][i] = [weights[i] * unused[i]] * n
+                for a, b in pairs:
+                    table[a] = weights[i] * b
+        # each possible pi: each coordinate's table into the one it moves to
+        images = [[to[j][i] for j, i in enumerate(dest)]
+                  for dest in itertools.permutations(range(3))]
+        images = [tables for tables in images if None not in tables]
         if len(images) == 1 and all(len(u) >= n - 1 for u in used):
             return []  # each vertex is the one vertex of its pattern
-        # a vertex's label: its least image, each unused value read as the
-        # least one
-        labels = [[a[v[i]] + b[v[j]] + c[v[k]] for v in digits]
-                  for (i, j, k), (a, b, c) in images]
+        # a vertex's label: its least image, vertices in lexicographic order
+        labels = [[a + b + c for a in x for b in y for c in z] for x, y, z in images]
         members = {}
         for v, label in enumerate(map(min, *labels) if len(labels) > 1 else labels[0]):
             members[label] = members.get(label, 0) | 1 << v
@@ -813,15 +829,16 @@ def enumerate_two_basic(
     2-basic system arises from exactly (2n)! such labeled structures.
     A bad n, budget or seed raises ``Unsupported`` here, at the call.
     """
+    if not (_whole(n) and 3 <= n <= 5):
+        raise Unsupported(f"2-basic enumeration is implemented for n in {{3, 4, 5}}, got {n!r}")
     if budget is not None and not _whole(budget, 0):
         raise Unsupported(f"budget must be a non-negative integer, got {budget!r}")
     if not _whole(seed, 0):  # random.seed reads -5 as 5 and True as 1
         raise Unsupported(f"seed must be a non-negative integer, got {seed!r}")
     if n == 3:
         return itertools.islice(_two_basic_systems(3), budget)
-    if n not in (4, 5):
-        raise Unsupported(f"2-basic enumeration is implemented for n in {{3, 4, 5}}")
-    return _sampled_two_basic(n, 10_000 if budget is None else budget, seed)
+    # as an int: a numpy integer would overflow in the sampler's pair bits
+    return _sampled_two_basic(int(n), 10_000 if budget is None else budget, seed)
 
 
 def _sampled_two_basic(n: int, count: int, seed: int) -> Iterator[LandmarkSet]:

@@ -25,6 +25,8 @@ from hammingdim import (
     Unsupported,
     Verdict,
     block_sum_violations,
+    construct_cubic,
+    enumerate_two_basic,
     exists_resolving_of_size,
     fixture,
     hamming_graph,
@@ -160,6 +162,51 @@ def test_integer_inputs_table(call, error, expected):
     else:
         with pytest.raises(error) as info:
             call()
+        assert str(info.value) == expected
+
+
+def two_basic(n) -> list:
+    return [W.members for W in enumerate_two_basic(n, budget=5, seed=7)]
+
+
+# the entry points that take one integer n or k, by the same rule: a float,
+# a string or a bool is refused in a message about that argument, and a
+# numpy integer is read as the int it holds
+ENTRY_POINT_TABLE = [
+    (metric_basis, 7.0, "n must be an integer, got 7.0"),
+    (metric_basis, "7", "n must be an integer, got '7'"),
+    (metric_basis, True, "n must be an integer, got True"),
+    (metric_basis, np.int64(7), None),
+    (construct_cubic, 7.0, "k must be an integer, got 7.0"),
+    (construct_cubic, "7", "k must be an integer, got '7'"),
+    (construct_cubic, True, "k must be an integer, got True"),
+    (construct_cubic, np.int64(7), None),
+    (lower_bound, 3.5, "lower bound needs integer dims >= 3, got (3.5, 3, 3)"),
+    (lower_bound, 7.0, "lower bound needs integer dims >= 3, got (7.0, 3, 3)"),
+    (lower_bound, "7", "lower bound needs integer dims >= 3, got ('7', 3, 3)"),
+    (lower_bound, True, "lower bound needs integer dims >= 3, got (True, 3, 3)"),
+    (lower_bound, np.int64(7), None),
+    (two_basic, 3.0, "2-basic enumeration is implemented for n in {3, 4, 5}, got 3.0"),
+    (two_basic, 4.0, "2-basic enumeration is implemented for n in {3, 4, 5}, got 4.0"),
+    (two_basic, 7.0, "2-basic enumeration is implemented for n in {3, 4, 5}, got 7.0"),
+    (two_basic, "7", "2-basic enumeration is implemented for n in {3, 4, 5}, got '7'"),
+    (two_basic, True, "2-basic enumeration is implemented for n in {3, 4, 5}, got True"),
+    (two_basic, np.int64(3), None),
+    (two_basic, np.int64(4), None),
+    (two_basic, np.int64(5), None),  # its pair bits overflowed an int64
+]
+
+
+@pytest.mark.parametrize("entry, value, expected", ENTRY_POINT_TABLE,
+                         ids=[f"{entry.__name__}-{type(value).__name__}-{value}"
+                              for entry, value, _ in ENTRY_POINT_TABLE])
+def test_entry_point_integers_table(entry, value, expected):
+    call = (lambda v: lower_bound(v, 3, 3)) if entry is lower_bound else entry
+    if expected is None:
+        assert call(value) == call(int(value))
+    else:
+        with pytest.raises(Unsupported) as info:
+            call(value)
         assert str(info.value) == expected
 
 

@@ -688,13 +688,15 @@ def test_walker_memos_dropped_on_exit():
 
 
 @pytest.mark.parametrize("s, figures", [
-    (7, {"rec": 317, "counted": 527, "groups": 1191, "orbit": 69, "keep": 113}),
-    (8, {"rec": 161, "counted": 275, "groups": 521}),
+    (7, {"rec": 317, "counted": 527, "groups": 1191, "orbit": 69, "keep": 113,
+         "_color_feasible": 1256}),
+    (8, {"rec": 161, "counted": 275, "groups": 521, "_color_feasible": 1161}),
 ])
 def test_walk_figures_in_the_docstring(s, figures):
     """The 4x4x4 walk figures that the module docstring quotes: nodes
-    walked, counts made, and the sizes of the counter's, the orbits' and
-    the keep memos, read by a profiler hook and from the closures."""
+    walked, counts made, the sizes of the counter's, the orbits' and the
+    keep memos, and the feasibility tests that built the keep masks, read
+    by a profiler hook and from the closures."""
     calls = collections.Counter()
 
     def hook(frame, event, arg):
@@ -713,7 +715,8 @@ def test_walk_figures_in_the_docstring(s, figures):
         values = closure_values(walk)
         seen = {"rec": calls["rec"], "counted": calls["counted"],
                 "groups": len(values["groups"]), "orbit": len(values["orbit"]),
-                "keep": sum(map(len, values["keep"]))}
+                "keep": sum(map(len, values["keep"])),
+                "_color_feasible": calls["_color_feasible"]}
     assert {name: seen[name] for name in figures} == figures
 
 
