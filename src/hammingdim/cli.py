@@ -22,7 +22,7 @@ import json
 import sys
 
 from .construct import FIXTURE_NAMES, fixture, metric_basis
-from .errors import BudgetExceeded, HammingDimError, NotApplicable, ParseError
+from .errors import BudgetExceeded, HammingDimError, NotApplicable, ParseError, Unsupported
 from .formats import FORMATS, _integer, landmark_lines, parse_landmarks
 from .hamming import GhgParams
 from .landmark import build_landmark_graph, classify, forbidden_scan, predict_resolving
@@ -143,6 +143,8 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.count is not None and args.count < 0:  # the flag, not the API's budget
+        raise Unsupported(f"--count must be a non-negative integer, got {args.count}")
     kwargs: dict = {"budget": args.count}
     if args.seed is not None:
         kwargs["seed"] = args.seed

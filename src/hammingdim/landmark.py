@@ -35,6 +35,7 @@ a b c a b c or a triangle a b c reads a rotation of (1,2,3,1,2,3) or of
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -117,8 +118,7 @@ def basic_part(W: LandmarkSet) -> LandmarkSet:
     cls = classify(W)
     if cls.kind is not SystemKind.TRIPLE_LOOPED:
         raise NotApplicable(f"{W!r} is {cls.kind.value}, not TRIPLE_LOOPED")
-    n = W.graph.dims[0]
-    g = GhgParams((n - 1, n - 1, n - 1), W.graph.k)
+    g = _diagonal_graph(W.graph.dims[0] - 1, W.graph.k)
     return LandmarkSet._trusted(g, tuple(m for m in W.members if m != cls.loop_vertex))
 
 
@@ -138,7 +138,14 @@ def extend_triple_looped(W: LandmarkSet) -> LandmarkSet:
     u = (m, m, m)
     blocks = W.blocks().copy()
     blocks[1, m] = blocks[2, m] = blocks[3, m] = (u,)
-    return LandmarkSet._trusted(GhgParams((m, m, m), W.graph.k), W.members + (u,), blocks)
+    return LandmarkSet._trusted(_diagonal_graph(m, W.graph.k), W.members + (u,), blocks)
+
+
+@functools.lru_cache(maxsize=64)
+def _diagonal_graph(n: int, k: frozenset) -> GhgParams:
+    """The n-diagonal graph with discrepancy set k, built and checked once
+    per (n, k) and shared by every lift and 2-basic part on it."""
+    return GhgParams((n, n, n), k)
 
 
 @dataclass(frozen=True)

@@ -33,16 +33,18 @@ sets of landmarks and distance vectors word by word.  A hash collision
 can cost time, never a wrong verdict.  Both report the lexicographically
 least colliding pair as witness.  The keys are the only |V|-sized
 array; the kernel's temporaries are slabs of at most _SLAB keys or
-tries.  The rest grow with |W|: the members' table entries ``at``, the
-code verifier's six weights per member and its set of landmark indices,
-and the oracle's ``near`` table, one byte per landmark and coordinate
-value until it is packed to bits.  On sets of far fewer landmarks than
-vertices, either verifier peaks at 1.1 to 1.2 times the keys' 8|V|
-bytes on the n = 100 and 150 bases, and at 1.45 times when nearly every
-vertex collides (one landmark on 101 x 101 x 101).  Random sets of
-32,000 landmarks on 40 x 40 x 40 peak at about 13 times (either
-verifier), and of 131,324 on 51 x 51 x 51 at 21 times (code) and 28
-times (distance).
+tries.  The rest grow with |W|.  Both verifiers read one member table,
+each member's table entries ``at`` and the set of landmark indices,
+built on a set's first verification and kept with the set (120 to 130
+bytes a member on sets of thousands).  The code verifier adds its
+weights _SLAB table entries at a time, and the oracle's ``near`` table
+holds one bit per landmark in each of its three coordinate rows, 64 to
+a word.  On sets of far fewer landmarks than vertices, either verifier
+peaks at 1.0 to 1.15 times the keys' 8|V| bytes on the n = 100 and 150
+bases, and at 1.3 times when nearly every vertex collides (one landmark
+on 101 x 101 x 101).  Random sets of 32,000 landmarks on 40 x 40 x 40
+peak at about 13 times (either verifier), and of 131,324 on
+51 x 51 x 51 at 18 times (code) and 21 times (distance).
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ ORACLE_WORD_LIMIT = 10 * VERTEX_LIMIT
 
 _WEIGHTS = np.empty(0, dtype=np.uint64)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # 2**64 over the golden ratio, odd
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)  # bit p of a word
+_BITS.flags.writeable = False
 _FOLD_ENTRIES = 1 << 20  # distance entries built per slab of the oracle
 _SLAB = 1 << 16  # keys per slab of the pair kernel's passes
 
@@ -77,7 +81,7 @@ CERTIFICATE_SCHEMA = "hammingdim/certificate-v1"
 class LandmarkSet:
     """An ordered set of distinct landmark vertices on a 3-coordinate graph."""
 
-    __slots__ = ("graph", "members", "_member_set", "_blocks")
+    __slots__ = ("graph", "members", "_member_set", "_blocks", "_table")
 
     def __init__(self, graph: GhgParams, members):
         if graph.r != 3:
@@ -121,6 +125,7 @@ class LandmarkSet:
         self.members = members
         self._member_set = frozenset(members)
         self._blocks = blocks
+        self._table = None  # built by _member_table on first verification
 
     def __len__(self) -> int:
         return len(self.members)
@@ -166,6 +171,19 @@ class LandmarkSet:
         blocks = self._blocks
         return frozenset(blocks.get((1, v[0]), ()) + blocks.get((2, v[1]), ())
                          + blocks.get((3, v[2]), ()))
+
+    def _member_table(self) -> tuple[np.ndarray, frozenset]:
+        """(at, landmarks), what both verifiers read of the members: per
+        member, its six table entries as ``_layout`` places them and then
+        its vertex index, read-only; and the set of those indices.  Built
+        on the set's first verification and kept for every later one."""
+        if self._table is None:
+            spread, shift = _layout(self.graph)[3:5]
+            at = np.array(self.members, dtype=np.intp).reshape(-1, 3) @ spread
+            at += shift
+            at.flags.writeable = False
+            self._table = at, frozenset(at[:, 6].tolist())
+        return self._table
 
 
 class Verdict(str, Enum):
@@ -272,7 +290,7 @@ def _weights(m: int) -> np.ndarray:
         z = np.arange(1, max(m, 2 * _WEIGHTS.size, 1024) + 1, dtype=np.uint64)
         z *= _GOLDEN
         _mix(z)
-        z[:64] = np.uint64(1) << np.arange(64, dtype=np.uint64)
+        z[:64] = _BITS
         _WEIGHTS = z
     return _WEIGHTS[:m]
 
@@ -333,24 +351,32 @@ def _least_equal_pair(keys: np.ndarray, landmarks, row_of):
     later index its second.  Indices in ``landmarks`` are skipped, and a
     row is read only to compare it with another non-landmark's, so row_of
     re-checks exactly and a shared prefix costs time, never a wrong
-    verdict.  Every pass but the sort goes _SLAB keys at a time, and a
-    pass holds at most two slabs of tries, so nothing but the keys grows
-    with |V|: the verifiers peak at 1.1 to 1.45 times the keys' 8|V| bytes.
+    verdict.  The run after a try is read key by key as Python ints, up
+    to the first key of another prefix, and the tries are read one by
+    one, never as a list of Python ints.  Every pass but the sort goes
+    _SLAB keys at a time, and a pass holds at most two slabs of tries, so
+    nothing but the keys grows with |V|: the verifiers peak at 1.0 to 1.3
+    times the keys' 8|V| bytes on the n = 100 and 150 bases and with one
+    landmark on 101 x 101 x 101.
     """
     mask, b, low, _ = _index_bits(keys.size)
     shift = int(b)
     keys.sort()
+    item = keys.item  # a key as a Python int
     first = np.uint64(0)  # the least index << b | position not yet tried
     while True:
         tries = _least_tries(keys, b, low, first)
-        for t in tries.tolist():
+        for t in map(tries.item, range(tries.size)):
             i, s = t >> shift, t & mask
             if i in landmarks:
                 continue
             row = None
-            end = keys.searchsorted(keys[s] | low, side="right")  # past the run
-            for j in keys[s + 1:end]:
-                j = int(j) & mask
+            prefix = item(s) >> shift
+            for p in range(s + 1, keys.size):  # the rest of the run
+                j = item(p)
+                if j >> shift != prefix:
+                    break
+                j &= mask
                 if j in landmarks:
                     continue
                 if row is None:
@@ -375,17 +401,20 @@ def _least_tries(keys: np.ndarray, b, low, first) -> np.ndarray:
     for lo in range(0, keys.size, _SLAB):
         p = keys[lo:lo + _SLAB + 1] >> b
         at = (p[1:] == p[:-1]).nonzero()[0]
+        del p  # each temporary goes as soon as it is read
         if lo:  # adding 0 would cost a microsecond, a tenth of a tiny call
             at += lo
         t = keys[at]
         t &= low
         t <<= b
         t |= at.view(np.uint64)
+        del at
         if first:
             t = t[t >= first]
         if cut is not None:  # a try at or above cut is not among the least
             t = t[t < cut]
         least = t if least is None else np.concatenate((least, t))
+        del t
         if least.size > _SLAB:
             least.partition(_SLAB)
             least, cut = least[:_SLAB], least[_SLAB]
@@ -420,17 +449,18 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     thing.
     """
     g = W.graph
-    _, high, o, spread, shift, index = _layout(g)
+    _, high, o, _, _, index = _layout(g)
     d1, d2, d3 = g.dims
-    at = np.array(W.members, dtype=np.intp).reshape(-1, 3) @ spread
-    at += shift  # per member: its six table entries, then its vertex index
+    at, landmarks = W._member_table()
     weights = _weights(len(W)) * _GOLDEN
     weights &= high
     table = np.zeros(o[6], dtype=np.uint64)
     table[:o[3]] = index
     # one value per index: numpy 2.4's add.at misreads values broadcast
-    # along the last axis of a 2-D index
-    np.add.at(table, at[:, :6].ravel(), weights.repeat(6))
+    # along the last axis of a 2-D index; at most _SLAB entries an add
+    step = _SLAB // 6
+    for lo in range(0, len(W), step):
+        np.add.at(table, at[lo:lo + step, :6].ravel(), weights[lo:lo + step].repeat(6))
     p12 = table[o[3]:o[4]].reshape(d1, d2)
     p13 = table[o[4]:o[5]].reshape(d1, d3)
     p23 = table[o[5]:].reshape(d2, d3)
@@ -439,7 +469,7 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     right = table[o[2]:o[3]] - p13  # H3[a3] - P13[a1, a3]
     keys = left[:, :, None] + right[:, None, :]
     keys -= p23
-    pair = _least_equal_pair(keys.reshape(-1), set(at[:, 6].tolist()),
+    pair = _least_equal_pair(keys.reshape(-1), landmarks,
                              lambda i: W._code(_vertex_at(g, i)))
     return _certificate(W, pair)
 
@@ -460,45 +490,85 @@ def is_resolving_by_distance(W: LandmarkSet) -> Certificate:
     structured rows do not cancel.  The key is multiplied by _GOLDEN and
     its low b = ceil(log2 |V|) bits replaced by the vertex index, as in
     ``is_resolving``.  Rows whose high bits repeat are compared exactly,
-    word by word.  Rows are built and folded over flat ranges of
-    vertex indices, at most _FOLD_ENTRIES distance entries at a time, so
-    no |V| x |W| matrix is held for any |W|; the time grows as
-    |V| * |W| / 64, and a set whose |V| * ceil(|W| / 64) row words exceed
-    ORACLE_WORD_LIMIT is refused before anything is allocated.
+    word by word.
+
+    The coordinate rows, the ``near`` table, are set straight as words:
+    each landmark adds its bit to its three rows.  The vertex rows are
+    built and folded a block at a time, by OR-broadcasting the three
+    coordinate tables over a rectangle of the index space of at most
+    _FOLD_ENTRIES distance entries: a run of whole first-coordinate
+    planes while they fit, otherwise a run of rows of one plane, and
+    otherwise a segment of one row.  So no |V| x |W| matrix is held for
+    any |W|; the time grows as |V| * |W| / 64, and a set whose
+    |V| * ceil(|W| / 64) row words exceed ORACLE_WORD_LIMIT is refused
+    before anything is allocated.
     """
     g = W.graph
-    n, high, o, spread, shift, _ = _layout(g)
+    n, high, o = _layout(g)[:3]
     words = -(-len(W) // 64)
     if n * words > ORACLE_WORD_LIMIT:
         raise Unsupported(f"{n} vertices x {words} landmark words exceeds the distance "
                           f"oracle's {ORACLE_WORD_LIMIT} word limit")
+    words = max(words, 1)  # an empty set's rows are one zero word
     _, d2, d3 = g.dims
-    at = np.array(W.members, dtype=np.intp).reshape(-1, 3) @ spread
-    at += shift  # per member: its six table entries, then its vertex index
-    # row o[i - 1] + a - 1: the landmarks whose coordinate i is a
-    near = np.zeros((o[3], 64 * words), dtype=bool)
-    near[at[:, :3], np.arange(len(W))[:, None]] = True
-    near = np.packbits(near, axis=-1, bitorder="little").view(np.uint64)
-    near1, near2, near3 = near[:o[1]], near[o[1]:o[2]], near[o[2]:]
+    at, landmarks = W._member_table()
+    # near[k, o[i - 1] + a - 1]: word k of the landmarks whose coordinate i
+    # is a; landmark p adds bit p % 64 of word p // 64 to its three rows,
+    # where no other landmark sets it.  Word-major, so that the broadcasts
+    # below run along whole coordinate ranges, not along a row's words
+    near = np.zeros((words, o[3]), dtype=np.uint64)
+    for w in range(words):
+        block = at[64 * w:64 * w + 64, :3]
+        np.add.at(near[w], block.ravel(), _BITS[:len(block)].repeat(3))
+    near1, near2, near3 = near[:, :o[1]], near[:, o[1]:o[2]], near[:, o[2]:]
     r = _weights(64 * words)[::64]  # the weight of each word's first landmark
 
     def row_of(i):
         # the landmarks sharing a coordinate with vertex i, 64 to a word
         q, c = divmod(i, d3)
         a, b = divmod(q, d2)
-        return near1.take(a, 0) | near2.take(b, 0) | near3.take(c, 0)
+        return (near1[:, a] | near2[:, b] | near3[:, c]).tobytes()
+
+    def rows_of(s1, s2, s3):
+        # word k of each row of a block, in index order, as row k
+        return (near1[:, s1, None, None] | near2[:, None, s2, None]
+                | near3[:, None, None, s3]).reshape(words, -1)
 
     keys = np.empty(n, dtype=np.uint64)
-    step = max(1, _FOLD_ENTRIES // (64 * max(words, 1)))
-    for lo in range(0, n, step):
-        index = np.arange(lo, min(lo + step, n))
-        k = (_mix(row_of(index)) if words > 1 else row_of(index)) @ r
+    lo = 0
+    for block in _blocks(g.dims, max(1, _FOLD_ENTRIES // (64 * words))):
+        k = r @ (_mix(rows_of(*block)) if words > 1 else rows_of(*block))
+        hi = lo + k.size
         k *= _GOLDEN
         k &= high
-        k |= index.view(np.uint64)
-        keys[lo:lo + step] = k
-    return _certificate(W, _least_equal_pair(keys, set(at[:, 6].tolist()),
-                                             lambda i: row_of(i).tobytes()))
+        k |= np.arange(lo, hi, dtype=np.uint64)
+        keys[lo:hi] = k
+        lo = hi
+    return _certificate(W, _least_equal_pair(keys, landmarks, row_of))
+
+
+def _blocks(dims, step: int):
+    """Slice triples (first, second, third coordinate) of the blocks that
+    tile the vertex index space in order, each block at most step
+    vertices and a contiguous index range: runs of whole first-coordinate
+    planes while a plane fits, else runs of rows of one plane while a row
+    fits, else segments of one row."""
+    d1, d2, d3 = dims
+    whole = slice(None)
+    if d2 * d3 <= step:
+        k = step // (d2 * d3)
+        for a in range(0, d1, k):
+            yield slice(a, a + k), whole, whole
+    elif d3 <= step:
+        k = step // d3
+        for a in range(d1):
+            for b in range(0, d2, k):
+                yield slice(a, a + 1), slice(b, b + k), whole
+    else:
+        for a in range(d1):
+            for b in range(d2):
+                for c in range(0, d3, step):
+                    yield slice(a, a + 1), slice(b, b + 1), slice(c, c + step)
 
 
 def _certificate(W: LandmarkSet, pair) -> Certificate:

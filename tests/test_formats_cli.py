@@ -487,7 +487,8 @@ def test_cli_enumerate(capsys):
     for n, count in (("4", "-1"), ("3", "-2")):
         assert main(["enumerate", "--n", n, "--count", count]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "non-negative" in captured.err
+        assert captured.out == "" and captured.err == (
+            f"error: --count must be a non-negative integer, got {count}\n")
     assert main(["enumerate", "--n", "3", "--count", "0"]) == 0
     assert capsys.readouterr().out == ""
     # random.seed reads -5 as 5, so a negative seed is bad input too

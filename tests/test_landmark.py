@@ -122,6 +122,10 @@ def test_extend_and_basic_part_round_trip():
     back = basic_part(ext)
     assert back.graph.dims == (4, 4, 4)
     assert set(back.members) == set(W.members)
+    # one graph per (n, K), shared by every lift and 2-basic part on it
+    assert ext.graph == hamming_graph(5, 5, 5) and back.graph == W.graph
+    assert extend_triple_looped(metric_basis(4)).graph is ext.graph
+    assert basic_part(ext).graph is back.graph
     with pytest.raises(NotApplicable):
         basic_part(W)  # not triple-looped
     with pytest.raises(NotApplicable):

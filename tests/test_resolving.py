@@ -28,6 +28,7 @@ from hammingdim import (
     construct_cubic,
     enumerate_two_basic,
     exists_resolving_of_size,
+    extend_triple_looped,
     fixture,
     hamming_graph,
     is_resolving,
@@ -658,6 +659,27 @@ def test_basis_keys_never_collide(n, kernel_calls):
         assert kernel_calls[-1][2] == []
 
 
+@pytest.mark.parametrize("dims", [(5, 6, 7), (4, 3, 11)])
+def test_oracle_blocks_build_the_same_keys(dims, kernel_calls):
+    # blocks of one vertex up to nearly two planes: segments of a row,
+    # runs of rows and runs of planes, each kind cut short at its ends,
+    # must build the keys that one block of every vertex builds
+    g = GhgParams(dims, frozenset({3}))
+    _, d2, d3 = dims
+    rng = random.Random(sum(dims))
+    verts = list(g.vertices())
+    for m in (0, 5, 20, 64, 65, 130):
+        W = LandmarkSet(g, rng.sample(verts, m))
+        entries = 64 * max(1, -(-m // 64))  # per vertex
+        is_resolving_by_distance(W)
+        want = kernel_calls[-1][0]
+        for step in (1, 2, d3 - 1, d3, d3 + 1, 2 * d3 + 1, d2 * d3, d2 * d3 + 1,
+                     2 * d2 * d3 - 1):
+            with mock.patch.object(resolving, "_FOLD_ENTRIES", step * entries):
+                assert is_resolving_by_distance(W).witness == least_pair_by_codes(W)
+            assert np.array_equal(kernel_calls[-1][0], want)
+
+
 def test_oracle_slabs_bound_memory():
     # a first-coordinate value of 30x30x30 holds 900 * 3,000 distance
     # entries, 2.6 MB as bools, past one slab's budget
@@ -676,6 +698,55 @@ def test_oracle_slabs_bound_memory():
         assert peak < 2 * 2**20
         assert cert.witness == is_resolving(W).witness
     assert cert.verdict is Verdict.UNRESOLVED
+
+
+def test_oracle_row_segments_bound_memory():
+    # 200 landmarks take 4 words a row, so a block holds 4,096 vertices and
+    # a row of 20,000 is cut into segments; nearly every vertex collides.
+    # The near table, 20,006 rows of 4 words, is 0.44 times the keys' 8|V|
+    # bytes; one byte per landmark and coordinate value would be 3.6 times
+    # and take the oracle's peak to 4.1 times
+    g = hamming_graph(3, 3, 20000)
+    assert 20000 > resolving._FOLD_ENTRIES // (64 * 4)
+    W = LandmarkSet(g, random.Random(20261021).sample(list(g.vertices()), 200))
+    tracemalloc.start()
+    try:
+        cert = is_resolving_by_distance(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * g.vertex_count()
+    assert cert.witness == is_resolving(W).witness == ((1, 1, 1), (1, 1, 2))
+
+
+def member_table_cases():
+    """Every n = 3 system, a seeded n = 5 sample, the lift of each, and
+    metric_basis(65) less one landmark."""
+    systems = [*enumerate_two_basic(3), *enumerate_two_basic(5, budget=40, seed=20261021)]
+    B = metric_basis(65)
+    return [*systems, *map(extend_triple_looped, systems),
+            LandmarkSet(B.graph, B.members[:40] + B.members[41:])]
+
+
+def test_member_table_shared_and_read_only():
+    for W in member_table_cases():
+        # each verifier on a set of its own, then both on one set in
+        # either order, and on a fresh equal set
+        want = [verify(LandmarkSet(W.graph, W.members)).to_json()
+                for verify in (is_resolving, is_resolving_by_distance)]
+        assert want[0] == want[1]
+        for order in (1, -1):
+            for V in (W, LandmarkSet(W.graph, W.members)):
+                got = [verify(V).to_json()
+                       for verify in (is_resolving, is_resolving_by_distance)[::order]]
+                assert got == want
+        table = W._table
+        assert table is W._member_table()  # built once, on first use
+        at, landmarks = table
+        assert isinstance(landmarks, frozenset) and not at.flags.writeable
+        with pytest.raises(ValueError):
+            at[0, 0] = 0
+        assert landmarks == {index_of(W.graph, v) for v in W.members}
 
 
 @given(st.sets(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
