@@ -850,10 +850,9 @@ def _sampled_two_basic(n: int, count: int, seed: int) -> Iterator[LandmarkSet]:
     OR of one bit per pair, against the OR of the matchings before it.
     Every shuffle of a round is drawn, also after a shared pair, so the
     draws are those of ``random.shuffle``: once a round is lost, its
-    remaining shuffles are drawn by ``_skip_shuffle``, which makes the
-    same ``getrandbits`` calls and builds no permutation.  Only a kept
-    round's pairs are sorted.  The members are distinct and valid by
-    construction.
+    remaining shuffles are drawn by ``_shuffle`` as usual and not read.
+    Only a kept round's pairs are sorted.  The members are distinct and
+    valid by construction.
     """
     import random
 
@@ -866,32 +865,25 @@ def _sampled_two_basic(n: int, count: int, seed: int) -> Iterator[LandmarkSet]:
         kept = None
         while kept is None:  # until three matchings share no pair
             kept, used = [], 0
-            for t in range(3):
+            for _i in range(3):
                 p = list(range(size))
                 _shuffle(getrandbits, p)
+                if kept is None:  # drawn only to keep the random stream
+                    continue
                 pairs = 0
                 for a, b in zip(p[::2], p[1::2]):
                     pairs |= bit[a][b]
                 if used & pairs:
-                    for _t in range(2 - t):  # the round is lost: draw only
-                        _skip_shuffle(getrandbits, size)
                     kept = None
-                    break
-                used |= pairs
-                kept.append(p)
+                else:
+                    used |= pairs
+                    kept.append(p)
         matchings = [sorted((a, b) if a < b else (b, a) for a, b in zip(p[::2], p[1::2]))
                      for p in kept]
         labels = [list(range(1, n + 1)) for _i in range(3)]
         for values in labels:
             _shuffle(getrandbits, values)
         yield LandmarkSet._trusted(g, tuple(sorted(matching_triples(matchings, labels))))
-
-
-def _skip_shuffle(getrandbits, size: int) -> None:
-    """Make the draws of ``_shuffle`` on ``size`` elements, and no swap."""
-    for i, k in _swaps(size):
-        while getrandbits(k) > i:
-            pass
 
 
 def _shuffle(getrandbits, x: list) -> None:
