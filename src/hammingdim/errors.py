@@ -62,10 +62,10 @@ class ParseError(HammingDimError):
 
 
 class BudgetExceeded(HammingDimError):
-    """A search hit its configured candidate or wall-time budget.
+    """A search hit its configured candidate budget.
 
-    ``bound`` names the budget that tripped; ``candidates_examined`` reports
-    progress made before stopping.
+    ``bound`` names the budget that tripped, ``"max_candidates"``;
+    ``candidates_examined`` reports progress made before stopping.
     """
 
     def __init__(self, message: str, bound: str, candidates_examined: int):

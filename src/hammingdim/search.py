@@ -109,22 +109,14 @@ count.  The tables and memos are built once per search, into a
 Serially the loop walks each pick on the search's one budget.  With w
 workers, forked processes run the same inherited walk, worker j on the
 fixed share of picks j, j + w, j + 2w, ..., each pick on a budget of its
-own, and the parent adds each pick's leaves, pruned subtrees and tripped
-bound to the search's budget in tree order.  So candidate counts, budget
-errors and progress do not depend on the worker count: progress is one
-report per first free pick, and the last report holds the totals.
+own, and the parent adds each pick's leaves and pruned subtrees to the
+search's budget in tree order.  So candidate counts, budget errors and
+progress do not depend on the worker count: progress is one report per
+first free pick, and the last report holds the totals.
 
-Budgets are explicit and trip a BudgetExceeded error rather than
-silently truncating.  The wall-time budget is one absolute deadline,
-shared by parallel workers.  The clock is read when each first free pick
-starts, at every count of leaves, before they are added (once per node
-counted in one step, per node with one pick left, and per candidate when
-nothing is left to pick), and whenever the counter extends a group's
-sums.  So a deadline already past trips at the first pick, with the same
-count at every worker count; a trip adds none of the leaves of the count
-it interrupts; and a search overruns its deadline by at most the work
-between two reads: up to about 2 ms in the 4x4x4 size-7 search, pruned
-or not, on a 2-core Xeon VM.
+The one bound is the candidate budget, which trips a BudgetExceeded
+error rather than silently truncating, at the same count at every worker
+count.  No supported search needs a time cap: each takes about 0.1 s.
 Nonexistence certificates report the exact number of candidates
 examined.
 """
@@ -136,7 +128,6 @@ import contextlib
 import functools
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -164,22 +155,19 @@ class SearchOptions:
     """Knobs for the subset searches.
 
     ``max_candidates`` bounds the number of complete candidate subsets
-    whose resolving check runs; ``max_seconds`` bounds wall time, and
-    the clock is read when each first free pick starts, before each
-    count of leaves and whenever the counter does new work.  A candidate
-    budget or worker count that is not an integer, or a time budget that
-    is negative or not finite, is refused; so is a bool.  ``prune`` and
-    ``normalize`` must be bools.  With ``workers`` > 1 the subtree under
-    each first free pick is walked in a worker process; verdicts, counts
-    and budget errors do not depend on the split.  ``progress`` gets one
-    report per first free pick, in tree order, with the size searched
-    and its running totals.
+    whose resolving check runs.  A candidate budget or worker count that
+    is not an integer is refused; so is a bool, and so is a ``progress``
+    that is neither None nor callable.  ``prune`` and ``normalize`` must
+    be bools.  With ``workers`` > 1 the subtree under each first free
+    pick is walked in a worker process; verdicts, counts and budget
+    errors do not depend on the split.  ``progress`` gets one report per
+    first free pick, in tree order, with the size searched and its
+    running totals.
     """
 
     prune: bool = True
     normalize: bool = True
     max_candidates: int | None = None
-    max_seconds: float | None = None
     workers: int = 1
     progress: Callable[[SearchProgress], None] | None = None
 
@@ -190,13 +178,11 @@ class SearchOptions:
         if self.max_candidates is not None and not _whole(self.max_candidates, 0):
             raise Unsupported("candidate budget must be a non-negative integer, "
                               f"got {self.max_candidates!r}")
-        t = self.max_seconds
-        if t is not None and not (isinstance(t, numbers.Real) and not isinstance(t, bool)
-                                  and 0 <= t < float("inf")):
-            raise Unsupported(f"time budget must be finite and non-negative, got {t!r}")
         if not _whole(self.workers, 1):
             raise Unsupported(
                 f"worker count must be an integer, at least 1, got {self.workers!r}")
+        if self.progress is not None and not callable(self.progress):
+            raise Unsupported(f"progress must be callable or None, got {self.progress!r}")
 
 
 def _color_feasible(cnt, avail, t) -> bool:
@@ -228,70 +214,48 @@ def _color_feasible(cnt, avail, t) -> bool:
 
 
 class _Budget:
-    """The leaf and pruned counts of a search, its bounds and its
-    progress reports: the only builder of ``BudgetExceeded`` and
+    """The leaf and pruned counts of a search, its candidate bound and
+    its progress reports: the only builder of ``BudgetExceeded`` and
     ``SearchProgress`` here."""
 
-    __slots__ = ("max_candidates", "deadline", "progress", "t0", "leaves", "pruned")
+    __slots__ = ("max_candidates", "progress", "t0", "leaves", "pruned")
 
-    def __init__(self, max_candidates: int | None, deadline: float | None,
+    def __init__(self, max_candidates: int | None,
                  progress: Callable[[SearchProgress], None] | None = None):
         self.max_candidates = max_candidates
-        self.deadline = deadline  # an absolute time.monotonic() instant
         self.progress = progress
         self.t0 = time.monotonic()
         self.leaves = 0
         self.pruned = 0
 
-    def _over_candidates(self):
-        # a walk trips at leaf max_candidates + 1, so the count examined
-        # is exactly max_candidates
-        raise BudgetExceeded(
-            f"candidate budget of {self.max_candidates} exceeded",
-            bound="max_candidates",
-            candidates_examined=self.max_candidates,
-        )
-
-    def _over_time(self):
-        raise BudgetExceeded(
-            "wall-time budget exceeded",
-            bound="max_seconds",
-            candidates_examined=self.leaves,
-        )
-
-    def _check_clock(self):
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self._over_time()
-
     def count(self, leaves: int):
         """Count leaves, a hit only as the last of them: the candidate
-        budget trips where counting them one by one would.  With a
-        deadline, the clock is read first, so a count that trips it adds
-        none of its leaves."""
-        self._check_clock()
+        budget trips where counting them one by one would."""
         self.leaves += leaves
         if self.max_candidates is not None and self.leaves > self.max_candidates:
-            self._over_candidates()
+            # a walk trips at leaf max_candidates + 1, so the count
+            # examined is exactly max_candidates
+            raise BudgetExceeded(
+                f"candidate budget of {self.max_candidates} exceeded",
+                bound="max_candidates",
+                candidates_examined=self.max_candidates,
+            )
 
     def alone(self, walk, pick: int) -> tuple:
         """Walk one pick as a worker does, on a budget of its own with
-        these bounds: (found, leaves, pruned, tripped bound or None)."""
-        own = _Budget(self.max_candidates, self.deadline)
+        this bound: (found, leaves, pruned)."""
+        own = _Budget(self.max_candidates)
         try:
-            return walk(pick, own), own.leaves, own.pruned, None
-        except BudgetExceeded as e:
-            return None, own.leaves, own.pruned, e.bound
+            return walk(pick, own), own.leaves, own.pruned
+        except BudgetExceeded:
+            return None, own.leaves, own.pruned
 
-    def add(self, found, leaves: int, pruned: int, bound: str | None):
+    def add(self, found, leaves: int, pruned: int):
         """Take in one pick walked by ``alone``, tripping where a walk on
-        this budget would have; returns the pick's ``found``."""
-        self.leaves += leaves
+        this budget would have: a pick that tripped its own budget has
+        more leaves than the bound.  Returns the pick's ``found``."""
         self.pruned += pruned
-        # a pick that tripped the candidate bound has more leaves than it
-        if self.max_candidates is not None and self.leaves > self.max_candidates:
-            self._over_candidates()
-        if bound is not None:
-            self._over_time()
+        self.count(leaves)
         return found
 
     def report(self, size: int):
@@ -521,7 +485,6 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
         mask, done, pruned, leaves = groups[key]
         m = (mask >> lo).bit_count()
         if m >= len(pruned):
-            budget._check_clock()  # new work, and it may be long
             todo = mask & ((1 << done) - (1 << lo))  # from the top down
             pruned, leaves = list(pruned), list(leaves)
             p, q = pruned[-1], leaves[-1]  # the running sums
@@ -637,7 +600,6 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
     def walk(pick: int, on: _Budget) -> list | None:
         nonlocal budget
         budget = on
-        budget._check_clock()  # a deadline passed before any leaf trips here
         del chosen[len(fixed):]  # a hit leaves its picks behind
         ends[top] = pick + 1
         return rec(pick, top, *codes, classes, 0, True)
@@ -723,8 +685,7 @@ def exists_resolving_of_size(
                           "beyond 2n the answer is known")
     fixed = (0,) if opts.normalize else ()
     mode = f"normalized={bool(fixed)}, pruned={opts.prune}"
-    deadline = None if opts.max_seconds is None else time.monotonic() + opts.max_seconds
-    budget = _Budget(opts.max_candidates, deadline, opts.progress)
+    budget = _Budget(opts.max_candidates, opts.progress)
     found = None
     with _walker(g, s, fixed, opts.prune) as (picks, walk):
         workers = min(opts.workers, len(picks))

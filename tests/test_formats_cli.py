@@ -377,6 +377,9 @@ def test_cli_dimension_verbose_parallel(capsys):
 def test_cli_dimension_budget(capsys):
     assert main(["dimension", "--graph", "3x3x3", "--budget", "50"]) == 3
     assert "budget" in capsys.readouterr().err
+    # a spent budget trips before any candidate is examined
+    assert main(["dimension", "--graph", "3x3x3", "--budget", "0"]) == 3
+    assert "(examined 0)" in capsys.readouterr().err
     # a negative budget is bad input, not an exhausted search
     assert main(["dimension", "--graph", "3x3x3", "--budget", "-1"]) == 2
     assert "non-negative" in capsys.readouterr().err

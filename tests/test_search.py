@@ -16,8 +16,6 @@ import random
 import subprocess
 import sys
 import textwrap
-import time
-import traceback
 
 import numpy as np
 import pytest
@@ -96,9 +94,10 @@ def budget_error(s, **kw):
 
 def test_candidate_budget():
     # the parallel split trips where the serial walk does and says the same;
-    # 1039 is one short of the pruned walk's 1040 leaves
+    # a spent budget, 0, trips before any leaf is examined, and 1039 is one
+    # short of the pruned walk's 1040 leaves
     for prune in (True, False):
-        for k in (5, 100, 500, 1039):
+        for k in (0, 5, 100, 500, 1039):
             serial = budget_error(5, prune=prune, max_candidates=k)
             assert serial == ("max_candidates", k, f"candidate budget of {k} exceeded")
             assert budget_error(5, prune=prune, max_candidates=k, workers=2) == serial
@@ -113,9 +112,6 @@ def test_worker_count_below_one_refused(workers):
 
 
 @pytest.mark.parametrize("make", [
-    pytest.param(lambda: SearchOptions(max_seconds=float("nan")), id="seconds-nan"),
-    pytest.param(lambda: SearchOptions(max_seconds=float("inf")), id="seconds-inf"),
-    pytest.param(lambda: SearchOptions(max_seconds=-0.5), id="seconds-negative"),
     pytest.param(lambda: SearchOptions(max_candidates=float("nan")), id="candidates-nan"),
     pytest.param(lambda: SearchOptions(max_candidates=2.0), id="candidates-float"),
     pytest.param(lambda: SearchOptions(max_candidates=-1), id="candidates-negative"),
@@ -125,14 +121,14 @@ def test_worker_count_below_one_refused(workers):
     pytest.param(lambda: SearchOptions(max_candidates=False), id="candidates-false"),
     pytest.param(lambda: SearchOptions(max_candidates=True), id="candidates-true"),
     pytest.param(lambda: SearchOptions(workers=True), id="workers-true"),
-    pytest.param(lambda: SearchOptions(max_seconds=True), id="seconds-true"),
-    pytest.param(lambda: SearchOptions(max_seconds=False), id="seconds-false"),
     pytest.param(lambda: list(enumerate_two_basic(4, budget=True)), id="enumerate-n4-true"),
     pytest.param(lambda: list(enumerate_two_basic(3, budget=False)), id="enumerate-n3-false"),
+    pytest.param(lambda: SearchOptions(progress="yes"), id="progress-not-callable"),
 ])
 def test_bounds_that_do_not_bound_refused(make):
-    # none of these bounds a search, so each is refused before one starts;
-    # a bool is an int to Python, but not a count or a time
+    # none of these bounds a search, and a progress that cannot be called
+    # would fail only after the first pick's walk, so each is refused
+    # before a search starts; a bool is an int to Python, but not a count
     with pytest.raises(Unsupported):
         make()
 
@@ -158,77 +154,6 @@ def test_candidate_budget_at_a_hit(g, s, hit):
         cert = exists_resolving_of_size(g, s, SearchOptions(max_candidates=hit, workers=workers))
         assert cert.verdict is Verdict.RESOLVING
         assert cert.candidates_examined == hit
-
-
-def test_wall_time_budget():
-    # a deadline already past trips when the first pick starts, before
-    # any leaf, at every worker count, pruned or not; 0 is a valid bound
-    for prune, seconds in ((False, 0.0), (True, 0.0), (True, 0)):
-        for workers in (1, 2):
-            with pytest.raises(BudgetExceeded) as exc:
-                exists_resolving_of_size(
-                    G3, 5, SearchOptions(prune=prune, max_seconds=seconds, workers=workers)
-                )
-            assert exc.value.bound == "max_seconds"
-            assert exc.value.candidates_examined == 0
-
-
-def test_wall_time_read_inside_a_pick(monkeypatch):
-    # the clock passes the deadline once the first count of leaves, the
-    # C(24, 2) = 276 of the first dead node, is added; the next count
-    # reads it before adding its own leaves, at every worker count
-    now = [0.0]
-    count = _Budget.count
-
-    def late_count(budget, leaves):
-        count(budget, leaves)
-        now[0] = 2.0
-
-    monkeypatch.setattr(hammingdim.search.time, "monotonic", lambda: now[0])
-    monkeypatch.setattr(_Budget, "count", late_count)
-    for workers in (1, 2):
-        now[0] = 0.0
-        with pytest.raises(BudgetExceeded) as exc:
-            exists_resolving_of_size(
-                G3, 5, SearchOptions(prune=False, max_seconds=1.0, workers=workers))
-        assert exc.value.bound == "max_seconds"
-        assert exc.value.candidates_examined == 276
-
-
-def test_wall_time_read_when_each_pick_starts(monkeypatch):
-    # the clock stands still until the third pick's report moves it past
-    # the deadline; the fourth pick's start reads it and trips with the
-    # count of the first three, before any leaf of its own
-    now = [0.0]
-    monkeypatch.setattr(hammingdim.search.time, "monotonic", lambda: now[0])
-    reports = []
-
-    def progress(p):
-        reports.append(p)
-        if len(reports) == 3:
-            now[0] = 2.0
-
-    with pytest.raises(BudgetExceeded) as exc:
-        exists_resolving_of_size(G3, 5, SearchOptions(max_seconds=1.0, progress=progress))
-    assert exc.value.bound == "max_seconds"
-    assert len(reports) == 3
-    assert exc.value.candidates_examined == reports[-1].candidates_examined > 0
-
-
-def test_wall_time_budget_is_one_deadline_across_workers(monkeypatch):
-    # the deadline is fixed when the search starts, not when a worker or a
-    # pick does: the clock stands still here and reads two seconds later in
-    # the workers, as if the search had run long before they started.  So
-    # each trips at its first read; a worker that set its own deadline
-    # would walk all C(63, 6) unpruned candidates and return
-    parent = os.getpid()
-    monkeypatch.setattr(hammingdim.search.time, "monotonic",
-                        lambda: 0.0 if os.getpid() == parent else 2.0)
-    t0 = time.perf_counter()
-    with pytest.raises(BudgetExceeded) as exc:
-        exists_resolving_of_size(G4, 7, SearchOptions(prune=False, workers=2, max_seconds=1.0))
-    assert (exc.value.bound, exc.value.candidates_examined) == ("max_seconds", 0)
-    assert time.perf_counter() - t0 < 1.5
 
 
 def progress_counts(s, **kw):
@@ -332,7 +257,7 @@ def walked(g, s, prune=True, fixed=(0,)):
     """The walk of a walker whose first picks have all been walked, up to
     the first hit; its memos are dropped on exit."""
     with _walker(g, s, fixed, prune) as (picks, walk):
-        budget = _Budget(None, None)
+        budget = _Budget(None)
         for pick in picks:
             if walk(pick, budget):
                 break
@@ -497,6 +422,10 @@ def test_pruned_walk_progress_n4():
     assert [(p.candidates_examined, p.pruned_subtrees) for p in reports] == N4S7_PROGRESS
 
 
+# the first resolving 8-set of the pruned 4x4x4 walk in tree order
+N4S8_HIT = ((1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 3), (3, 3, 2), (3, 4, 4), (4, 3, 4))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_pruned_walk_progress_n4s8(workers):
     # the hit is under the first pick, so its one report holds the totals;
@@ -505,8 +434,7 @@ def test_pruned_walk_progress_n4s8(workers):
     cert = exists_resolving_of_size(
         G4, 8, SearchOptions(progress=reports.append, workers=workers))
     assert [(p.candidates_examined, p.pruned_subtrees) for p in reports] == [(60735, 173606)]
-    assert cert.basis.members == ((1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1),
-                                  (2, 2, 3), (3, 3, 2), (3, 4, 4), (4, 3, 4))
+    assert cert.basis.members == N4S8_HIT
 
 
 # the candidates of each of the 58 progress reports of the unpruned 4x4x4
@@ -581,88 +509,6 @@ def test_candidate_budget_inside_a_deeper_spent_subtree(s, k, reports, workers):
     assert [(p.candidates_examined, p.pruned_subtrees) for p in seen] == N4S7_PROGRESS[:reports]
 
 
-def test_wall_time_read_at_every_count(monkeypatch):
-    # the serial size-7 search makes 527 counts, each of a dead node or a
-    # spent subtree; the clock is read before each count adds its leaves
-    # and whenever the counter works out a new state.  A clock that passes
-    # the deadline after the k-th count trips at the next read, with the
-    # leaves of the first k: in count k + 1 (k = 200, 500), in a state
-    # worked out for it (k = 1) or when the next first pick starts (k = 137)
-    now = [0.0]
-    monkeypatch.setattr(hammingdim.search.time, "monotonic", lambda: now[0])
-    count, check = _Budget.count, _Budget._check_clock
-    seen, reads = [], []  # reads: the caller of each clock read
-
-    def counted(budget, leaves):
-        seen.append(leaves)
-        count(budget, leaves)
-        reads.append("added")
-        if len(seen) == k:
-            now[0] = 2.0
-            reads.clear()
-
-    def read(budget):
-        reads.append(sys._getframe(1).f_code.co_name)
-        check(budget)
-
-    monkeypatch.setattr(_Budget, "count", counted)
-    monkeypatch.setattr(_Budget, "_check_clock", read)
-    for k, made, at in ((1, 1, "tally"), (137, 137, "walk"), (200, 201, "count"),
-                        (500, 501, "count")):
-        now[0] = 0.0
-        seen.clear()
-        with pytest.raises(BudgetExceeded) as exc:
-            exists_resolving_of_size(G4, 7, SearchOptions(max_seconds=1.0))
-        assert exc.value.bound == "max_seconds"
-        assert reads == [at]  # the first read after count k tripped
-        assert len(seen) == made
-        assert exc.value.candidates_examined == sum(seen[:k])
-    # every count reads the clock itself just before it adds its leaves
-    now[0] = 0.0
-    seen.clear()
-    reads.clear()
-    k = None
-    exists_resolving_of_size(G4, 7, SearchOptions(max_seconds=1.0))
-    assert len(seen) == reads.count("added") == 527
-    assert all(reads[i - 1] == "count" for i, e in enumerate(reads) if e == "added")
-
-
-def test_wall_time_read_inside_a_counted_subtree(monkeypatch):
-    # the clock passes the deadline just as the counter starts on its j-th
-    # group; its next read, on a group nested inside the same count, trips
-    # before that count adds any of its leaves.  The pruned size-7 search
-    # nests: unpruned, the counter reads no clock of its own
-    now = [0.0]
-    monkeypatch.setattr(hammingdim.search.time, "monotonic", lambda: now[0])
-    count, check = _Budget.count, _Budget._check_clock
-    seen, states = [], []
-
-    def counted(budget, leaves):
-        seen.append(leaves)
-        count(budget, leaves)
-
-    def read(budget):
-        if sys._getframe(1).f_code.co_name == "tally":
-            states.append(None)
-        check(budget)
-        if len(states) == j:
-            now[0] = 2.0
-
-    monkeypatch.setattr(_Budget, "count", counted)
-    monkeypatch.setattr(_Budget, "_check_clock", read)
-    for j in (50, 100, 200):
-        now[0] = 0.0
-        seen.clear()
-        states.clear()
-        with pytest.raises(BudgetExceeded) as exc:
-            exists_resolving_of_size(G4, 7, SearchOptions(max_seconds=1.0))
-        frames = [f.name for f in traceback.extract_tb(exc.value.__traceback__)]
-        assert frames[frames.index("read") - 1] == "tally" and frames.count("tally") >= 2
-        assert len(states) == j + 1
-        assert exc.value.bound == "max_seconds"
-        assert exc.value.candidates_examined == sum(seen)
-
-
 def closure_values(fn) -> dict:
     """Every free variable of fn and of the functions it reaches, by name."""
     found, todo = {}, [fn]
@@ -679,7 +525,7 @@ def closure_values(fn) -> dict:
 def test_walker_memos_dropped_on_exit():
     # every dict the walk reaches is a memo, and so is the keep list
     with _walker(G4, 7, (0,), True) as (picks, walk):
-        walk(picks[0], _Budget(None, None))
+        walk(picks[0], _Budget(None))
         values = closure_values(walk)
         memos = [v for v in values.values() if isinstance(v, dict)] + [values["keep"]]
         assert len(memos) == 4 and all(memos)  # finals, groups, orbit and keep
@@ -704,7 +550,7 @@ def test_walk_figures_in_the_docstring(s, figures):
             calls[frame.f_code.co_name] += 1
 
     with _walker(G4, s, (0,), True) as (picks, walk):
-        budget = _Budget(None, None)
+        budget = _Budget(None)
         sys.setprofile(hook)
         try:
             for pick in picks:
@@ -781,23 +627,35 @@ def test_prefix_orbits_are_stabiliser_orbits(n):
         assert len(orbit[index[1, 1, 1], index[2, 2, 2]]) > len(orbit[0,])
 
 
-def resolving_subsets(size: int) -> np.ndarray:
-    """Every resolving size-set of the 3x3x3 graph with K={3}, by vertex
-    index in lexicographic order, decided from distance rows alone: two
-    vertices are 1 apart when they share no coordinate and 2 apart
-    otherwise."""
-    verts = np.array(list(itertools.product(range(3), repeat=3)))
+def k3_distances(n: int) -> np.ndarray:
+    """The distance table of the n x n x n graph with K={3}, vertices in
+    lexicographic order: two vertices are 1 apart when they share no
+    coordinate and 2 apart otherwise."""
+    verts = np.array(list(itertools.product(range(n), repeat=3)))
     shared = (verts[:, None, :] == verts[None, :, :]).any(axis=2)
     dist = np.where(shared, 2, 1).astype(np.int16)
     np.fill_diagonal(dist, 0)
+    return dist
+
+
+def resolves(dist: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Whether each row of ``sets``, vertex indices, resolves the graph
+    of ``dist``: each vertex's distances to the set, read as one base-3
+    number, must differ from every other vertex's."""
+    codes = np.zeros((len(sets), len(dist)), dtype=np.int16)
+    for j in range(sets.shape[1]):
+        codes *= 3
+        codes += dist[sets[:, j]]
+    codes.sort(axis=1)
+    return (codes[:, 1:] != codes[:, :-1]).all(axis=1)
+
+
+def resolving_subsets(size: int) -> np.ndarray:
+    """Every resolving size-set of the 3x3x3 graph with K={3}, by vertex
+    index in lexicographic order, decided from distance rows alone."""
     sets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(27), size)),
                        dtype=np.int16).reshape(-1, size)
-    # each vertex's distances to the set, read as one base-3 number
-    codes = np.zeros((len(sets), 27), dtype=np.int16)
-    for j in range(size):
-        codes = codes * 3 + dist[:, sets[:, j]].T
-    codes.sort(axis=1)
-    return sets[(codes[:, 1:] != codes[:, :-1]).all(axis=1)]
+    return sets[resolves(k3_distances(3), sets)]
 
 
 def test_n3_verdicts_by_brute_force():
@@ -821,6 +679,38 @@ def test_n3_verdicts_by_brute_force():
     images = (np.int64(1) << group[:, found].astype(np.int64)).sum(axis=2)
     assert (images == masks).sum() == 2592
     assert len(np.unique(images.min(axis=0))) == 2
+
+
+def test_n4_size7_by_brute_force():
+    """Every 7-set of the 4x4x4 graph that holds (1, 1, 1) and meets the
+    block-sum bound, enumerated and decided with numpy and neither the
+    search's walk nor the code verifier.  Seven landmarks meet the bound
+    exactly when each color's four blocks hold 1, 2, 2 and 2 of them.
+    With the rows sorted, each column is a sequence of length 7 with
+    those value counts, starting at 1, and the first column does not
+    fall; keeping the rows strictly increasing leaves each set once."""
+    seqs = np.array([(0, *rest) for rest in itertools.product(range(4), repeat=6)],
+                    dtype=np.int16)
+    counts = np.sort((seqs[:, :, None] == np.arange(4)).sum(axis=1), axis=1)
+    cols = seqs[(counts == [1, 2, 2, 2]).all(axis=1)]
+    assert len(cols) == 630
+    first = cols[(np.diff(cols, axis=1) >= 0).all(axis=1)]
+    # vertex index 16a + 4b + c; the first two columns' rows must not fall
+    pairs = (16 * first[:, None, :] + 4 * cols[None, :, :]).reshape(-1, 7)
+    pairs = pairs[(np.diff(pairs, axis=1) >= 0).all(axis=1)]
+    sets = (pairs[:, None, :] + cols[None, :, :]).reshape(-1, 7)
+    sets = sets[(np.diff(sets, axis=1) > 0).all(axis=1)]
+    assert len(sets) == 326844
+    # the running totals per first free pick, the second-least member
+    per_pick = np.bincount(sets[:, 1], minlength=59)[1:]
+    assert np.cumsum(per_pick).tolist() == [c for c, _ in N4S7_PROGRESS]
+    dist = k3_distances(4)
+    # in parts, to keep the codes' memory small
+    assert not any(resolves(dist, part).any() for part in np.array_split(sets, 8))
+    # the decider accepts a resolving set: the size-8 hit, not less its last
+    hit = np.array([[16 * (a - 1) + 4 * (b - 1) + c - 1 for a, b, c in N4S8_HIT]])
+    assert resolves(dist, hit).tolist() == [True]
+    assert resolves(dist, hit[:, :-1]).tolist() == [False]
 
 
 def test_search_domain_errors():
