@@ -10,7 +10,8 @@ Subcommands:
 * ``enumerate``  emit two-basic landmark systems (exhaustive or sampled)
 
 Exit codes: 0 success (verify: resolving), 1 verify found a non-resolving
-set, 2 usage or input error, 3 search budget exhausted.
+set, 2 usage or input error, 3 search budget exhausted, 141 (128 + SIGPIPE)
+the reader closed standard output early, which prints nothing.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 
 from .construct import FIXTURE_NAMES, fixture, metric_basis
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_UNRESOLVED = 1
 EXIT_ERROR = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command its reader cut off
 
 
 def _read_text(path: str) -> str:
@@ -236,7 +239,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at the exit flush
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading, as ``| head`` does: not an input
+        # error.  Standard output goes to devnull, so that the exit flush
+        # of what is still buffered cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except BudgetExceeded as exc:
         print(f"error: {exc} (examined {exc.candidates_examined})", file=sys.stderr)
         return EXIT_BUDGET

@@ -10,9 +10,10 @@ always carry distinct codes.
 Two independent verification routes are provided:
 
 * ``is_resolving`` gives each non-landmark a 64-bit key, a weighted sum
-  of its code taken by inclusion-exclusion over its three blocks.  One
-  key per vertex, never a |V| x |W| table or a pairwise vertex
-  comparison.
+  of its code taken by inclusion-exclusion over its three blocks, and
+  keys a block of first-coordinate planes at a time, plus the few
+  vertices that can share a code across planes.  Never a |V| x |W|
+  table or a pairwise vertex comparison.
 * ``is_resolving_by_distance`` packs raw distance vectors, from the
   diameter-2 distance rule, 64 landmarks to a word and folds each
   vertex's words into one key.  It never looks at codes: the oracle.
@@ -31,20 +32,28 @@ a set whose hashes are distinct.  Otherwise only non-landmarks whose
 hash is shared by a later non-landmark are compared exactly, codes as
 sets of landmarks and distance vectors word by word.  A hash collision
 can cost time, never a wrong verdict.  Both report the lexicographically
-least colliding pair as witness.  The keys are the only |V|-sized
-array; the kernel's temporaries are slabs of at most _SLAB keys or
-tries.  The rest grow with |W|.  Both verifiers read one member table,
-each member's table entries ``at`` and the set of landmark indices,
-built on a set's first verification and kept with the set (120 to 130
-bytes a member on sets of thousands).  The code verifier adds its
+least colliding pair as witness.  The oracle keys every vertex in one
+|V|-sized array.  The code verifier does so only on a graph of one
+block (at most _SLAB vertices) and on a set whose cross candidates pass
+a quarter of the graph, as when a first value holds no landmark;
+otherwise its keys come a block of planes at a time, so nothing it holds
+grows with |V| beyond one block (at most _SLAB keys, or one plane) and
+the candidates.  The kernel's temporaries are slabs of at most _SLAB
+keys or tries.  The rest grow with |W|.  Both verifiers read one member
+table, each member's table entries ``at`` and the set of landmark
+indices, built on a set's first verification and kept with the set (120
+to 130 bytes a member on sets of thousands).  The code verifier adds its
 weights _SLAB table entries at a time, and the oracle's ``near`` table
 holds one bit per landmark in each of its three coordinate rows, 64 to
-a word.  On sets of far fewer landmarks than vertices, either verifier
-peaks at 1.0 to 1.15 times the keys' 8|V| bytes on the n = 100 and 150
-bases, and at 1.3 times when nearly every vertex collides (one landmark
-on 101 x 101 x 101).  Random sets of 32,000 landmarks on 40 x 40 x 40
-peak at about 13 times (either verifier), and of 131,324 on
-51 x 51 x 51 at 18 times (code) and 21 times (distance).
+a word.  On the n = 100 and 150 bases, whole or less one landmark other
+than the loop vertex, the code verifier peaks at 0.1 to 0.25 times the
+8|V| bytes that keys for every vertex take.  The oracle, and the code
+verifier where it keys every vertex, peak at 1.0 to 1.15 times that on
+sets of far fewer landmarks than vertices, and at 1.3 times when nearly
+every vertex collides (one landmark on 101 x 101 x 101).  Random sets of
+32,000 landmarks on 40 x 40 x 40 peak at about 13 times (either
+verifier), and of 131,324 on 51 x 51 x 51 at 18 times (code) and 21
+times (distance), most of it the member table.
 """
 
 from __future__ import annotations
@@ -346,28 +355,31 @@ def _index_bits(n: int):
     return mask, np.uint64(b), np.uint64(mask), np.uint64(mask ^ (2**64 - 1))
 
 
-def _least_equal_pair(keys: np.ndarray, landmarks, row_of):
-    """Least pair (i, j), i < j, of non-landmark indices with equal rows, or None.
+def _least_equal_pair(keys: np.ndarray, n: int, landmarks, row_of):
+    """Least pair (i, j), i < j, of non-landmark indices with keys here
+    and equal rows, or None.
 
-    keys[i] holds index i in its low b = ceil(log2 |V|) bits and, above
-    them, its prefix: a hash of row i, so distinct prefixes mean distinct
-    rows.  The keys are consumed: one in-place sort brings equal prefixes
-    together in runs, each run in increasing index order.  The indices
-    with a later one in their run are tried in increasing index order,
-    at most _SLAB per pass over the sorted keys; the first with an equal
-    row later in its run is the witness's first index, and the least such
-    later index its second.  Indices in ``landmarks`` are skipped, and a
-    row is read only to compare it with another non-landmark's, so row_of
-    re-checks exactly and a shared prefix costs time, never a wrong
-    verdict.  The run after a try is read key by key as Python ints, up
-    to the first key of another prefix, and the tries are read one by
-    one, never as a list of Python ints.  Every pass but the sort goes
-    _SLAB keys at a time, and a pass holds at most two slabs of tries, so
-    nothing but the keys grows with |V|: the verifiers peak at 1.0 to 1.3
-    times the keys' 8|V| bytes on the n = 100 and 150 bases and with one
+    The keys are those of some of the n vertices of a graph, each vertex
+    at most once: a key holds its vertex's index in its low
+    b = ceil(log2 n) bits and, above them, its prefix, a hash of the
+    vertex's row, so distinct prefixes mean distinct rows.  The keys are
+    consumed: one in-place sort brings equal prefixes together in runs,
+    each run in increasing index order.  The indices with a later one in
+    their run are tried in increasing index order, at most _SLAB per pass
+    over the sorted keys; the first with an equal row later in its run is
+    the witness's first index, and the least such later index its second.
+    Indices in ``landmarks`` are skipped, and a row is read only to
+    compare it with another non-landmark's, so row_of re-checks exactly
+    and a shared prefix costs time, never a wrong verdict.  The run after
+    a try is read key by key as Python ints, up to the first key of
+    another prefix, and the tries are read one by one, never as a list of
+    Python ints.  Every pass but the sort goes _SLAB keys at a time, and a
+    pass holds at most two slabs of tries, so nothing but the keys grows
+    with their number: on keys for every vertex the verifiers peak at 1.0
+    to 1.3 times their 8n bytes on the n = 100 and 150 bases and with one
     landmark on 101 x 101 x 101.
     """
-    mask, b, low, _ = _index_bits(keys.size)
+    mask, b, low, _ = _index_bits(n)
     shift = int(b)
     keys.sort()
     item = keys.item  # a key as a Python int
@@ -448,18 +460,29 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     by starting the H1, H2 and H3 tables at its three parts.  Equal codes
     give equal high bits; codes whose high bits repeat are re-checked
     exactly as sets of landmarks, so the verdict and the witness never
-    rest on the hash.  The one |V|-sized array is the keys, which the
-    kernel sorts in place, and graphs above VERTEX_LIMIT vertices are
-    refused before anything is allocated.  The verdict is valid for
-    K = {3} and for the complement rule K = {1, 2}: in both regimes a
-    vertex's distance to a landmark is fixed by whether the two share a
-    coordinate, so equal codes and equal distance vectors are the same
-    thing.
+    rest on the hash.  The verdict is valid for K = {3} and for the
+    complement rule K = {1, 2}: in both regimes a vertex's distance to a
+    landmark is fixed by whether the two share a coordinate, so equal
+    codes and equal distance vectors are the same thing.
+
+    Two non-landmarks with equal codes share their first coordinate or
+    are both cross candidates (``_cross_cells``), so the keys are built
+    and handed to the pair kernel in pieces: once for the candidates,
+    then once per block of whole first-coordinate planes (at most _SLAB
+    keys, or one larger plane alone) in index order, until a block holds
+    a pair or starts past the first vertex of the candidates' pair.  The
+    witness is the least pair found.  A graph of one block, or a set
+    whose candidates pass a quarter of the graph (as when a first value
+    holds no landmark), keys every vertex at once instead, one |V|-sized
+    array that the kernel sorts in place.  Graphs above VERTEX_LIMIT
+    vertices are refused before anything is allocated.
     """
     g = W.graph
-    _, high, o, _, _, index = _layout(g)
+    n, high, o, _, _, index = _layout(g)
     d1, d2, d3 = g.dims
     at, landmarks = W._member_table()
+    planes = max(1, _SLAB // (d2 * d3))  # per block
+    cover = _cross_cells(at, o, g.dims, n) if planes < d1 else None
     weights = _weights(len(W)) * _GOLDEN
     weights &= high
     table = np.zeros(o[6], dtype=np.uint64)
@@ -469,17 +492,117 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     step = _SLAB // 6
     for lo in range(0, len(W), step):
         np.add.at(table, at[lo:lo + step, :6].ravel(), weights[lo:lo + step].repeat(6))
+    del weights
     p12 = table[o[3]:o[4]].reshape(d1, d2)
     p13 = table[o[4]:o[5]].reshape(d1, d3)
     p23 = table[o[5]:].reshape(d2, d3)
     left = table[:o[1], None] + table[o[1]:o[2]]
     left -= p12  # H1[a1] + H2[a2] - P12[a1, a2]
     right = table[o[2]:o[3]] - p13  # H3[a3] - P13[a1, a3]
-    keys = left[:, :, None] + right[:, None, :]
-    keys -= p23
-    pair = _least_equal_pair(keys.reshape(-1), landmarks,
-                             lambda i: W._code(_vertex_at(g, i)))
+
+    def row_of(i):
+        return W._code(_vertex_at(g, i))
+
+    pair = None
+    if cover is None:
+        planes = d1  # one block of every vertex
+    elif cover[0].size:
+        cells, owner = cover
+        keys = left[:, cells // d3]
+        keys += right[:, cells % d3]
+        keys -= p23.reshape(-1)[cells]
+        keep = np.ones(keys.shape, dtype=bool)
+        once = (owner >= 0).nonzero()[0]
+        keep[owner[once], once] = False  # a cell covered once: not in its block's plane
+        pair = _least_equal_pair(keys[keep], n, landmarks, row_of)
+        del keys, keep
+    # one buffer for every block: a fresh half-megabyte array per block
+    # made the allocator return pages and fault them in again each time
+    block = np.empty((planes, d2, d3), dtype=np.uint64)
+    for a in range(0, d1, planes):
+        if pair is not None and a * d2 * d3 > pair[0]:
+            break
+        keys = np.add(left[a:a + planes, :, None], right[a:a + planes, None, :],
+                      out=block[:d1 - a])
+        keys -= p23
+        found = _least_equal_pair(keys.reshape(-1), n, landmarks, row_of)
+        if found is not None:
+            pair = found if pair is None else min(pair, found)
+            break
     return _certificate(W, pair)
+
+
+def _cross_cells(at, o, dims, n: int):
+    """(cells, owner): the cross candidates of the set whose member table
+    is ``at``, or None when they pass a quarter of the n vertices.
+
+    A non-landmark (a1, a2, a3) is a cross candidate when block (1, a) lies
+    in block (2, a2) | block (3, a3) for some a != a1: the cell (a2, a3)
+    covers block (1, a).  Two non-landmarks with equal codes and distinct
+    first coordinates are both candidates, since each one's first block
+    lies in the other's code and misses its own first block.  ``cells``
+    lists the covering cells as a2 d3 + a3, zero-based and increasing;
+    ``owner`` gives per cell the one block it covers, zero-based, or -1
+    where it covers two or more, so that every first value but the
+    owner's makes a candidate.
+
+    Read off the colour-1 blocks in O(|W|), _SLAB members at a time: a
+    covering cell agrees with each member of the block, its last member m
+    included, in coordinate 2 or 3.  So it lies in the row through m's
+    second coordinate, at the one third coordinate of the members off
+    that row, or in the column through m's third, at the one second
+    coordinate of the members off that column; a block with no members
+    off a line is covered by the whole line.  The row holds the cell
+    where the two lines meet, so the column skips it.  An empty block
+    covers every cell, which makes most of the graph candidates.  The
+    block-cell pairs are listed only if the whole lines among them come
+    to at most n / 8 cells, so that the list stays well under the 8n
+    bytes of keys for every vertex.
+    """
+    d1, d2, d3 = dims
+    last = np.full(d1, -1)
+    for lo in range(0, len(at), _SLAB):
+        last[at[lo:lo + _SLAB, 0]] = np.arange(lo, min(lo + _SLAB, len(at)))
+    if last.min() < 0:
+        return None  # an empty block covers every cell
+    m = at[last]  # per block, its last member's table entries
+
+    def line(t, u):
+        # per block, the one table entry u of its members whose entry t is
+        # not m's, so that the line through m along t holds one covering
+        # cell; -1 if there are no such members, so that all of it covers;
+        # -2 if they have several entries u, so that none of it covers
+        least, most = np.full(d1, o[3]), np.full(d1, -1)
+        for lo in range(0, len(at), _SLAB):
+            part = at[lo:lo + _SLAB]
+            off = part[:, t] != m[part[:, 0], t]
+            blocks, free = part[off, 0], part[off, u]
+            np.minimum.at(least, blocks, free)
+            np.maximum.at(most, blocks, free)
+        most[(most >= 0) & (least != most)] = -2
+        return most
+
+    m2, m3 = m[:, 1] - o[1], m[:, 2] - o[2]
+    row, col = line(1, 2), line(2, 1)
+    whole_row, whole_col = (row == -1).nonzero()[0], (col == -1).nonzero()[0]
+    if (whole_row.size * d3 + whole_col.size * (d2 - 1)) * 8 > n:
+        return None
+    one_row = (row >= 0).nonzero()[0]
+    one_col = ((col >= 0) & (col - o[1] != m2)).nonzero()[0]
+    others = np.arange(d2) != m2[whole_col, None]  # each column less row m2
+    cells = np.concatenate([
+        (m2[whole_row, None] * d3 + np.arange(d3)).ravel(),
+        (np.arange(d2) * d3 + m3[whole_col, None])[others],
+        m2[one_row] * d3 + row[one_row] - o[2],
+        (col[one_col] - o[1]) * d3 + m3[one_col],
+    ])
+    blocks = np.concatenate([whole_row.repeat(d3), whole_col.repeat(d2 - 1),
+                             one_row, one_col])
+    cells, first, count = np.unique(cells, return_index=True, return_counts=True)
+    owner = np.where(count == 1, blocks[first], -1)
+    if 4 * (d1 * cells.size - (count == 1).sum()) > n:
+        return None
+    return cells, owner
 
 
 def is_resolving_by_distance(W: LandmarkSet) -> Certificate:
@@ -545,14 +668,14 @@ def is_resolving_by_distance(W: LandmarkSet) -> Certificate:
     keys = np.empty(n, dtype=np.uint64)
     lo = 0
     for block in _blocks(g.dims, max(1, _FOLD_ENTRIES // (64 * words))):
-        k = r @ (_mix(rows_of(*block)) if words > 1 else rows_of(*block))
+        k = r @ _mix(rows_of(*block)) if words > 1 else rows_of(*block)[0]
         hi = lo + k.size
         k *= _GOLDEN
         k &= high
         k |= np.arange(lo, hi, dtype=np.uint64)
         keys[lo:hi] = k
         lo = hi
-    return _certificate(W, _least_equal_pair(keys, landmarks, row_of))
+    return _certificate(W, _least_equal_pair(keys, n, landmarks, row_of))
 
 
 def _blocks(dims, step: int):

@@ -543,3 +543,17 @@ def test_cli_module_entry_point():
     )
     assert run.returncode == 0
     assert run.stdout == N3_SQUARE
+
+
+@pytest.mark.parametrize("argv", [["construct", "--n", "3000"], ["enumerate", "--n", "5"]],
+                         ids=["construct", "enumerate"])
+def test_cli_closed_pipe_is_not_an_input_error(argv):
+    # the reader takes 100 bytes of a long output and closes the pipe, as
+    # ``| head -c 100`` does: nothing on stderr and 128 + SIGPIPE, not the
+    # exit 2 of bad input
+    with subprocess.Popen([sys.executable, "-m", "hammingdim.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()  # to the end: the command has exited
+    assert (proc.returncode, err) == (141, b"")

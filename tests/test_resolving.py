@@ -4,8 +4,10 @@ All frozen sets of vertices here were cross-checked against the distance
 definition (code(v) = landmarks at distance 2) before being pinned.
 """
 
+import collections
 import itertools
 import json
+import math
 import random
 import tracemalloc
 from unittest import mock
@@ -346,11 +348,14 @@ def test_code_verifier_size_cap():
 
 @pytest.mark.parametrize("verify", [is_resolving, is_resolving_by_distance])
 def test_verifier_peak_under_1_6_key_arrays(verify):
-    # the keys, sorted in place, and slab temporaries: about 1.1 to 1.2
-    # times the 8|V| bytes of keys on the bases, and 1.45 times with one
-    # landmark on 101x101x101, where nearly every vertex collides and the
-    # tries are taken _SLAB at a time; a sorted copy of the keys, or any
-    # other |V|-sized uint64 array, would cross 2 times
+    # keys for every vertex, sorted in place, and slab temporaries: about
+    # 1.1 to 1.2 times their 8|V| bytes on the bases, and 1.45 times with
+    # one landmark on 101x101x101, where nearly every vertex collides and
+    # the tries are taken _SLAB at a time; a sorted copy of the keys, or
+    # any other |V|-sized uint64 array, would cross 2 times.  The code
+    # verifier keys every vertex here only on the basis less its loop
+    # vertex and on the one landmark, where a first value holds no
+    # landmark; on the whole basis it keys a block of planes at a time
     B = metric_basis(100)
     one = LandmarkSet(hamming_graph(101, 101, 101), [(1, 1, 1)])
     for W in (B, LandmarkSet(B.graph, B.members[:-1]), one):
@@ -362,6 +367,23 @@ def test_verifier_peak_under_1_6_key_arrays(verify):
             tracemalloc.stop()
         assert peak < 1.6 * 8 * W.graph.vertex_count()
     assert cert.witness == ((1, 1, 2), (1, 1, 3))
+
+
+def test_code_verifier_peak_under_half_a_key_array():
+    # metric_basis(100), whole and less its first member, whose pair
+    # (1,5,2), (3,5,2) crosses planes: keying a block of planes at a time,
+    # and the few cross candidates, peaks at about 0.2 times the 8|V|
+    # bytes of keys for every vertex; the member table is a few kB
+    B = metric_basis(100)
+    for W, witness in ((B, None), (LandmarkSet(B.graph, B.members[1:]), ((1, 5, 2), (3, 5, 2)))):
+        tracemalloc.start()
+        try:
+            cert = is_resolving(W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.witness == witness
+        assert peak < 0.5 * 8 * W.graph.vertex_count()
 
 
 def least_pair_by_bfs(W):
@@ -418,8 +440,11 @@ INTERLEAVED = ((1, 1, 1), (2, 2, 2), (2, 3, 2), (3, 2, 3))
 
 @pytest.fixture
 def zero_weights(monkeypatch):
-    # every key collides, so verdicts and witnesses rest on the exact re-check
+    # every key collides, so verdicts and witnesses rest on the exact re-check:
+    # the code verifier's weights are zero, and so is the multiplier that
+    # the oracle's keys of one row word take as their hash
     monkeypatch.setattr(resolving, "_WEIGHTS", np.zeros(4096, dtype=np.uint64))
+    monkeypatch.setattr(resolving, "_GOLDEN", np.uint64(0))
 
 
 @pytest.fixture
@@ -430,8 +455,8 @@ def kernel_calls(monkeypatch):
     calls = []
     kernel = resolving._least_equal_pair
 
-    def spy(keys, landmarks, row_of):
-        b = resolving._index_bits(keys.size)[1]
+    def spy(keys, n, landmarks, row_of):
+        b = resolving._index_bits(n)[1]
         read = []
         calls.append((keys.copy(), keys >> b, read))
 
@@ -439,7 +464,7 @@ def kernel_calls(monkeypatch):
             read.append(i)
             return row_of(i)
 
-        return kernel(keys, landmarks, logged)
+        return kernel(keys, n, landmarks, logged)
 
     monkeypatch.setattr(resolving, "_least_equal_pair", spy)
     return calls
@@ -526,7 +551,7 @@ def test_least_equal_pair_against_brute_force(case):
     # tries over several passes
     for slab in (resolving._SLAB, 2, 3):
         with mock.patch.object(resolving, "_SLAB", slab):
-            pair = resolving._least_equal_pair(kernel_keys(keys), landmarks, row_of)
+            pair = resolving._least_equal_pair(kernel_keys(keys), len(keys), landmarks, row_of)
         assert pair == want
 
 
@@ -543,7 +568,7 @@ def test_least_equal_pair_prefix_collision_before_witness():
         tried.append(i)
         return rows[i]
 
-    assert resolving._least_equal_pair(kernel_keys(keys), {8}, row_of) == (3, 6)
+    assert resolving._least_equal_pair(kernel_keys(keys), 9, {8}, row_of) == (3, 6)
     # rows are read only for kept indices with a later kept index of the
     # same prefix, in index order, and for those later indices: never for
     # 4, 5 and 7, whose prefixes are unique, nor for the landmark 8, nor
@@ -607,6 +632,102 @@ def test_unequal_dims_against_brute_force(case):
     assert is_resolving(W).witness == least_pair_by_codes(W)
 
 
+def cross_cells_by_brute_force(W):
+    """Per cell (a2, a3) that covers some colour-1 block, lies in block
+    (2, a2) | block (3, a3), keyed as a2 d3 + a3 zero-based: the one block
+    it covers, zero-based, or -1 if it covers several."""
+    d1, d2, d3 = W.graph.dims
+    out = {}
+    for a2, a3 in itertools.product(range(1, d2 + 1), range(1, d3 + 1)):
+        union = W.block(2, a2) | W.block(3, a3)
+        covered = [a - 1 for a in range(1, d1 + 1) if W.block(1, a) <= union]
+        if covered:
+            out[(a2 - 1) * d3 + a3 - 1] = covered[0] if len(covered) == 1 else -1
+    return out
+
+
+def cross_candidate_sets(rng):
+    """Seeded sets on unequal shapes from 3x3x4 to 5x7x7 under K = {3} and
+    K = {1, 2}: random members, or per first value a block that is empty
+    or whose members share coordinate 2 or 3 with one chosen (b, c), on
+    both sides of it or, one set in four, on sides drawn freely, so that
+    a block may be single or lie on one row or column; then
+    metric_basis(5..9) less 0 to 3 landmarks."""
+    for t in range(240):
+        # d1 below d2 d3 / 4 mostly, since each block covers a cell or more
+        dims = (rng.randint(3, 5), rng.randint(3, 7), rng.randint(4, 7))
+        d1, d2, d3 = dims
+        g = GhgParams(dims, frozenset({3}) if t % 2 else frozenset({1, 2}))
+        if t % 4 == 0:
+            members = rng.sample(list(g.vertices()), rng.randint(0, 3 * max(dims)))
+        else:
+            members = set()
+            for a in range(1, d1 + 1):
+                if rng.random() < 0.05:
+                    continue  # an empty first block
+                b, c = rng.randint(1, d2), rng.randint(1, d3)
+                sides = [0, 1] if t % 4 != 3 else [rng.randint(0, 1)]
+                sides += [rng.randint(0, 1) for _ in range(rng.randint(0, 2))]
+                for side in sides:
+                    members.add((a, b, rng.randint(1, d3)) if side else (a, rng.randint(1, d2), c))
+            members = sorted(members)
+            rng.shuffle(members)
+        yield LandmarkSet(g, members)
+    for n in range(5, 10):
+        B = metric_basis(n)
+        for k in (0, 1, 1, 2, 2, 3, 3):
+            drop = rng.sample(range(len(B)), k)
+            yield LandmarkSet(B.graph, [v for i, v in enumerate(B.members) if i not in drop])
+
+
+def test_cross_candidates_against_brute_force(kernel_calls):
+    # A vertex with an equal code in another first-coordinate plane is a
+    # cross candidate: the cell of its last two coordinates covers the
+    # colour-1 block of some other first value.  Checked here from the
+    # codes and blocks alone, then the cells and owners that _cross_cells
+    # reads off the blocks, with its quarter fallback off (n = inf), then
+    # is_resolving with blocks of one plane, so that every graph here
+    # takes the block path: on the candidate path its first kernel call
+    # keys exactly the candidates.  Each route must be taken often: an
+    # empty first block, too many candidates, and the candidate path with
+    # a pair across planes
+    routes = collections.Counter()
+    for W in cross_candidate_sets(random.Random(20261020)):
+        g = W.graph
+        n, (d1, d2, d3) = g.vertex_count(), g.dims
+        want_cells = cross_cells_by_brute_force(W)
+        classes: dict = {}
+        for v in g.vertices():
+            if v not in W:
+                classes.setdefault(W.code(v), []).append(v)
+        across = [v for vs in classes.values() for v in vs if any(u[0] != v[0] for u in vs)]
+        for a1, a2, a3 in across:
+            assert want_cells.get((a2 - 1) * d3 + a3 - 1, a1 - 1) != a1 - 1
+        at, o = W._member_table()[0], resolving._layout(g)[2]
+        cover = resolving._cross_cells(at, o, g.dims, math.inf)
+        route = "empty block"
+        if cover is not None:
+            cells, owner = cover
+            assert dict(zip(cells.tolist(), owner.tolist())) == want_cells
+            route = "quarter" if resolving._cross_cells(at, o, g.dims, n) is None else "candidates"
+        routes[route] += 1
+        routes["candidates, across planes"] += route == "candidates" and bool(across)
+        want = least_pair_by_codes(W)
+        calls = len(kernel_calls)
+        with mock.patch.object(resolving, "_SLAB", d2 * d3):
+            cert = is_resolving(W)
+        assert cert.witness == want
+        assert (cert.verdict is Verdict.RESOLVING) == (want is None)
+        if route == "candidates" and want_cells:
+            keys = kernel_calls[calls][0]
+            indices = keys & np.uint64((1 << (n - 1).bit_length()) - 1)
+            assert sorted(indices.tolist()) == sorted(
+                a * d2 * d3 + cell for cell, owner in want_cells.items()
+                for a in range(d1) if a != owner)
+    assert min(routes[r] for r in ("empty block", "quarter", "candidates, across planes")) >= 20, \
+        routes
+
+
 def test_many_lanes_against_brute_force():
     B = metric_basis(35)
     assert len(B) == 69  # keys mix exact bits and splitmix64 weights past 64
@@ -653,10 +774,11 @@ def test_oracle_word_boundaries(m):
 @pytest.mark.parametrize("n", [65, 100])
 def test_basis_keys_never_collide(n, kernel_calls):
     # a fold that lets structured rows cancel repeats prefixes here and
-    # sends non-landmarks to the exact re-check
+    # sends non-landmarks to the exact re-check, in any of the code
+    # verifier's calls, one per block of planes and one for the candidates
     for verify in (is_resolving, is_resolving_by_distance):
         assert verify(metric_basis(n)).verdict is Verdict.RESOLVING
-        assert kernel_calls[-1][2] == []
+        assert all(read == [] for _, _, read in kernel_calls)
 
 
 @pytest.mark.parametrize("dims", [(5, 6, 7), (4, 3, 11)])
