@@ -11,9 +11,10 @@ Two independent verification routes are provided:
 
 * ``is_resolving`` gives each non-landmark a 64-bit key, a weighted sum
   of its code taken by inclusion-exclusion over its three blocks, and
-  keys a block of first-coordinate planes at a time, plus the few
-  vertices that can share a code across planes.  Never a |V| x |W|
-  table or a pairwise vertex comparison.
+  keys only the few vertices that can share a code with another, read
+  off the blocks along all three axes; where an axis does not yield
+  them, a block of first-coordinate planes at a time.  Never a
+  |V| x |W| table or a pairwise vertex comparison.
 * ``is_resolving_by_distance`` packs raw distance vectors, from the
   diameter-2 distance rule, 64 landmarks to a word and folds each
   vertex's words into one key.  It never looks at codes: the oracle.
@@ -34,20 +35,25 @@ sets of landmarks and distance vectors word by word.  A hash collision
 can cost time, never a wrong verdict.  Both report the lexicographically
 least colliding pair as witness.  The oracle keys every vertex in one
 |V|-sized array.  The code verifier does so only on a graph of one
-block (at most _SLAB vertices) and on a set whose cross candidates pass
-a quarter of the graph, as when a first value holds no landmark;
-otherwise its keys come a block of planes at a time, so nothing it holds
-grows with |V| beyond one block (at most _SLAB keys, or one plane) and
-the candidates.  The kernel's temporaries are slabs of at most _SLAB
-keys or tries.  The rest grow with |W|.  Both verifiers read one member
-table, each member's table entries ``at`` and the set of landmark
-indices, built on a set's first verification and kept with the set (120
-to 130 bytes a member on sets of thousands).  The code verifier adds its
-weights _SLAB table entries at a time, and the oracle's ``near`` table
-holds one bit per landmark in each of its three coordinate rows, 64 to
-a word.  On the n = 100 and 150 bases, whole or less one landmark other
-than the loop vertex, the code verifier peaks at 0.1 to 0.25 times the
-8|V| bytes that keys for every vertex take.  The oracle, and the code
+block (at most _SLAB vertices) and on a set whose axis-1 cross
+candidates pass a quarter of the graph, as when a first value holds no
+landmark.  Otherwise, where every axis has cross cells and the vertices
+they single out come to at most a quarter of the graph, it keys those
+vertices alone, in one kernel call: 2 to 5 per cent of the graph on the
+n = 65 to 150 bases, listed as int32 indices and deduplicated before
+they are keyed.  Failing that, its keys come a block of planes at a
+time, so nothing it holds grows with |V| beyond one block (at most
+_SLAB keys, or one plane) and the axis-1 candidates.  The kernel's
+temporaries are slabs of at most _SLAB keys or tries.  The rest grow
+with |W|.  Both verifiers read one member table, each member's table
+entries ``at`` and the set of landmark indices, built on a set's first
+verification and kept with the set (120 to 130 bytes a member on sets
+of thousands).  The code verifier adds its weights _SLAB table entries
+at a time, and the oracle's ``near`` table holds one bit per landmark
+in each of its three coordinate rows, 64 to a word.  On the n = 100 and
+150 bases, whole or less one landmark other than the loop vertex, the
+code verifier peaks at 0.08 to 0.13 times the 8|V| bytes that keys for
+every vertex take, under |V| bytes at n = 150.  The oracle, and the code
 verifier where it keys every vertex, peak at 1.0 to 1.15 times that on
 sets of far fewer landmarks than vertices, and at 1.3 times when nearly
 every vertex collides (one landmark on 101 x 101 x 101).  Random sets of
@@ -465,24 +471,37 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     landmark is fixed by whether the two share a coordinate, so equal
     codes and equal distance vectors are the same thing.
 
-    Two non-landmarks with equal codes share their first coordinate or
-    are both cross candidates (``_cross_cells``), so the keys are built
-    and handed to the pair kernel in pieces: once for the candidates,
-    then once per block of whole first-coordinate planes (at most _SLAB
-    keys, or one larger plane alone) in index order, until a block holds
-    a pair or starts past the first vertex of the candidates' pair.  The
-    witness is the least pair found.  A graph of one block, or a set
-    whose candidates pass a quarter of the graph (as when a first value
-    holds no landmark), keys every vertex at once instead, one |V|-sized
-    array that the kernel sorts in place.  Graphs above VERTEX_LIMIT
-    vertices are refused before anything is allocated.
+    Two non-landmarks with equal codes are both cross vertices
+    (``_cross_vertices``), read off the cross cells of all three axes.
+    Where those can be listed, their keys alone are built, in index
+    order and a few thousand at a time, and handed to the pair kernel in
+    one call, whose least pair is the witness.  Where an axis has no
+    cross cells to list (an empty block, or candidates past a quarter of
+    the graph), or the cross vertices would pass a quarter of it, the
+    two still share their first coordinate or are both axis-1 cross
+    candidates (``_cross_cells``), so the keys are built and handed to
+    the kernel in pieces: once for the candidates, then once per block
+    of whole first-coordinate planes (at most _SLAB keys, or one larger
+    plane alone) in index order, until a block holds a pair or starts
+    past the first vertex of the candidates' pair.  The witness is the
+    least pair found.  A graph of one block, or a set whose axis-1
+    candidates pass a quarter of the graph (as when a first value holds
+    no landmark), keys every vertex at once instead, one |V|-sized array
+    that the kernel sorts in place.  Graphs above VERTEX_LIMIT vertices
+    are refused before anything is allocated.
     """
     g = W.graph
     n, high, o, _, _, index = _layout(g)
     d1, d2, d3 = g.dims
     at, landmarks = W._member_table()
     planes = max(1, _SLAB // (d2 * d3))  # per block
-    cover = _cross_cells(at, o, g.dims, n) if planes < d1 else None
+    cover = cross = None
+    if planes < d1:
+        z = at[:, :3] - (0, o[1], o[2])  # the members' zero-based coordinates
+        cover = _cross_cells(z, g.dims, n)
+        if cover is not None:
+            cross = _cross_vertices(z, g.dims, n, cover)
+        del z
     weights = _weights(len(W)) * _GOLDEN
     weights &= high
     table = np.zeros(o[6], dtype=np.uint64)
@@ -503,6 +522,21 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     def row_of(i):
         return W._code(_vertex_at(g, i))
 
+    if cross is not None:
+        if not cross.size:
+            return _certificate(W, None)  # no two vertices can share a code
+        # each vertex's entries of left, right and p23, a few thousand keys
+        # at a time, so that the temporaries stay small beside the keys
+        keys = np.empty(cross.size, dtype=np.uint64)
+        step = max(1, _SLAB // 8)
+        for lo in range(0, cross.size, step):
+            v, k = cross[lo:lo + step], keys[lo:lo + step]
+            a1, q = v // (d2 * d3), v // d3  # q = a1 d2 + a2
+            left.reshape(-1).take(q, out=k)
+            k += right.reshape(-1)[v - (q - a1) * d3]  # a1 d3 + a3
+            k -= p23.reshape(-1)[v - a1 * (d2 * d3)]  # a2 d3 + a3
+        del cross, v, a1, q  # v is a view: it would keep the indices
+        return _certificate(W, _least_equal_pair(keys, n, landmarks, row_of))
     pair = None
     if cover is None:
         planes = d1  # one block of every vertex
@@ -532,9 +566,12 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     return _certificate(W, pair)
 
 
-def _cross_cells(at, o, dims, n: int):
-    """(cells, owner): the cross candidates of the set whose member table
-    is ``at``, or None when they pass a quarter of the n vertices.
+def _cross_cells(z, dims, n: int):
+    """(cells, owner): the cross candidates along the first axis of the
+    set whose members' zero-based coordinates are the rows of ``z``, the
+    axis first and ``dims`` in the same order, or None when they pass a
+    quarter of the n vertices.  Written here for axis 1; the code
+    verifier passes axes 2 and 3 first as well.
 
     A non-landmark (a1, a2, a3) is a cross candidate when block (1, a) lies
     in block (2, a2) | block (3, a3) for some a != a1: the cell (a2, a3)
@@ -561,20 +598,21 @@ def _cross_cells(at, o, dims, n: int):
     """
     d1, d2, d3 = dims
     last = np.full(d1, -1)
-    for lo in range(0, len(at), _SLAB):
-        last[at[lo:lo + _SLAB, 0]] = np.arange(lo, min(lo + _SLAB, len(at)))
+    for lo in range(0, len(z), _SLAB):
+        last[z[lo:lo + _SLAB, 0]] = np.arange(lo, min(lo + _SLAB, len(z)))
     if last.min() < 0:
         return None  # an empty block covers every cell
-    m = at[last]  # per block, its last member's table entries
+    m = z[last]  # per block, its last member's coordinates
 
     def line(t, u):
-        # per block, the one table entry u of its members whose entry t is
-        # not m's, so that the line through m along t holds one covering
-        # cell; -1 if there are no such members, so that all of it covers;
-        # -2 if they have several entries u, so that none of it covers
-        least, most = np.full(d1, o[3]), np.full(d1, -1)
-        for lo in range(0, len(at), _SLAB):
-            part = at[lo:lo + _SLAB]
+        # per block, the one coordinate u of its members whose coordinate
+        # t is not m's, so that the line through m along t holds one
+        # covering cell; -1 if there are no such members, so that all of
+        # it covers; -2 if they have several coordinates u, so that none
+        # of it covers
+        least, most = np.full(d1, max(d2, d3)), np.full(d1, -1)
+        for lo in range(0, len(z), _SLAB):
+            part = z[lo:lo + _SLAB]
             off = part[:, t] != m[part[:, 0], t]
             blocks, free = part[off, 0], part[off, u]
             np.minimum.at(least, blocks, free)
@@ -582,19 +620,19 @@ def _cross_cells(at, o, dims, n: int):
         most[(most >= 0) & (least != most)] = -2
         return most
 
-    m2, m3 = m[:, 1] - o[1], m[:, 2] - o[2]
+    m2, m3 = m[:, 1], m[:, 2]
     row, col = line(1, 2), line(2, 1)
     whole_row, whole_col = (row == -1).nonzero()[0], (col == -1).nonzero()[0]
     if (whole_row.size * d3 + whole_col.size * (d2 - 1)) * 8 > n:
         return None
     one_row = (row >= 0).nonzero()[0]
-    one_col = ((col >= 0) & (col - o[1] != m2)).nonzero()[0]
+    one_col = ((col >= 0) & (col != m2)).nonzero()[0]
     others = np.arange(d2) != m2[whole_col, None]  # each column less row m2
     cells = np.concatenate([
         (m2[whole_row, None] * d3 + np.arange(d3)).ravel(),
         (np.arange(d2) * d3 + m3[whole_col, None])[others],
-        m2[one_row] * d3 + row[one_row] - o[2],
-        (col[one_col] - o[1]) * d3 + m3[one_col],
+        m2[one_row] * d3 + row[one_row],
+        col[one_col] * d3 + m3[one_col],
     ])
     blocks = np.concatenate([whole_row.repeat(d3), whole_col.repeat(d2 - 1),
                              one_row, one_col])
@@ -603,6 +641,79 @@ def _cross_cells(at, o, dims, n: int):
     if 4 * (d1 * cells.size - (count == 1).sum()) > n:
         return None
     return cells, owner
+
+
+def _cross_vertices(z, dims, n: int, cover):
+    """The cross vertices of the set whose members' zero-based
+    coordinates are the rows of ``z``, as sorted int32 vertex indices,
+    given ``cover``, its ``_cross_cells`` along axis 1; or None when the
+    cross cells along axis 2 or 3 are None, or when the pieces below come
+    to more than a quarter of the n vertices.
+
+    Let C_i be the cross candidates along axis i, the vertices on the
+    lines along i through the cells that ``_cross_cells`` finds with
+    axis i first, less each line's owner, and M_i the lines through the
+    cells that cover two or more colour-i blocks, owner and all.  If two
+    non-landmarks with equal codes differ in coordinates i and j, both
+    lie in C_i and in C_j.  If they differ in coordinate i alone, the
+    cell of their line covers both their colour-i blocks, so both lie in
+    M_i.  So every such pair lies in S = M_1 | M_2 | M_3 | (C_1 & C_2) |
+    (C_1 & C_3) | (C_2 & C_3), the cross vertices.  A line along i and a
+    line along j meet in one vertex when they share their third
+    coordinate, so each C_i & C_j is a join of the two cell lists on that
+    coordinate, less the vertices at either line's owner; no C_i, about
+    4n^2 vertices on the n-diagonal bases, is ever listed.  The pieces
+    hold at most n / 4 indices in all, and S is their sorted union; int32
+    holds any index, since VERTEX_LIMIT is below 2**31.
+    """
+    stride = (dims[1] * dims[2], dims[2], 1)
+    lines = []  # per axis i, its cells' coordinates as rows, the owner in row i
+    for i, order in enumerate(((0, 1, 2), (1, 0, 2), (2, 0, 1))):
+        c = cover if i == 0 else _cross_cells(z[:, order], [dims[t] for t in order], n)
+        if c is None:
+            return None
+        cells, owner = c
+        x = np.empty((3, cells.size), dtype=np.int32)
+        x[i] = owner
+        x[order[1]], x[order[2]] = np.divmod(cells, dims[order[2]])
+        lines.append(x)
+
+    def pieces():
+        for i, x in enumerate(lines):  # M_i: whole lines, stride[i] apart
+            whole = x[:, x[i] < 0]
+            whole[i] = 0
+            start = whole[0] * stride[0] + whole[1] * stride[1] + whole[2]
+            yield (start[:, None] + np.arange(dims[i], dtype=np.int32) * stride[i]).ravel()
+        for i, j in ((0, 1), (0, 2), (1, 2)):  # C_i & C_j, joined on coordinate s
+            s = 3 - i - j
+            x, y = lines[i], lines[j]
+            y = y[:, np.argsort(y[s])]
+            count = np.bincount(y[s], minlength=dims[s])
+            reps = count[x[s]]  # per x cell, the y cells it meets
+            # the pairs' y cells: per x cell, the run of y's cells of its
+            # coordinate s, from that run's first position on
+            first = (np.cumsum(count) - count)[x[s]]
+            yi = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - first, reps)
+            vi = y[i].take(yi)  # the meeting vertex's coordinate i
+            keep = np.repeat(x[i], reps) != vi  # not at x's owner
+            keep &= np.repeat(x[j], reps) != y[j].take(yi)  # nor at y's
+            del yi
+            v = np.repeat(x[j] * stride[j] + x[s] * stride[s], reps)
+            v += vi * stride[i]
+            yield v[keep]
+
+    out, size = [], 0
+    for piece in pieces():
+        size += piece.size
+        if 4 * size > n:
+            return None
+        out.append(piece)
+    cross = np.concatenate(out)
+    del out
+    cross.sort()
+    first = np.ones(cross.size, dtype=bool)  # of its run of equal indices
+    np.not_equal(cross[1:], cross[:-1], out=first[1:])
+    return cross[first]
 
 
 def is_resolving_by_distance(W: LandmarkSet) -> Certificate:

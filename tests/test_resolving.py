@@ -5,6 +5,7 @@ definition (code(v) = landmarks at distance 2) before being pinned.
 """
 
 import collections
+import contextlib
 import itertools
 import json
 import math
@@ -355,7 +356,8 @@ def test_verifier_peak_under_1_6_key_arrays(verify):
     # any other |V|-sized uint64 array, would cross 2 times.  The code
     # verifier keys every vertex here only on the basis less its loop
     # vertex and on the one landmark, where a first value holds no
-    # landmark; on the whole basis it keys a block of planes at a time
+    # landmark; on the whole basis it keys the cross vertices of all three
+    # axes, about 3 per cent of the graph
     B = metric_basis(100)
     one = LandmarkSet(hamming_graph(101, 101, 101), [(1, 1, 1)])
     for W in (B, LandmarkSet(B.graph, B.members[:-1]), one):
@@ -370,20 +372,25 @@ def test_verifier_peak_under_1_6_key_arrays(verify):
 
 
 def test_code_verifier_peak_under_half_a_key_array():
-    # metric_basis(100), whole and less its first member, whose pair
-    # (1,5,2), (3,5,2) crosses planes: keying a block of planes at a time,
-    # and the few cross candidates, peaks at about 0.2 times the 8|V|
-    # bytes of keys for every vertex; the member table is a few kB
-    B = metric_basis(100)
-    for W, witness in ((B, None), (LandmarkSet(B.graph, B.members[1:]), ((1, 5, 2), (3, 5, 2)))):
-        tracemalloc.start()
-        try:
-            cert = is_resolving(W)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert cert.witness == witness
-        assert peak < 0.5 * 8 * W.graph.vertex_count()
+    # metric_basis(n), whole and less its first member, whose pair
+    # (1,5,2), (3,5,2) crosses planes: keying the cross vertices of all
+    # three axes, 2 to 3 per cent of the graph, as int32 indices deduped
+    # before they are keyed, peaks at about 0.13 times the 8|V| bytes of
+    # keys for every vertex at n = 100, and under |V| bytes (0.6 |V|) at
+    # n = 150, where keying blocks of planes took 0.9 to 1.1 |V|; the
+    # member table is a few kB
+    for n, bound in ((100, 0.5 * 8), (150, 1)):
+        B = metric_basis(n)
+        for W, witness in ((B, None),
+                           (LandmarkSet(B.graph, B.members[1:]), ((1, 5, 2), (3, 5, 2)))):
+            tracemalloc.start()
+            try:
+                cert = is_resolving(W)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert cert.witness == witness
+            assert peak < bound * W.graph.vertex_count()
 
 
 def least_pair_by_bfs(W):
@@ -637,12 +644,13 @@ def cross_cells_by_brute_force(W):
     (2, a2) | block (3, a3), keyed as a2 d3 + a3 zero-based: the one block
     it covers, zero-based, or -1 if it covers several."""
     d1, d2, d3 = W.graph.dims
+    blocks = [[W.block(i, a) for a in range(1, d + 1)] for i, d in enumerate(W.graph.dims, 1)]
     out = {}
-    for a2, a3 in itertools.product(range(1, d2 + 1), range(1, d3 + 1)):
-        union = W.block(2, a2) | W.block(3, a3)
-        covered = [a - 1 for a in range(1, d1 + 1) if W.block(1, a) <= union]
+    for a2, a3 in itertools.product(range(d2), range(d3)):
+        union = blocks[1][a2] | blocks[2][a3]
+        covered = [a for a in range(d1) if blocks[0][a] <= union]
         if covered:
-            out[(a2 - 1) * d3 + a3 - 1] = covered[0] if len(covered) == 1 else -1
+            out[a2 * d3 + a3] = covered[0] if len(covered) == 1 else -1
     return out
 
 
@@ -680,17 +688,68 @@ def cross_candidate_sets(rng):
             yield LandmarkSet(B.graph, [v for i, v in enumerate(B.members) if i not in drop])
 
 
+def zero_based(W):
+    """The members' zero-based coordinates, one row each."""
+    at, o = W._member_table()[0], resolving._layout(W.graph)[2]
+    return at[:, :3] - (0, o[1], o[2])
+
+
+# per axis, the coordinates in the order the code verifier hands them to
+# _cross_cells: the axis first, then the other two in order
+AXIS_ORDERS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+
+
+def covers(W, n):
+    """Per axis, _cross_cells of W with the axis first and quarter
+    threshold n."""
+    z, dims = zero_based(W), W.graph.dims
+    return [resolving._cross_cells(z[:, order], [dims[t] for t in order], n)
+            for order in AXIS_ORDERS]
+
+
+def code_route(W, kernel_calls, lift=False):
+    """(route, certificate, kernel calls) of is_resolving on W with blocks
+    of one plane, and with no size threshold if ``lift``.  The route is
+    "one array" with no axis-1 cover, else "three-axis" where
+    _cross_vertices lists the vertices to key, else "block" (the axis-1
+    candidates, then blocks of planes)."""
+    g = W.graph
+    n, (_, d2, d3) = g.vertex_count(), g.dims
+    cells, vertices = resolving._cross_cells, resolving._cross_vertices
+    calls = len(kernel_calls)
+    with contextlib.ExitStack() as patches:
+        patches.enter_context(mock.patch.object(resolving, "_SLAB", d2 * d3))
+        if lift:
+            patches.enter_context(mock.patch.object(
+                resolving, "_cross_cells", lambda z, dims, n: cells(z, dims, math.inf)))
+            patches.enter_context(mock.patch.object(
+                resolving, "_cross_vertices",
+                lambda z, dims, n, cover: vertices(z, dims, math.inf, cover)))
+        cert = is_resolving(W)
+        z = zero_based(W)
+        cover = resolving._cross_cells(z, g.dims, n)
+        cross = None if cover is None else resolving._cross_vertices(z, g.dims, n, cover)
+    made = kernel_calls[calls:]
+    if cover is None:
+        assert len(made) == 1 and made[0][0].size == n
+        return "one array", cert, made
+    if cross is None:
+        return "block", cert, made
+    assert len(made) == (1 if cross.size else 0)
+    return "three-axis", cert, made
+
+
 def test_cross_candidates_against_brute_force(kernel_calls):
     # A vertex with an equal code in another first-coordinate plane is a
     # cross candidate: the cell of its last two coordinates covers the
     # colour-1 block of some other first value.  Checked here from the
     # codes and blocks alone, then the cells and owners that _cross_cells
     # reads off the blocks, with its quarter fallback off (n = inf), then
-    # is_resolving with blocks of one plane, so that every graph here
-    # takes the block path: on the candidate path its first kernel call
-    # keys exactly the candidates.  Each route must be taken often: an
-    # empty first block, too many candidates, and the candidate path with
-    # a pair across planes
+    # is_resolving with blocks of one plane, so that every graph here has
+    # more than one block: on the block route its first kernel call keys
+    # exactly the axis-1 candidates.  Each route must be taken often: an
+    # empty first block, too many candidates, and axis-1 candidates with a
+    # pair across planes, on the block route among them
     routes = collections.Counter()
     for W in cross_candidate_sets(random.Random(20261020)):
         g = W.graph
@@ -703,29 +762,103 @@ def test_cross_candidates_against_brute_force(kernel_calls):
         across = [v for vs in classes.values() for v in vs if any(u[0] != v[0] for u in vs)]
         for a1, a2, a3 in across:
             assert want_cells.get((a2 - 1) * d3 + a3 - 1, a1 - 1) != a1 - 1
-        at, o = W._member_table()[0], resolving._layout(g)[2]
-        cover = resolving._cross_cells(at, o, g.dims, math.inf)
+        cover = resolving._cross_cells(zero_based(W), g.dims, math.inf)
         route = "empty block"
         if cover is not None:
             cells, owner = cover
             assert dict(zip(cells.tolist(), owner.tolist())) == want_cells
-            route = "quarter" if resolving._cross_cells(at, o, g.dims, n) is None else "candidates"
+            route = "quarter" if covers(W, n)[0] is None else "candidates"
         routes[route] += 1
         routes["candidates, across planes"] += route == "candidates" and bool(across)
+        taken, cert, made = code_route(W, kernel_calls)
         want = least_pair_by_codes(W)
-        calls = len(kernel_calls)
-        with mock.patch.object(resolving, "_SLAB", d2 * d3):
-            cert = is_resolving(W)
         assert cert.witness == want
         assert (cert.verdict is Verdict.RESOLVING) == (want is None)
-        if route == "candidates" and want_cells:
-            keys = kernel_calls[calls][0]
-            indices = keys & np.uint64((1 << (n - 1).bit_length()) - 1)
+        if route == "candidates" and taken == "block" and want_cells:
+            routes["candidates, block route"] += 1
+            indices = made[0][0] & np.uint64((1 << (n - 1).bit_length()) - 1)
             assert sorted(indices.tolist()) == sorted(
                 a * d2 * d3 + cell for cell, owner in want_cells.items()
                 for a in range(d1) if a != owner)
-    assert min(routes[r] for r in ("empty block", "quarter", "candidates, across planes")) >= 20, \
+    assert min(routes[r] for r in ("empty block", "quarter", "candidates, across planes",
+                                   "candidates, block route")) >= 20, routes
+
+
+def permuted(W, order):
+    """W with its coordinates taken in ``order``, zero-based positions."""
+    g = W.graph
+    return LandmarkSet(GhgParams(tuple(g.dims[t] for t in order), g.k),
+                       [tuple(v[t] for t in order) for v in W.members])
+
+
+def cross_vertices_by_brute_force(W):
+    """(S, size): S the zero-based indices of M_1 | M_2 | M_3 | (C_1 & C_2)
+    | (C_1 & C_3) | (C_2 & C_3), size the six pieces' sizes summed.  C_i
+    holds the vertices whose cell along axis i covers a colour-i block
+    other than theirs, M_i those whose cell covers two or more."""
+    dims = W.graph.dims
+    C, M = [], []
+    for i, order in enumerate(AXIS_ORDERS):
+        owners = cross_cells_by_brute_force(permuted(W, order))
+        C.append(set())
+        M.append(set())
+        for v in itertools.product(*map(range, dims)):
+            owner = owners.get(v[order[1]] * dims[order[2]] + v[order[2]])
+            if owner is not None and owner != v[i]:
+                C[i].add(v)
+            if owner == -1:
+                M[i].add(v)
+    pieces = M + [C[0] & C[1], C[0] & C[2], C[1] & C[2]]
+    return ({(v[0] * dims[1] + v[1]) * dims[2] + v[2] for v in set().union(*pieces)},
+            sum(map(len, pieces)))
+
+
+def test_three_axis_candidates_against_brute_force(kernel_calls):
+    # Two non-landmarks with equal codes lie in M_i when they differ in
+    # coordinate i alone and in C_i & C_j when they differ in i and j, so
+    # both lie in S = M_1 | M_2 | M_3 | (C_1 & C_2) | (C_1 & C_3) | (C_2 &
+    # C_3).  Checked from codes on the candidate sets and their two
+    # coordinate rotations, both K rules, with blocks of one plane.  With
+    # the size thresholds lifted, an empty block on axis 1 keys one array,
+    # one on axis 2 or 3 alone takes the block route, and otherwise the
+    # code verifier keys exactly S in one kernel call; with them, S is
+    # keyed only where every axis has cross cells and its pieces come to
+    # at most a quarter of the graph.  On every route the witness is the
+    # least pair.  The last sets give every block members off each line
+    # through any cell, so that no cell covers a block and S is empty
+    routes = collections.Counter()
+    spread = [LandmarkSet(g, [v for v in g.vertices() if sum(v) % 3 == 0])
+              for g in (hamming_graph(4, 4, 4), GhgParams((3, 5, 6), frozenset({1, 2})))]
+    for base in itertools.chain(cross_candidate_sets(random.Random(20261021)), spread):
+        for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            W = permuted(base, order)
+            g = W.graph
+            n, (_, d2, d3) = g.vertex_count(), g.dims
+            want_s, size = cross_vertices_by_brute_force(W)
+            classes: dict = {}
+            for v in g.vertices():
+                if v not in W:
+                    classes.setdefault(W._code(v), []).append((v[0] - 1) * d2 * d3
+                                                              + (v[1] - 1) * d3 + v[2] - 1)
+            assert all(i in want_s for vs in classes.values() if len(vs) > 1 for i in vs)
+            want = least_pair_by_codes(W)
+            route, cert, made = code_route(W, kernel_calls)
+            assert cert.witness == want
+            covered = None not in covers(W, n)
+            assert (route == "three-axis") == (covered and 4 * size <= n)
+            routes["S past a quarter"] += covered and route == "block"
+            route, cert, made = code_route(W, kernel_calls, lift=True)
+            assert cert.witness == want
+            routes[route] += 1
+            if route == "three-axis":
+                keys = made[0][0] if made else np.empty(0, dtype=np.uint64)
+                indices = keys & np.uint64((1 << (n - 1).bit_length()) - 1)
+                assert sorted(indices.tolist()) == sorted(want_s)
+                routes["three-axis, pairs"] += want is not None
+                routes["three-axis, S empty"] += not want_s
+    assert min(routes[r] for r in ("three-axis", "block", "one array", "three-axis, pairs")) >= 20, \
         routes
+    assert routes["three-axis, S empty"] == 6 and routes["S past a quarter"] >= 3, routes
 
 
 def test_many_lanes_against_brute_force():
@@ -774,11 +907,15 @@ def test_oracle_word_boundaries(m):
 @pytest.mark.parametrize("n", [65, 100])
 def test_basis_keys_never_collide(n, kernel_calls):
     # a fold that lets structured rows cancel repeats prefixes here and
-    # sends non-landmarks to the exact re-check, in any of the code
-    # verifier's calls, one per block of planes and one for the candidates
-    for verify in (is_resolving, is_resolving_by_distance):
+    # sends non-landmarks to the exact re-check.  The code verifier makes
+    # one kernel call, on the cross vertices of all three axes: every
+    # axis of the basis has cross cells, and they are 4.8 and 3.1 per
+    # cent of the graph
+    for verify, calls in ((is_resolving, 1), (is_resolving_by_distance, 2)):
         assert verify(metric_basis(n)).verdict is Verdict.RESOLVING
+        assert len(kernel_calls) == calls
         assert all(read == [] for _, _, read in kernel_calls)
+    assert kernel_calls[0][0].size == {65: 13048, 100: 30583}[n]
 
 
 @pytest.mark.parametrize("dims", [(5, 6, 7), (4, 3, 11)])
