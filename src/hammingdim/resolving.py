@@ -13,8 +13,8 @@ Two independent verification routes are provided:
   of its code taken by inclusion-exclusion over its three blocks, and
   keys only the few vertices that can share a code with another, read
   off the blocks along all three axes; where an axis does not yield
-  them, a block of first-coordinate planes at a time.  Never a
-  |V| x |W| table or a pairwise vertex comparison.
+  them, every vertex.  Never a |V| x |W| table or a pairwise vertex
+  comparison.
 * ``is_resolving_by_distance`` packs raw distance vectors, from the
   diameter-2 distance rule, 64 landmarks to a word and folds each
   vertex's words into one key.  It never looks at codes: the oracle.
@@ -35,15 +35,12 @@ sets of landmarks and distance vectors word by word.  A hash collision
 can cost time, never a wrong verdict.  Both report the lexicographically
 least colliding pair as witness.  The oracle keys every vertex in one
 |V|-sized array.  The code verifier does so only on a graph of one
-block (at most _SLAB vertices) and on a set whose axis-1 cross
-candidates pass a quarter of the graph, as when a first value holds no
-landmark.  Otherwise, where every axis has cross cells and the vertices
-they single out come to at most a quarter of the graph, it keys those
-vertices alone, in one kernel call: 2 to 5 per cent of the graph on the
-n = 65 to 150 bases, listed as int32 indices and deduplicated before
-they are keyed.  Failing that, its keys come a block of planes at a
-time, so nothing it holds grows with |V| beyond one block (at most
-_SLAB keys, or one plane) and the axis-1 candidates.  The kernel's
+slab (at most _SLAB vertices) and where the vertices that can share a
+code are not listed: where an axis has no cross cells to list (an empty
+block, or candidates past a quarter of the graph) or those vertices may
+pass a quarter of it.  Otherwise it keys them alone, in one kernel
+call: 2 to 5 per cent of the graph on the n = 65 to 150 bases, listed
+as int32 indices and deduplicated before they are keyed.  The kernel's
 temporaries are slabs of at most _SLAB keys or tries.  The rest grow
 with |W|.  Both verifiers read one member table, each member's table
 entries ``at`` and the set of landmark indices, built on a set's first
@@ -475,33 +472,22 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     (``_cross_vertices``), read off the cross cells of all three axes.
     Where those can be listed, their keys alone are built, in index
     order and a few thousand at a time, and handed to the pair kernel in
-    one call, whose least pair is the witness.  Where an axis has no
-    cross cells to list (an empty block, or candidates past a quarter of
-    the graph), or the cross vertices would pass a quarter of it, the
-    two still share their first coordinate or are both axis-1 cross
-    candidates (``_cross_cells``), so the keys are built and handed to
-    the kernel in pieces: once for the candidates, then once per block
-    of whole first-coordinate planes (at most _SLAB keys, or one larger
-    plane alone) in index order, until a block holds a pair or starts
-    past the first vertex of the candidates' pair.  The witness is the
-    least pair found.  A graph of one block, or a set whose axis-1
-    candidates pass a quarter of the graph (as when a first value holds
-    no landmark), keys every vertex at once instead, one |V|-sized array
-    that the kernel sorts in place.  Graphs above VERTEX_LIMIT vertices
-    are refused before anything is allocated.
+    one call, whose least pair is the witness.  A graph of one slab, a
+    set with an axis that has no cross cells to list (an empty block, or
+    candidates past a quarter of the graph), or one whose cross vertices
+    may pass a quarter of it, keys every vertex at once instead, one
+    |V|-sized array that the kernel sorts in place.  Graphs above
+    VERTEX_LIMIT vertices are refused before anything is allocated.
     """
     g = W.graph
     n, high, o, _, _, index = _layout(g)
     d1, d2, d3 = g.dims
     at, landmarks = W._member_table()
-    planes = max(1, _SLAB // (d2 * d3))  # per block
-    cover = cross = None
-    if planes < d1:
-        z = at[:, :3] - (0, o[1], o[2])  # the members' zero-based coordinates
-        cover = _cross_cells(z, g.dims, n)
-        if cover is not None:
-            cross = _cross_vertices(z, g.dims, n, cover)
-        del z
+    cross = None
+    if n > _SLAB:  # more than one slab of keys: list the vertices to key
+        cross = _cross_vertices(at[:, :3] - (0, o[1], o[2]), g.dims, n)
+        if cross is not None and not cross.size:
+            return _certificate(W, None)  # no two vertices can share a code
     weights = _weights(len(W)) * _GOLDEN
     weights &= high
     table = np.zeros(o[6], dtype=np.uint64)
@@ -522,48 +508,22 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     def row_of(i):
         return W._code(_vertex_at(g, i))
 
-    if cross is not None:
-        if not cross.size:
-            return _certificate(W, None)  # no two vertices can share a code
-        # each vertex's entries of left, right and p23, a few thousand keys
-        # at a time, so that the temporaries stay small beside the keys
-        keys = np.empty(cross.size, dtype=np.uint64)
-        step = max(1, _SLAB // 8)
-        for lo in range(0, cross.size, step):
-            v, k = cross[lo:lo + step], keys[lo:lo + step]
-            a1, q = v // (d2 * d3), v // d3  # q = a1 d2 + a2
-            left.reshape(-1).take(q, out=k)
-            k += right.reshape(-1)[v - (q - a1) * d3]  # a1 d3 + a3
-            k -= p23.reshape(-1)[v - a1 * (d2 * d3)]  # a2 d3 + a3
-        del cross, v, a1, q  # v is a view: it would keep the indices
-        return _certificate(W, _least_equal_pair(keys, n, landmarks, row_of))
-    pair = None
-    if cover is None:
-        planes = d1  # one block of every vertex
-    elif cover[0].size:
-        cells, owner = cover
-        keys = left[:, cells // d3]
-        keys += right[:, cells % d3]
-        keys -= p23.reshape(-1)[cells]
-        keep = np.ones(keys.shape, dtype=bool)
-        once = (owner >= 0).nonzero()[0]
-        keep[owner[once], once] = False  # a cell covered once: not in its block's plane
-        pair = _least_equal_pair(keys[keep], n, landmarks, row_of)
-        del keys, keep
-    # one buffer for every block: a fresh half-megabyte array per block
-    # made the allocator return pages and fault them in again each time
-    block = np.empty((planes, d2, d3), dtype=np.uint64)
-    for a in range(0, d1, planes):
-        if pair is not None and a * d2 * d3 > pair[0]:
-            break
-        keys = np.add(left[a:a + planes, :, None], right[a:a + planes, None, :],
-                      out=block[:d1 - a])
+    if cross is None:  # every vertex, in index order
+        keys = np.add(left[:, :, None], right[:, None, :])
         keys -= p23
-        found = _least_equal_pair(keys.reshape(-1), n, landmarks, row_of)
-        if found is not None:
-            pair = found if pair is None else min(pair, found)
-            break
-    return _certificate(W, pair)
+        return _certificate(W, _least_equal_pair(keys.reshape(-1), n, landmarks, row_of))
+    # each vertex's entries of left, right and p23, a few thousand keys at
+    # a time, so that the temporaries stay small beside the keys
+    keys = np.empty(cross.size, dtype=np.uint64)
+    step = max(1, _SLAB // 8)
+    for lo in range(0, cross.size, step):
+        v, k = cross[lo:lo + step], keys[lo:lo + step]
+        a1, q = v // (d2 * d3), v // d3  # q = a1 d2 + a2
+        left.reshape(-1).take(q, out=k)
+        k += right.reshape(-1)[v - (q - a1) * d3]  # a1 d3 + a3
+        k -= p23.reshape(-1)[v - a1 * (d2 * d3)]  # a2 d3 + a3
+    del cross, v, a1, q  # v is a view: it would keep the indices
+    return _certificate(W, _least_equal_pair(keys, n, landmarks, row_of))
 
 
 def _cross_cells(z, dims, n: int):
@@ -643,12 +603,11 @@ def _cross_cells(z, dims, n: int):
     return cells, owner
 
 
-def _cross_vertices(z, dims, n: int, cover):
+def _cross_vertices(z, dims, n: int):
     """The cross vertices of the set whose members' zero-based
-    coordinates are the rows of ``z``, as sorted int32 vertex indices,
-    given ``cover``, its ``_cross_cells`` along axis 1; or None when the
-    cross cells along axis 2 or 3 are None, or when the pieces below come
-    to more than a quarter of the n vertices.
+    coordinates are the rows of ``z``, as sorted int32 vertex indices;
+    or None when the cross cells along some axis are None, or when the
+    pieces below may come to more than a quarter of the n vertices.
 
     Let C_i be the cross candidates along axis i, the vertices on the
     lines along i through the cells that ``_cross_cells`` finds with
@@ -662,14 +621,16 @@ def _cross_vertices(z, dims, n: int, cover):
     line along j meet in one vertex when they share their third
     coordinate, so each C_i & C_j is a join of the two cell lists on that
     coordinate, less the vertices at either line's owner; no C_i, about
-    4n^2 vertices on the n-diagonal bases, is ever listed.  The pieces
-    hold at most n / 4 indices in all, and S is their sorted union; int32
-    holds any index, since VERTEX_LIMIT is below 2**31.
+    4n^2 vertices on the n-diagonal bases, is ever listed.  The pieces'
+    sizes are bounded from the cell lists before any is built: d_i per
+    M_i line and one per pair of lines that meet.  They hold at most
+    n / 4 indices in all, and S is their sorted union; int32 holds any
+    index, since VERTEX_LIMIT is below 2**31.
     """
     stride = (dims[1] * dims[2], dims[2], 1)
     lines = []  # per axis i, its cells' coordinates as rows, the owner in row i
     for i, order in enumerate(((0, 1, 2), (1, 0, 2), (2, 0, 1))):
-        c = cover if i == 0 else _cross_cells(z[:, order], [dims[t] for t in order], n)
+        c = _cross_cells(z[:, order], [dims[t] for t in order], n)
         if c is None:
             return None
         cells, owner = c
@@ -677,37 +638,37 @@ def _cross_vertices(z, dims, n: int, cover):
         x[i] = owner
         x[order[1]], x[order[2]] = np.divmod(cells, dims[order[2]])
         lines.append(x)
-
-    def pieces():
-        for i, x in enumerate(lines):  # M_i: whole lines, stride[i] apart
-            whole = x[:, x[i] < 0]
-            whole[i] = 0
-            start = whole[0] * stride[0] + whole[1] * stride[1] + whole[2]
-            yield (start[:, None] + np.arange(dims[i], dtype=np.int32) * stride[i]).ravel()
-        for i, j in ((0, 1), (0, 2), (1, 2)):  # C_i & C_j, joined on coordinate s
-            s = 3 - i - j
-            x, y = lines[i], lines[j]
-            y = y[:, np.argsort(y[s])]
-            count = np.bincount(y[s], minlength=dims[s])
-            reps = count[x[s]]  # per x cell, the y cells it meets
-            # the pairs' y cells: per x cell, the run of y's cells of its
-            # coordinate s, from that run's first position on
-            first = (np.cumsum(count) - count)[x[s]]
-            yi = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - first, reps)
-            vi = y[i].take(yi)  # the meeting vertex's coordinate i
-            keep = np.repeat(x[i], reps) != vi  # not at x's owner
-            keep &= np.repeat(x[j], reps) != y[j].take(yi)  # nor at y's
-            del yi
-            v = np.repeat(x[j] * stride[j] + x[s] * stride[s], reps)
-            v += vi * stride[i]
-            yield v[keep]
-
-    out, size = [], 0
-    for piece in pieces():
-        size += piece.size
-        if 4 * size > n:
-            return None
-        out.append(piece)
+    size = sum(int((x[i] < 0).sum()) * dims[i] for i, x in enumerate(lines))
+    joins = []  # C_i & C_j, joined on coordinate s
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        s = 3 - i - j
+        count = np.bincount(lines[j][s], minlength=dims[s])
+        reps = count[lines[i][s]]  # per axis-i line, the axis-j lines it meets
+        size += int(reps.sum())
+        joins.append((i, j, s, count, reps))
+    if 4 * size > n:
+        return None
+    out = []
+    for i, x in enumerate(lines):  # M_i: whole lines, stride[i] apart
+        whole = x[:, x[i] < 0]
+        whole[i] = 0
+        start = whole[0] * stride[0] + whole[1] * stride[1] + whole[2]
+        out.append((start[:, None] + np.arange(dims[i], dtype=np.int32) * stride[i]).ravel())
+    for i, j, s, count, reps in joins:
+        x, y = lines[i], lines[j]
+        y = y[:, np.argsort(y[s])]
+        # the pairs' y cells: per x cell, the run of y's cells of its
+        # coordinate s, from that run's first position on
+        first = (np.cumsum(count) - count)[x[s]]
+        yi = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - first, reps)
+        vi = y[i].take(yi)  # the meeting vertex's coordinate i
+        keep = np.repeat(x[i], reps) != vi  # not at x's owner
+        keep &= np.repeat(x[j], reps) != y[j].take(yi)  # nor at y's
+        del yi
+        v = np.repeat(x[j] * stride[j] + x[s] * stride[s], reps)
+        v += vi * stride[i]
+        out.append(v[keep])
+        del v, vi, keep
     cross = np.concatenate(out)
     del out
     cross.sort()

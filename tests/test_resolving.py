@@ -377,8 +377,7 @@ def test_code_verifier_peak_under_half_a_key_array():
     # three axes, 2 to 3 per cent of the graph, as int32 indices deduped
     # before they are keyed, peaks at about 0.13 times the 8|V| bytes of
     # keys for every vertex at n = 100, and under |V| bytes (0.6 |V|) at
-    # n = 150, where keying blocks of planes took 0.9 to 1.1 |V|; the
-    # member table is a few kB
+    # n = 150; the member table is a few kB
     for n, bound in ((100, 0.5 * 8), (150, 1)):
         B = metric_basis(n)
         for W, witness in ((B, None),
@@ -708,11 +707,10 @@ def covers(W, n):
 
 
 def code_route(W, kernel_calls, lift=False):
-    """(route, certificate, kernel calls) of is_resolving on W with blocks
-    of one plane, and with no size threshold if ``lift``.  The route is
-    "one array" with no axis-1 cover, else "three-axis" where
-    _cross_vertices lists the vertices to key, else "block" (the axis-1
-    candidates, then blocks of planes)."""
+    """(route, certificate, kernel calls) of is_resolving on W with slabs
+    of one plane, so that it looks for the vertices to key, and with no
+    size threshold if ``lift``.  The route is "three-axis" where
+    _cross_vertices lists those vertices, else "one array"."""
     g = W.graph
     n, (_, d2, d3) = g.vertex_count(), g.dims
     cells, vertices = resolving._cross_cells, resolving._cross_vertices
@@ -723,18 +721,13 @@ def code_route(W, kernel_calls, lift=False):
             patches.enter_context(mock.patch.object(
                 resolving, "_cross_cells", lambda z, dims, n: cells(z, dims, math.inf)))
             patches.enter_context(mock.patch.object(
-                resolving, "_cross_vertices",
-                lambda z, dims, n, cover: vertices(z, dims, math.inf, cover)))
+                resolving, "_cross_vertices", lambda z, dims, n: vertices(z, dims, math.inf)))
         cert = is_resolving(W)
-        z = zero_based(W)
-        cover = resolving._cross_cells(z, g.dims, n)
-        cross = None if cover is None else resolving._cross_vertices(z, g.dims, n, cover)
+        cross = resolving._cross_vertices(zero_based(W), g.dims, n)
     made = kernel_calls[calls:]
-    if cover is None:
+    if cross is None:
         assert len(made) == 1 and made[0][0].size == n
         return "one array", cert, made
-    if cross is None:
-        return "block", cert, made
     assert len(made) == (1 if cross.size else 0)
     return "three-axis", cert, made
 
@@ -745,11 +738,9 @@ def test_cross_candidates_against_brute_force(kernel_calls):
     # colour-1 block of some other first value.  Checked here from the
     # codes and blocks alone, then the cells and owners that _cross_cells
     # reads off the blocks, with its quarter fallback off (n = inf), then
-    # is_resolving with blocks of one plane, so that every graph here has
-    # more than one block: on the block route its first kernel call keys
-    # exactly the axis-1 candidates.  Each route must be taken often: an
-    # empty first block, too many candidates, and axis-1 candidates with a
-    # pair across planes, on the block route among them
+    # the witness of is_resolving with slabs of one plane.  Each case must
+    # be met often: an empty first block, too many candidates, and
+    # candidates with a pair across planes
     routes = collections.Counter()
     for W in cross_candidate_sets(random.Random(20261020)):
         g = W.graph
@@ -770,18 +761,12 @@ def test_cross_candidates_against_brute_force(kernel_calls):
             route = "quarter" if covers(W, n)[0] is None else "candidates"
         routes[route] += 1
         routes["candidates, across planes"] += route == "candidates" and bool(across)
-        taken, cert, made = code_route(W, kernel_calls)
+        _, cert, _ = code_route(W, kernel_calls)
         want = least_pair_by_codes(W)
         assert cert.witness == want
         assert (cert.verdict is Verdict.RESOLVING) == (want is None)
-        if route == "candidates" and taken == "block" and want_cells:
-            routes["candidates, block route"] += 1
-            indices = made[0][0] & np.uint64((1 << (n - 1).bit_length()) - 1)
-            assert sorted(indices.tolist()) == sorted(
-                a * d2 * d3 + cell for cell, owner in want_cells.items()
-                for a in range(d1) if a != owner)
-    assert min(routes[r] for r in ("empty block", "quarter", "candidates, across planes",
-                                   "candidates, block route")) >= 20, routes
+    assert min(routes[r] for r in ("empty block", "quarter", "candidates, across planes")) >= 20, \
+        routes
 
 
 def permuted(W, order):
@@ -793,24 +778,29 @@ def permuted(W, order):
 
 def cross_vertices_by_brute_force(W):
     """(S, size): S the zero-based indices of M_1 | M_2 | M_3 | (C_1 & C_2)
-    | (C_1 & C_3) | (C_2 & C_3), size the six pieces' sizes summed.  C_i
-    holds the vertices whose cell along axis i covers a colour-i block
-    other than theirs, M_i those whose cell covers two or more."""
+    | (C_1 & C_3) | (C_2 & C_3), size the bound that _cross_vertices
+    checks, |M_1| + |M_2| + |M_3| + |L_1 & L_2| + |L_1 & L_3| + |L_2 &
+    L_3|.  L_i holds the vertices whose cell along axis i covers some
+    colour-i block, C_i those whose cell covers one other than theirs,
+    and M_i those whose cell covers two or more."""
     dims = W.graph.dims
-    C, M = [], []
+    L, C, M = [], [], []
     for i, order in enumerate(AXIS_ORDERS):
         owners = cross_cells_by_brute_force(permuted(W, order))
+        L.append(set())
         C.append(set())
         M.append(set())
         for v in itertools.product(*map(range, dims)):
             owner = owners.get(v[order[1]] * dims[order[2]] + v[order[2]])
+            if owner is not None:
+                L[i].add(v)
             if owner is not None and owner != v[i]:
                 C[i].add(v)
             if owner == -1:
                 M[i].add(v)
     pieces = M + [C[0] & C[1], C[0] & C[2], C[1] & C[2]]
     return ({(v[0] * dims[1] + v[1]) * dims[2] + v[2] for v in set().union(*pieces)},
-            sum(map(len, pieces)))
+            sum(map(len, M + [L[0] & L[1], L[0] & L[2], L[1] & L[2]])))
 
 
 def test_three_axis_candidates_against_brute_force(kernel_calls):
@@ -818,18 +808,24 @@ def test_three_axis_candidates_against_brute_force(kernel_calls):
     # coordinate i alone and in C_i & C_j when they differ in i and j, so
     # both lie in S = M_1 | M_2 | M_3 | (C_1 & C_2) | (C_1 & C_3) | (C_2 &
     # C_3).  Checked from codes on the candidate sets and their two
-    # coordinate rotations, both K rules, with blocks of one plane.  With
-    # the size thresholds lifted, an empty block on axis 1 keys one array,
-    # one on axis 2 or 3 alone takes the block route, and otherwise the
-    # code verifier keys exactly S in one kernel call; with them, S is
-    # keyed only where every axis has cross cells and its pieces come to
-    # at most a quarter of the graph.  On every route the witness is the
-    # least pair.  The last sets give every block members off each line
-    # through any cell, so that no cell covers a block and S is empty
+    # coordinate rotations, both K rules, with slabs of one plane.  With
+    # the size thresholds lifted, an empty block on any axis keys one
+    # array, and otherwise the code verifier keys exactly S in one kernel
+    # call; with them, S is keyed only where every axis has cross cells
+    # and the bound on its pieces comes to at most a quarter of the graph.
+    # On every route the witness is the least pair.  The spread sets give
+    # every block members off each line through any cell, so that no cell
+    # covers a block and S is empty.  On the last sets, metric_basis(n)
+    # whole and less its first member, the bound crosses a quarter of the
+    # graph near n = 18 and n = 24, where its M lines weigh too: less its
+    # first member, metric_basis(23) and (24) pass a quarter only with
+    # them.  Several of these pass an eighth on either route
     routes = collections.Counter()
     spread = [LandmarkSet(g, [v for v in g.vertices() if sum(v) % 3 == 0])
               for g in (hamming_graph(4, 4, 4), GhgParams((3, 5, 6), frozenset({1, 2})))]
-    for base in itertools.chain(cross_candidate_sets(random.Random(20261021)), spread):
+    bases = [W for B in map(metric_basis, (17, 18, 23, 24, 25))
+             for W in (B, LandmarkSet(B.graph, B.members[1:]))]
+    for base in itertools.chain(cross_candidate_sets(random.Random(20261021)), spread, bases):
         for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             W = permuted(base, order)
             g = W.graph
@@ -846,7 +842,8 @@ def test_three_axis_candidates_against_brute_force(kernel_calls):
             assert cert.witness == want
             covered = None not in covers(W, n)
             assert (route == "three-axis") == (covered and 4 * size <= n)
-            routes["S past a quarter"] += covered and route == "block"
+            routes["S past a quarter"] += covered and route == "one array"
+            routes["past an eighth", route] += 8 * size > n
             route, cert, made = code_route(W, kernel_calls, lift=True)
             assert cert.witness == want
             routes[route] += 1
@@ -856,9 +853,10 @@ def test_three_axis_candidates_against_brute_force(kernel_calls):
                 assert sorted(indices.tolist()) == sorted(want_s)
                 routes["three-axis, pairs"] += want is not None
                 routes["three-axis, S empty"] += not want_s
-    assert min(routes[r] for r in ("three-axis", "block", "one array", "three-axis, pairs")) >= 20, \
-        routes
+    assert min(routes[r] for r in ("three-axis", "one array", "three-axis, pairs")) >= 20, routes
     assert routes["three-axis, S empty"] == 6 and routes["S past a quarter"] >= 3, routes
+    assert min(routes["past an eighth", r] for r in ("three-axis", "one array")) >= 3, routes
+
 
 
 def test_many_lanes_against_brute_force():
