@@ -27,7 +27,7 @@ from .construct import FIXTURE_NAMES, fixture, metric_basis
 from .errors import BudgetExceeded, HammingDimError, NotApplicable, ParseError, Unsupported
 from .formats import FORMATS, _integer, landmark_lines, parse_landmarks
 from .hamming import GhgParams
-from .landmark import build_landmark_graph, classify, forbidden_scan, predict_resolving
+from .landmark import _scan_blocks, classify, predict_resolving
 from .resolving import Verdict, _fmt_vertex, is_resolving, is_resolving_by_distance
 from .search import SearchOptions, enumerate_two_basic, metric_dimension
 
@@ -119,7 +119,7 @@ def _scan_report(W) -> dict:
     }
     if cls.loop_vertex is not None:
         doc["loop_vertex"] = _fmt_vertex(cls.loop_vertex)
-    report = forbidden_scan(build_landmark_graph(W))
+    report = _scan_blocks(W.members, W.blocks().items())
     doc["c4"] = _cycles_json(report.c4)
     doc["c6"] = _cycles_json(report.c6)
     doc["rainbow_triangles"] = _cycles_json(report.rainbow_triangles)

@@ -30,7 +30,8 @@ direction of a 4-cycle a b a c reads x y x z for some order x, y, z of
 the colors (six words), and exactly one direction of a 6-cycle
 a b c a b c or a triangle a b c reads a rotation of (1,2,3,1,2,3) or of
 (1,2,3) (three words each).  ``forbidden_scan`` lists every cycle;
-``predict_resolving`` stops at the first landmark that starts one.
+``predict_resolving`` stops at the first landmark that starts one.  It
+and the CLI's ``scan`` read sigma straight off the block table.
 """
 
 from __future__ import annotations
@@ -269,11 +270,17 @@ def forbidden_scan(G: LandmarkGraph) -> ForbiddenReport:
     of (1,2,3) the rainbow triangles.  Each list is sorted, every cycle
     read from its least landmark towards its lesser neighbor.  A graph
     with loops or larger blocks is scanned anyway but flagged as not
-    strictly applicable.
+    strictly applicable.  The CLI's ``scan`` runs the same walk on the
+    blocks of ``W.blocks()``, without building the graph.
     """
-    verts = sorted(G.vertices)
-    sigma, applicable = _partners(
-        verts, (((e.color, e.value), e.members) for e in G.hyperedges))
+    return _scan_blocks(G.vertices, (((e.color, e.value), e.members) for e in G.hyperedges))
+
+
+def _scan_blocks(members, blocks) -> ForbiddenReport:
+    """``forbidden_scan`` of the landmarks ``members`` with the
+    ((color, value), members) ``blocks``."""
+    verts = sorted(members)
+    sigma, applicable = _partners(verts, blocks)
     c4, c6, c3 = (
         tuple(_cycle(verts, hit)
               for hit in sorted(h for hits in _cycles_by_start(sigma, words) for h in hits))

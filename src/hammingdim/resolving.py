@@ -274,7 +274,7 @@ class Certificate:
 
 
 def _fmt_vertex(v: Vertex) -> str:
-    return ",".join(str(c) for c in v)
+    return "%s,%s,%s" % v  # every vertex written is a 3-tuple
 
 
 def _checked_vertex_count(g: GhgParams) -> int:
@@ -517,12 +517,13 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     keys = np.empty(cross.size, dtype=np.uint64)
     step = max(1, _SLAB // 8)
     for lo in range(0, cross.size, step):
-        v, k = cross[lo:lo + step], keys[lo:lo + step]
+        # intp indices: numpy's take runs several times slower on int32 ones
+        v, k = cross[lo:lo + step].astype(np.intp), keys[lo:lo + step]
         a1, q = v // (d2 * d3), v // d3  # q = a1 d2 + a2
         left.reshape(-1).take(q, out=k)
         k += right.reshape(-1)[v - (q - a1) * d3]  # a1 d3 + a3
         k -= p23.reshape(-1)[v - a1 * (d2 * d3)]  # a2 d3 + a3
-    del cross, v, a1, q  # v is a view: it would keep the indices
+    del cross, v, a1, q
     return _certificate(W, _least_equal_pair(keys, n, landmarks, row_of))
 
 

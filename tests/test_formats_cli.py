@@ -466,6 +466,22 @@ def test_cli_scan(tmp_path, capsys):
     assert doc["predict_resolving"] is True
 
 
+@pytest.mark.parametrize("drop, command, code, digest", [
+    (0, "verify", 0, "c63582a36169bca01e8bafb56ff87790df3d16cd0105c8e936f190830d210dce"),
+    (0, "scan", 0, "f35abc16eb3580316ded57173f8c11bb81e41d45af46c3faf0eca9c8b00d391c"),
+    (1, "verify", 1, "0f56ce255d206e88fc37495b830a984ea46c7fe5e6316c33e31514bda25c0346"),
+    (1, "scan", 0, "c469eaa81d9c487d689e26cf320f99eb061573a8b8805cd5cc3b86b622f998a7"),
+])
+def test_cli_large_outputs_pinned(tmp_path, capsys, drop, command, code, digest):
+    # sha256 of the stdout of metric_basis(65), whole and less its first
+    # member, as triples; recorded before the scan read the block table
+    # and each vertex was written in one format op
+    W = metric_basis(65)
+    path = write(tmp_path, "n65.tri", emit_triples(LandmarkSet(W.graph, W.members[drop:])))
+    assert main([command, "--graph", "65x65x65", "--in", path]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_cli_fixtures_and_verify_pipeline(tmp_path, capsys):
     out = str(tmp_path / "big.pls")
     assert main(["fixtures", "--name", "hg_5_7_11", "--out", out]) == 0

@@ -42,8 +42,9 @@ from hammingdim import (
     parse_triples,
     predict_resolving,
 )
-from hammingdim.cli import _scan_report
-from hammingdim.landmark import COLOR_NAMES, CycleReport, TWO_BASIC_SHAPES, matching_triples
+from hammingdim.cli import _cycles_json, _scan_report
+from hammingdim.landmark import (
+    COLOR_NAMES, CycleReport, TWO_BASIC_SHAPES, _scan_blocks, matching_triples)
 
 G3 = hamming_graph(3, 3, 3)
 
@@ -337,6 +338,36 @@ def test_decider_certificates_pinned():
     assert systems == 1312
     assert digest.hexdigest() == (
         "8c5359e9c6b2bca983934fcbd7c922b3d47dda344e73fde1e21cb7f25dd35d19")
+
+
+def test_scan_off_the_block_table_matches_the_graph_scan():
+    """The CLI's scan, which reads sigma off W.blocks(), reports what
+    forbidden_scan of the built landmark graph does: on metric_basis(13..40)
+    whole and less its first and its last member, the n6 fixture, 60
+    seeded random sets, and 40 seeded n = 5 2-basic draws with one or two
+    landmarks added.  The last two have blocks of three or more, so the
+    scan is not applicable, and most of the draws keep forbidden cycles."""
+    sets = [fixture("n6")]
+    for n in range(13, 41):
+        W = metric_basis(n)
+        sets += [W, LandmarkSet(W.graph, W.members[1:]), LandmarkSet(W.graph, W.members[:-1])]
+    rng = random.Random(34)
+    for t in range(60):
+        g = hamming_graph(*(3 * (4 + t % 3,)))
+        sets.append(LandmarkSet(g, rng.sample(list(g.vertices()), rng.randint(6, 14))))
+    for W in enumerate_two_basic(5, budget=40, seed=34):
+        others = sorted(set(W.graph.vertices()) - set(W.members))
+        sets.append(LandmarkSet(W.graph, W.members + tuple(rng.sample(others, rng.randint(1, 2)))))
+    applicable = with_cycles = 0
+    for W in sets:
+        report = forbidden_scan(build_landmark_graph(W))
+        assert _scan_blocks(W.members, W.blocks().items()) == report
+        doc = _scan_report(W)
+        assert [doc["c4"], doc["c6"], doc["rainbow_triangles"]] == [
+            _cycles_json(c) for c in (report.c4, report.c6, report.rainbow_triangles)]
+        applicable += report.applicable
+        with_cycles += bool(report.c4 or report.c6 or report.rainbow_triangles)
+    assert (len(sets), applicable, with_cycles) == (185, 28, 27)
 
 
 def unchecked_sets():
