@@ -94,7 +94,6 @@ def _cmd_dimension(args: argparse.Namespace) -> int:
     g = GhgParams.parse(args.graph)
     opts = SearchOptions(
         max_candidates=args.budget,
-        workers=args.workers,
         progress=_progress if args.verbose else None,
     )
     cert = metric_dimension(g, opts)
@@ -205,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--budget", type=_number, default=None,
                    help="candidate cap per size searched (default none)")
-    p.add_argument("--workers", type=_number, default=1,
-                   help="parallel subtree workers")
     p.add_argument("--verbose", action="store_true",
                    help="a progress line on stderr per first-level pick")
     p.set_defaults(func=_cmd_dimension)

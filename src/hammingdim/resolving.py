@@ -37,8 +37,8 @@ least colliding pair as witness.  The oracle keys every vertex in one
 |V|-sized array.  The code verifier does so only on a graph of one
 slab (at most _SLAB vertices) and where the vertices that can share a
 code are not listed: where an axis has no cross cells to list (an empty
-block, or candidates past a quarter of the graph) or those vertices may
-pass a quarter of it.  Otherwise it keys them alone, in one kernel
+block, or whole covering lines past n / 8 cells) or those vertices may
+pass a quarter of |V|.  Otherwise it keys them alone, in one kernel
 call: 2 to 5 per cent of the graph on the n = 65 to 150 bases, listed
 as int32 indices and deduplicated before they are keyed.  The kernel's
 temporaries are slabs of at most _SLAB keys or tries.  The rest grow
@@ -474,9 +474,9 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     order and a few thousand at a time, and handed to the pair kernel in
     one call, whose least pair is the witness.  A graph of one slab, a
     set with an axis that has no cross cells to list (an empty block, or
-    candidates past a quarter of the graph), or one whose cross vertices
-    may pass a quarter of it, keys every vertex at once instead, one
-    |V|-sized array that the kernel sorts in place.  Graphs above
+    whole covering lines past n / 8 cells), or one whose cross vertices
+    may pass a quarter of the graph, keys every vertex at once instead,
+    one |V|-sized array that the kernel sorts in place.  Graphs above
     VERTEX_LIMIT vertices are refused before anything is allocated.
     """
     g = W.graph
@@ -530,9 +530,9 @@ def is_resolving(W: LandmarkSet) -> Certificate:
 def _cross_cells(z, dims, n: int):
     """(cells, owner): the cross candidates along the first axis of the
     set whose members' zero-based coordinates are the rows of ``z``, the
-    axis first and ``dims`` in the same order, or None when they pass a
-    quarter of the n vertices.  Written here for axis 1; the code
-    verifier passes axes 2 and 3 first as well.
+    axis first and ``dims`` in the same order, or None when a block is
+    empty or the whole covering lines pass n / 8 cells.  Written here for
+    axis 1; the code verifier passes axes 2 and 3 first as well.
 
     A non-landmark (a1, a2, a3) is a cross candidate when block (1, a) lies
     in block (2, a2) | block (3, a3) for some a != a1: the cell (a2, a3)
@@ -598,10 +598,7 @@ def _cross_cells(z, dims, n: int):
     blocks = np.concatenate([whole_row.repeat(d3), whole_col.repeat(d2 - 1),
                              one_row, one_col])
     cells, first, count = np.unique(cells, return_index=True, return_counts=True)
-    owner = np.where(count == 1, blocks[first], -1)
-    if 4 * (d1 * cells.size - (count == 1).sum()) > n:
-        return None
-    return cells, owner
+    return cells, np.where(count == 1, blocks[first], -1)
 
 
 def _cross_vertices(z, dims, n: int):

@@ -78,10 +78,9 @@ lexicographic order (x < r, and no set under r holds x), and it would
 resolve if S did.  The result under r is used only when no earlier set
 resolves, so S cannot resolve.  The counts are those the walk would
 make, so the first hit, the candidate counts, progress and budget errors
-are exact, and forked workers need no coordination.  The first pick is
-the root's case: with (1, 1, 1) fixed, the root's orbits group the
-vertices by the number of coordinates they share with it, and with
-nothing fixed there is one orbit.
+are exact.  The first pick is the root's case: with (1, 1, 1) fixed, the
+root's orbits group the vertices by the number of coordinates they share
+with it, and with nothing fixed there is one orbit.
 
 No group is enumerated.  An automorphism fixing P moves coordinate pi(i)
 to i, for a permutation pi, and maps p[pi(i)] to p[i] there for each p
@@ -103,22 +102,15 @@ search walks 161 nodes and makes 275 counts on 521 groups before its
 hit.  Unpruned, size 7 counts all C(63, 6) candidates in 6,306 counts,
 each in closed form.
 
-A search is one loop over the first free picks, whatever the worker
-count.  The tables and memos are built once per search, into a
-``walk(pick, budget)`` that walks the subtree under one first pick.
-Serially the loop walks each pick on the search's one budget.  With w
-workers, forked processes run the same inherited walk, worker j on the
-fixed share of picks j, j + w, j + 2w, ..., each pick on a budget of its
-own, and the parent adds each pick's leaves and pruned subtrees to the
-search's budget in tree order.  So candidate counts, budget errors and
-progress do not depend on the worker count: progress is one report per
-first free pick, and the last report holds the totals.
+A search is one loop over the first free picks.  The tables and memos
+are built once per search, into a ``walk(pick, budget)`` that walks the
+subtree under one first pick on the search's one budget.  Progress is
+one report per first free pick, and the last report holds the totals.
 
 The one bound is the candidate budget, which trips a BudgetExceeded
-error rather than silently truncating, at the same count at every worker
-count.  No supported search needs a time cap: each takes about 0.1 s.
-Nonexistence certificates report the exact number of candidates
-examined.
+error rather than silently truncating; no supported search needs a
+time cap.  Nonexistence certificates report the exact number of
+candidates examined.
 """
 
 from __future__ import annotations
@@ -158,9 +150,8 @@ class SearchOptions:
     whose resolving check runs.  A candidate budget or worker count that
     is not an integer is refused; so is a bool, and so is a ``progress``
     that is neither None nor callable.  ``prune`` and ``normalize`` must
-    be bools.  With ``workers`` > 1 the subtree under each first free
-    pick is walked in a worker process; verdicts, counts and budget
-    errors do not depend on the split.  ``progress`` gets one report per
+    be bools.  ``workers`` is checked and then ignored: every search runs
+    serially in the calling process.  ``progress`` gets one report per
     first free pick, in tree order, with the size searched and its
     running totals.
     """
@@ -240,23 +231,6 @@ class _Budget:
                 bound="max_candidates",
                 candidates_examined=self.max_candidates,
             )
-
-    def alone(self, walk, pick: int) -> tuple:
-        """Walk one pick as a worker does, on a budget of its own with
-        this bound: (found, leaves, pruned)."""
-        own = _Budget(self.max_candidates)
-        try:
-            return walk(pick, own), own.leaves, own.pruned
-        except BudgetExceeded:
-            return None, own.leaves, own.pruned
-
-    def add(self, found, leaves: int, pruned: int):
-        """Take in one pick walked by ``alone``, tripping where a walk on
-        this budget would have: a pick that tripped its own budget has
-        more leaves than the bound.  Returns the pick's ``found``."""
-        self.pruned += pruned
-        self.count(leaves)
-        return found
 
     def report(self, size: int):
         if self.progress is not None:
@@ -615,48 +589,6 @@ def _walker(g: GhgParams, s: int, fixed: tuple, prune: bool):
         orbit.clear()
 
 
-def _worker(walk, budget: _Budget, picks, conn):
-    """Answer on conn for each of ``picks`` in turn."""
-    for pick in picks:
-        conn.send(budget.alone(walk, pick))
-
-
-def _forked(walk, picks, budget: _Budget, workers: int) -> Iterator:
-    """Each pick's ``walk`` result, from forked workers, its counts added
-    to ``budget`` in pick order.
-
-    The workers inherit ``walk`` with its tables and memos.  Worker w
-    walks the fixed share ``picks[w::workers]`` and answers on a pipe of
-    its own, so pick i is read from pipe i % workers.  No lock is shared,
-    so closing the generator may kill the workers at any point;
-    ``Pool.terminate`` can hang joining its task thread when it kills a
-    worker halfway through sending a result.
-    """
-    # imported here: it loads subprocess and friends, about 1 MB of RSS
-    # and 7 ms that serial callers never need
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    conns, procs = [], []
-    try:
-        for w in range(workers):
-            conn, child = ctx.Pipe(duplex=False)
-            conns.append(conn)
-            proc = ctx.Process(target=_worker, args=(walk, budget, picks[w::workers], child),
-                               daemon=True)
-            proc.start()
-            child.close()
-            procs.append(proc)
-        for i in range(len(picks)):
-            yield budget.add(*conns[i % workers].recv())
-    finally:
-        for proc in procs:
-            proc.kill()
-            proc.join()
-        for conn in conns:
-            conn.close()
-
-
 def _diagonal_n(g: GhgParams) -> int:
     """n, for the n-diagonal graph with K={3} that exact dimensions cover."""
     if g.r != 3 or g.k != frozenset({3}):
@@ -688,14 +620,11 @@ def exists_resolving_of_size(
     budget = _Budget(opts.max_candidates, opts.progress)
     found = None
     with _walker(g, s, fixed, opts.prune) as (picks, walk):
-        workers = min(opts.workers, len(picks))
-        steps = (_forked(walk, picks, budget, workers) if workers > 1
-                 else (walk(pick, budget) for pick in picks))
-        with contextlib.closing(steps):
-            for found in steps:
-                budget.report(s)
-                if found is not None:
-                    break
+        for pick in picks:
+            found = walk(pick, budget)
+            budget.report(s)
+            if found is not None:
+                break
     return _search_certificate(g, s, found, budget.leaves, mode)
 
 

@@ -5,8 +5,8 @@ them).  Numbers quoted in the lines are recomputed, never hardcoded,
 except for the combinatorial space sizes they are compared against.
 
 Criterion 3 (the n=4 size-7 nonexistence search) walks a pruned space of
-a few hundred thousand candidates out of C(63,6) = 67,945,521, about a
-second with two workers.
+a few hundred thousand candidates out of C(63,6) = 67,945,521, in well
+under a second.
 """
 
 import functools
@@ -79,7 +79,7 @@ def test_criterion_02_no_five_set_at_n3():
 def test_criterion_03_no_seven_set_at_n4():
     g = hamming_graph(4, 4, 4)
     t0 = time.monotonic()
-    cert = exists_resolving_of_size(g, 7, SearchOptions(workers=2))
+    cert = exists_resolving_of_size(g, 7)
     elapsed = time.monotonic() - t0
     ok = (cert.verdict is Verdict.DIMENSION
           and cert.candidates_examined == 326844)

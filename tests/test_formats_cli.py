@@ -357,21 +357,26 @@ def test_cli_dimension(capsys):
     assert doc["candidates_examined"] > 0
 
 
-def test_cli_dimension_verbose_parallel(capsys):
-    # one progress line per first free pick of each searched size, the
-    # same at every worker count but for its elapsed time
-    runs = []
-    for workers in ("1", "2", "4"):
-        assert main(["dimension", "--graph", "3x3x3", "--verbose", "--workers", workers]) == 0
-        runs.append(capsys.readouterr())
+def test_cli_dimension_verbose(capsys):
+    # one progress line per first free pick of each searched size, and
+    # the same certificate as without them
+    assert main(["dimension", "--graph", "3x3x3", "--verbose"]) == 0
+    run = capsys.readouterr()
     line = re.compile(r"progress: size (\d), \d+ candidates, \d+ pruned subtrees, \d+\.\d\ds")
-    sizes = [line.fullmatch(text).group(1) for text in runs[0].err.splitlines()]
+    sizes = [line.fullmatch(text).group(1) for text in run.err.splitlines()]
     # size 5 has 23 first free picks; size 6 is found under its fourth
     assert sizes == ["5"] * 23 + ["6"] * 4
-    serial, *parallel = ([text.rsplit(",", 1)[0] for text in run.err.splitlines()]
-                         for run in runs)
-    assert parallel == [serial, serial]
-    assert runs[0].out == runs[1].out == runs[2].out
+    assert main(["dimension", "--graph", "3x3x3"]) == 0
+    assert capsys.readouterr().out == run.out
+
+
+def test_cli_dimension_has_no_workers_flag(capsys):
+    # every search runs in the calling process; the flag is a usage error
+    with pytest.raises(SystemExit) as e:
+        main(["dimension", "--graph", "3x3x3", "--workers", "2"])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --workers 2" in captured.err
 
 
 def test_cli_dimension_budget(capsys):
@@ -390,10 +395,9 @@ def test_cli_dimension_budget(capsys):
     ["construct", "--n"],
     ["enumerate", "--n"],
     ["dimension", "--graph", "3x3x3", "--budget"],
-    ["dimension", "--graph", "3x3x3", "--workers"],
     ["enumerate", "--n", "4", "--count"],
     ["enumerate", "--n", "4", "--seed"],
-], ids=["construct-n", "enumerate-n", "budget", "workers", "count", "seed"])
+], ids=["construct-n", "enumerate-n", "budget", "count", "seed"])
 def test_cli_numbers_by_the_ascii_rule(capsys, argv, value):
     # int() would read both as 10; options follow the documents' rule
     with pytest.raises(SystemExit) as e:
@@ -430,13 +434,6 @@ def test_cli_parser_built_once(tmp_path, capsys):
     build_parser.cache_clear()
     assert run(fresh=False) == fresh
     assert build_parser.cache_info().misses == 1
-
-
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_cli_dimension_workers_below_one(capsys, workers):
-    assert main(["dimension", "--graph", "3x3x3", "--workers", workers]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "at least 1" in err
 
 
 def test_cli_dimension_refuses_oversized_graph_first(capsys, monkeypatch):

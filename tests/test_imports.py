@@ -1,11 +1,13 @@
 """Every name a package module imports is used there or re-exported, and
-importing the CLI does not load what only parallel searches need."""
+neither importing the CLI nor running a search loads multiprocessing."""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -46,12 +48,47 @@ def test_unused_import_detected():
     assert unused_imports(source) == ["path", "json"]
 
 
-def test_cli_import_leaves_multiprocessing_out():
-    # only parallel searches fork workers; a serial caller should not pay
-    # for loading multiprocessing and subprocess
-    code = "import sys, hammingdim.cli; print('multiprocessing' in sys.modules)"
+def run_fresh(code: str) -> str:
+    """The standard output of ``code`` in a new interpreter on this tree."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+                         text=True, check=True, timeout=120)
+    return out.stdout
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # no search forks workers, so nothing should pay for loading
+    # multiprocessing and subprocess
+    code = "import sys, hammingdim.cli; print('multiprocessing' in sys.modules)"
+    assert run_fresh(code).strip() == "False"
+
+
+SEARCH_WITH_WORKERS = textwrap.dedent("""
+    import json, sys
+    from hammingdim import SearchOptions, exists_resolving_of_size, hamming_graph
+
+    reports = []
+    cert = exists_resolving_of_size(hamming_graph(4, 4, 4), 8, SearchOptions(
+        workers=2, progress=reports.append))
+    print(json.dumps({
+        "members": cert.basis.members,
+        "candidates": cert.candidates_examined,
+        "reports": [(p.candidates_examined, p.pruned_subtrees) for p in reports],
+        "multiprocessing": "multiprocessing" in sys.modules,
+    }))
+""")
+
+
+def test_workers_field_runs_serially():
+    # SearchOptions keeps its workers field, checked and then ignored: a
+    # search asked for two workers gives the serial certificate and
+    # progress, the size-8 hit under the first pick, without forking
+    out = json.loads(run_fresh(SEARCH_WITH_WORKERS))
+    assert out == {
+        "members": [[1, 1, 1], [1, 1, 2], [1, 2, 1], [2, 1, 1],
+                    [2, 2, 3], [3, 3, 2], [3, 4, 4], [4, 3, 4]],
+        "candidates": 60735,
+        "reports": [[60735, 173606]],
+        "multiprocessing": False,
+    }

@@ -699,8 +699,8 @@ AXIS_ORDERS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
 def covers(W, n):
-    """Per axis, _cross_cells of W with the axis first and quarter
-    threshold n."""
+    """Per axis, _cross_cells of W with the axis first and vertex count
+    n, which bounds its whole covering lines."""
     z, dims = zero_based(W), W.graph.dims
     return [resolving._cross_cells(z[:, order], [dims[t] for t in order], n)
             for order in AXIS_ORDERS]
@@ -737,10 +737,10 @@ def test_cross_candidates_against_brute_force(kernel_calls):
     # cross candidate: the cell of its last two coordinates covers the
     # colour-1 block of some other first value.  Checked here from the
     # codes and blocks alone, then the cells and owners that _cross_cells
-    # reads off the blocks, with its quarter fallback off (n = inf), then
-    # the witness of is_resolving with slabs of one plane.  Each case must
-    # be met often: an empty first block, too many candidates, and
-    # candidates with a pair across planes
+    # reads off the blocks, with its whole-line fallback off (n = inf),
+    # then the witness of is_resolving with slabs of one plane.  Each case
+    # must be met often: an empty first block, whole covering lines past
+    # an eighth of the graph, and candidates with a pair across planes
     routes = collections.Counter()
     for W in cross_candidate_sets(random.Random(20261020)):
         g = W.graph
@@ -758,15 +758,15 @@ def test_cross_candidates_against_brute_force(kernel_calls):
         if cover is not None:
             cells, owner = cover
             assert dict(zip(cells.tolist(), owner.tolist())) == want_cells
-            route = "quarter" if covers(W, n)[0] is None else "candidates"
+            route = "whole lines" if covers(W, n)[0] is None else "candidates"
         routes[route] += 1
         routes["candidates, across planes"] += route == "candidates" and bool(across)
         _, cert, _ = code_route(W, kernel_calls)
         want = least_pair_by_codes(W)
         assert cert.witness == want
         assert (cert.verdict is Verdict.RESOLVING) == (want is None)
-    assert min(routes[r] for r in ("empty block", "quarter", "candidates, across planes")) >= 20, \
-        routes
+    assert min(routes[r] for r in ("empty block", "whole lines", "candidates, across planes")) \
+        >= 20, routes
 
 
 def permuted(W, order):
@@ -857,6 +857,36 @@ def test_three_axis_candidates_against_brute_force(kernel_calls):
     assert routes["three-axis, S empty"] == 6 and routes["S past a quarter"] >= 3, routes
     assert min(routes["past an eighth", r] for r in ("three-axis", "one array")) >= 3, routes
 
+
+def test_large_cross_candidates_keep_the_three_axis_route(kernel_calls):
+    # A seeded random set on 46 x 60 x 33 whose axis-2 cross candidates
+    # C_2 pass a quarter of the graph, although its whole covering lines
+    # stay under an eighth and its cross vertices S come to 2,036.  No C_i
+    # is ever listed, so is_resolving keys S alone in one kernel call.  The
+    # pinned witness is the least pair, checked against the codes of all
+    # 91,080 vertices when it was pinned
+    rng = random.Random(151)
+    dims = tuple(rng.randint(20, 60) for _ in range(3))
+    d1, d2, d3 = dims
+    n = d1 * d2 * d3
+    members = [(i // (d2 * d3) + 1, i // d3 % d2 + 1, i % d3 + 1)
+               for i in rng.sample(range(n), rng.randint(2, 6) * max(dims))]
+    W = LandmarkSet(hamming_graph(*dims), members)
+    assert (dims, len(W)) == ((46, 60, 33), 240) and n > resolving._SLAB
+    z = zero_based(W)
+    sizes = []  # per axis, |C_i|: d_i per cell, less each owned cell's owner
+    for i, order in enumerate(AXIS_ORDERS):
+        cells, owner = resolving._cross_cells(z[:, order], [dims[t] for t in order], n)
+        sizes.append(dims[i] * cells.size - int((owner >= 0).sum()))
+    assert sizes == [2970, 25219, 128] and 4 * sizes[1] > n
+    cross = resolving._cross_vertices(z, dims, n)
+    assert cross.size == 2036
+    cert = is_resolving(W)
+    assert len(kernel_calls) == 1
+    keys = kernel_calls[0][0]
+    assert keys.size == cross.size
+    assert np.array_equal(np.sort(keys & np.uint64((1 << (n - 1).bit_length()) - 1)), cross)
+    assert cert.witness == is_resolving_by_distance(W).witness == ((5, 1, 11), (5, 56, 11))
 
 
 def test_many_lanes_against_brute_force():

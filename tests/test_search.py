@@ -3,6 +3,10 @@
 Search-space sizes are pinned to the binomials they must equal when
 pruning is off: fixing (1,1,1) leaves C(26,4) = 14,950 subsets at n=3
 s=5, and the full space has C(27,5) = 80,730.
+
+Several tests run at more than one value of ``SearchOptions.workers``, a
+field that is checked and then ignored: every search is serial, so
+their pins hold at each value.
 """
 
 import collections
@@ -10,12 +14,9 @@ import contextlib
 import functools
 import itertools
 import json
-import os
 import pathlib
 import random
-import subprocess
 import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -93,14 +94,12 @@ def budget_error(s, **kw):
 
 
 def test_candidate_budget():
-    # the parallel split trips where the serial walk does and says the same;
     # a spent budget, 0, trips before any leaf is examined, and 1039 is one
     # short of the pruned walk's 1040 leaves
     for prune in (True, False):
         for k in (0, 5, 100, 500, 1039):
-            serial = budget_error(5, prune=prune, max_candidates=k)
-            assert serial == ("max_candidates", k, f"candidate budget of {k} exceeded")
-            assert budget_error(5, prune=prune, max_candidates=k, workers=2) == serial
+            assert budget_error(5, prune=prune, max_candidates=k) == (
+                "max_candidates", k, f"candidate budget of {k} exceeded")
     with pytest.raises(Unsupported):
         SearchOptions(max_candidates=-1)
 
@@ -146,14 +145,13 @@ def test_switches_that_are_not_bools_refused(field, value):
 def test_candidate_budget_at_a_hit(g, s, hit):
     # the hit is leaf number ``hit``: one candidate less trips before it
     # is examined, and a run of leaves counted at once must not overshoot
-    for workers in (1, 2):
-        with pytest.raises(BudgetExceeded) as exc:
-            exists_resolving_of_size(g, s, SearchOptions(max_candidates=hit - 1, workers=workers))
-        assert (exc.value.bound, exc.value.candidates_examined, str(exc.value)) == (
-            "max_candidates", hit - 1, f"candidate budget of {hit - 1} exceeded")
-        cert = exists_resolving_of_size(g, s, SearchOptions(max_candidates=hit, workers=workers))
-        assert cert.verdict is Verdict.RESOLVING
-        assert cert.candidates_examined == hit
+    with pytest.raises(BudgetExceeded) as exc:
+        exists_resolving_of_size(g, s, SearchOptions(max_candidates=hit - 1))
+    assert (exc.value.bound, exc.value.candidates_examined, str(exc.value)) == (
+        "max_candidates", hit - 1, f"candidate budget of {hit - 1} exceeded")
+    cert = exists_resolving_of_size(g, s, SearchOptions(max_candidates=hit))
+    assert cert.verdict is Verdict.RESOLVING
+    assert cert.candidates_examined == hit
 
 
 def progress_counts(s, **kw):
@@ -169,64 +167,12 @@ def progress_counts(s, **kw):
     (6, True, 6038),  # found: the walk stops inside one first pick
 ])
 def test_parallel_progress_reports_running_totals(s, normalize, pruned):
-    # one report per first free pick, the same for every worker count;
-    # size 6 is found under (1, 2, 2), the fourth
-    serial, cert = progress_counts(s, normalize=normalize)
-    assert len(serial) == {5: 23, 6: 4}[s]
-    assert serial == sorted(serial)
-    assert serial[-1] == (json.loads(cert)["candidates_examined"], pruned)
-    for workers in (2, 3, 4):
-        assert progress_counts(s, normalize=normalize, workers=workers) == (serial, cert)
-
-
-def test_parallel_workers_are_capped_by_tasks(monkeypatch):
-    """A search never starts more workers than there are first picks."""
-    sizes = []
-
-    def inline(walk, picks, budget, workers):
-        sizes.append(workers)
-        for pick in picks:
-            yield budget.add(*budget.alone(walk, pick))
-
-    monkeypatch.setattr(hammingdim.search, "_forked", inline)
-    cert = exists_resolving_of_size(G3, 5, SearchOptions(workers=1000))
-    assert sizes == [23]  # first picks 1..23 leave four more among 27
-    assert cert.candidates_examined == 1040
-    # a pick that trips its own budget trips the search's, where the
-    # serial walk does
-    with pytest.raises(BudgetExceeded) as info:
-        exists_resolving_of_size(G3, 5, SearchOptions(workers=1000, max_candidates=5))
-    assert (info.value.bound, info.value.candidates_examined) == ("max_candidates", 5)
-    assert sizes == [23, 23]
-
-
-STRESS = textwrap.dedent("""
-    from hammingdim import (BudgetExceeded, SearchOptions, exists_resolving_of_size,
-                            hamming_graph)
-
-    def run(s, **kw):
-        try:
-            return exists_resolving_of_size(G3, s, SearchOptions(**kw)).to_json()
-        except BudgetExceeded as e:
-            return (e.bound, e.candidates_examined, str(e))
-
-    G3 = hamming_graph(3, 3, 3)
-    cases = [(6, dict(prune=p, normalize=z)) for p in (True, False) for z in (True, False)]
-    cases += [(5, dict(max_candidates=k)) for k in (5, 500)]
-    first = [run(s, workers=4, **kw) for s, kw in cases]
-    assert first == [run(s, **kw) for s, kw in cases]
-    for _ in range(3):
-        assert [run(s, workers=4, **kw) for s, kw in cases] == first
-""")
-
-
-def test_parallel_early_stops_stress():
-    """More workers than cores, stopped early again and again by a hit or
-    a budget: hits equal the serial ones, every repeat gives the same
-    result, and the run ends."""
-    src = pathlib.Path(hammingdim.search.__file__).parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    subprocess.run([sys.executable, "-c", STRESS], env=env, check=True, timeout=120)
+    # one report per first free pick; size 6 is found under (1, 2, 2), the
+    # fourth
+    counts, cert = progress_counts(s, normalize=normalize)
+    assert len(counts) == {5: 23, 6: 4}[s]
+    assert counts == sorted(counts)
+    assert counts[-1] == (json.loads(cert)["candidates_examined"], pruned)
 
 
 def brute_force_feasible(cnt, avail):
