@@ -379,6 +379,17 @@ def test_cli_dimension_has_no_workers_flag(capsys):
     assert captured.out == "" and "unrecognized arguments: --workers 2" in captured.err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_dimension_workers_below_one(capsys, workers):
+    # a worker count below one is refused before any search, now as a
+    # usage error since the flag is gone
+    with pytest.raises(SystemExit) as e:
+        main(["dimension", "--graph", "3x3x3", "--workers", workers])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unrecognized arguments: --workers {workers}" in captured.err
+
+
 def test_cli_dimension_budget(capsys):
     assert main(["dimension", "--graph", "3x3x3", "--budget", "50"]) == 3
     assert "budget" in capsys.readouterr().err
