@@ -42,21 +42,22 @@ pass a quarter of |V|.  Otherwise it keys them alone, in one kernel
 call: 2 to 5 per cent of the graph on the n = 65 to 150 bases, listed
 as int32 indices and deduplicated before they are keyed.  The kernel's
 temporaries are slabs of at most _SLAB keys or tries.  The rest grow
-with |W|.  Both verifiers read one member table, each member's table
-entries ``at`` and the set of landmark indices, built on a set's first
-verification and kept with the set (120 to 130 bytes a member on sets
-of thousands).  The code verifier adds its weights _SLAB table entries
-at a time, and the oracle's ``near`` table holds one bit per landmark
-in each of its three coordinate rows, 64 to a word.  On the n = 100 and
-150 bases, whole or less one landmark other than the loop vertex, the
-code verifier peaks at 0.08 to 0.13 times the 8|V| bytes that keys for
-every vertex take, under |V| bytes at n = 150.  The oracle, and the code
-verifier where it keys every vertex, peak at 1.0 to 1.15 times that on
-sets of far fewer landmarks than vertices, and at 1.3 times when nearly
-every vertex collides (one landmark on 101 x 101 x 101).  Random sets of
-32,000 landmarks on 40 x 40 x 40 peak at about 13 times (either
-verifier), and of 131,324 on 51 x 51 x 51 at 18 times (code) and 21
-times (distance), most of it the member table.
+with |W|: each verifier builds its members' six table entries afresh
+(``_entries``, 48 bytes a member) and frees them before it allocates
+its keys, so nothing of a call outlives it, on the set or here.  The
+code verifier adds its weights _SLAB table entries at a time, and the
+oracle's ``near`` table holds one bit per landmark in each of its three
+coordinate rows, 64 to a word.  On the n = 100 and 150 bases, whole or
+less one landmark other than the loop vertex, the code verifier peaks
+at 0.08 to 0.14 times the 8|V| bytes that keys for every vertex take,
+under |V| bytes at n = 150.  The oracle, and the code verifier where it
+keys every vertex, peak at 1.0 to 1.15 times that on sets of far fewer
+landmarks than vertices, and at 1.3 times when nearly every vertex
+collides (one landmark on 101 x 101 x 101).  Random sets of 20,000
+landmarks on 45 x 45 x 45 peak at 3.3 times (code) and 3.0 times
+(distance), of 32,000 on 40 x 40 x 40 at 4.6 and 5.4 times, and of
+131,324 on 51 x 51 x 51 at 14 and 10 times, most of it the member
+entries.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ import json
 from dataclasses import InitVar, dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from types import MappingProxyType
 from typing import Mapping
 
@@ -80,7 +81,6 @@ VERTEX_LIMIT = 3 * 10**7
 # comes to 2.98e8
 ORACLE_WORD_LIMIT = 10 * VERTEX_LIMIT
 
-_WEIGHTS = np.empty(0, dtype=np.uint64)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # 2**64 over the golden ratio, odd
 _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)  # bit p of a word
 _BITS.flags.writeable = False
@@ -91,17 +91,9 @@ CERTIFICATE_SCHEMA = "hammingdim/certificate-v1"
 
 
 class LandmarkSet:
-    """An ordered set of distinct landmark vertices on a 3-coordinate graph.
+    """An ordered set of distinct landmark vertices on a 3-coordinate graph."""
 
-    The member table that both verifiers read (``_member_table``) is
-    built on the set's first verification and kept as long as the set
-    lives, so a second verification of the same set skips it.  That is
-    a trade of memory for time: the table holds 120-155 bytes a member
-    (tracemalloc; 15 MiB for 131,324 landmarks on 51^3), which a
-    one-off verification would otherwise free on return.
-    """
-
-    __slots__ = ("graph", "members", "_member_set", "_blocks", "_table")
+    __slots__ = ("graph", "members", "_member_set", "_blocks")
 
     def __init__(self, graph: GhgParams, members):
         if graph.r != 3:
@@ -145,7 +137,6 @@ class LandmarkSet:
         self.members = members
         self._member_set = frozenset(members)
         self._blocks = blocks
-        self._table = None  # built by _member_table on first verification
 
     def __len__(self) -> int:
         return len(self.members)
@@ -191,19 +182,6 @@ class LandmarkSet:
         blocks = self._blocks
         return frozenset(blocks.get((1, v[0]), ()) + blocks.get((2, v[1]), ())
                          + blocks.get((3, v[2]), ()))
-
-    def _member_table(self) -> tuple[np.ndarray, frozenset]:
-        """(at, landmarks), what both verifiers read of the members: per
-        member, its six table entries as ``_layout`` places them and then
-        its vertex index, read-only; and the set of those indices.  Built
-        on the set's first verification and kept for every later one."""
-        if self._table is None:
-            spread, shift = _layout(self.graph)[3:5]
-            at = np.array(self.members, dtype=np.intp).reshape(-1, 3) @ spread
-            at += shift
-            at.flags.writeable = False
-            self._table = at, frozenset(at[:, 6].tolist())
-        return self._table
 
 
 class Verdict(str, Enum):
@@ -299,20 +277,20 @@ def _vertex_at(g: GhgParams, idx: int) -> Vertex:
 
 
 def _weights(m: int) -> np.ndarray:
-    """Weights of landmark positions 0..m-1, from one table grown on demand.
+    """Weights of landmark positions 0..m-1, read-only up to 64.
 
     Position p < 64 weighs 2**p, so a weighted sum over at most 64
     landmarks is the exact bitmask of the set; later positions weigh the
-    terms of the splitmix64 sequence, uniform 64-bit numbers.
+    terms of the splitmix64 sequence, uniform 64-bit numbers, computed
+    afresh on each call.
     """
-    global _WEIGHTS
-    if _WEIGHTS.size < m:
-        z = np.arange(1, max(m, 2 * _WEIGHTS.size, 1024) + 1, dtype=np.uint64)
-        z *= _GOLDEN
-        _mix(z)
-        z[:64] = _BITS
-        _WEIGHTS = z
-    return _WEIGHTS[:m]
+    if m <= 64:
+        return _BITS[:m]
+    z = np.arange(1, m + 1, dtype=np.uint64)
+    z *= _GOLDEN
+    _mix(z)
+    z[:64] = _BITS
+    return z
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -331,21 +309,33 @@ def _layout(g: GhgParams):
 
     high masks the bits above a vertex index.  Table t of H1, H2, H3,
     P12, P13 and P23 starts at o[t].  A one-based member w adds its
-    weight at entries t < 6 of w @ spread + shift; entry 6 is its vertex
-    index.  index starts H1, H2 and H3 at the parts a1 d2 d3, a2 d3 and
-    a3 of the zero-based vertex index.
+    weight at the six entries w @ spread + shift (``_entries``).  index
+    starts H1, H2 and H3 at the parts a1 d2 d3, a2 d3 and a3 of the
+    zero-based vertex index.
     """
     n = _checked_vertex_count(g)
     d1, d2, d3 = g.dims
     o = tuple(accumulate((0, d1, d2, d3, d1 * d2, d1 * d3, d2 * d3)))
-    spread = np.array([[1, 0, 0, d2, d3, 0, d2 * d3],
-                       [0, 1, 0, 1, 0, d3, d3],
-                       [0, 0, 1, 0, 1, 1, 1]])
-    shift = np.array(o[:6] + (0,)) - spread.sum(axis=0)
+    spread = np.array([[1, 0, 0, d2, d3, 0],
+                       [0, 1, 0, 1, 0, d3],
+                       [0, 0, 1, 0, 1, 1]])
+    shift = np.array(o[:6]) - spread.sum(axis=0)
     index = np.concatenate([np.arange(d, dtype=np.uint64) * step
                             for d, step in ((d1, d2 * d3), (d2, d3), (d3, 1))])
     spread.flags.writeable = shift.flags.writeable = index.flags.writeable = False  # shared
     return n, _index_bits(n)[3], o, spread, shift, index
+
+
+def _entries(members, spread, shift) -> np.ndarray:
+    """Per member, a row of its six table entries as ``_layout`` places
+    them: coordinate 1, 2 and 3 in H1, H2 and H3, then its cells in P12,
+    P13 and P23.  Built afresh on each call, so a set keeps nothing of a
+    verification."""
+    m = len(members)
+    at = np.fromiter(chain.from_iterable(members), np.intp, 3 * m).reshape(m, 3)
+    at = np.dot(at, spread)
+    at += shift
+    return at
 
 
 @lru_cache(maxsize=64)
@@ -358,7 +348,7 @@ def _index_bits(n: int):
     return mask, np.uint64(b), np.uint64(mask), np.uint64(mask ^ (2**64 - 1))
 
 
-def _least_equal_pair(keys: np.ndarray, n: int, landmarks, row_of):
+def _least_equal_pair(keys: np.ndarray, n: int, is_landmark, row_of):
     """Least pair (i, j), i < j, of non-landmark indices with keys here
     and equal rows, or None.
 
@@ -371,12 +361,12 @@ def _least_equal_pair(keys: np.ndarray, n: int, landmarks, row_of):
     their run are tried in increasing index order, at most _SLAB per pass
     over the sorted keys; the first with an equal row later in its run is
     the witness's first index, and the least such later index its second.
-    Indices in ``landmarks`` are skipped, and a row is read only to
-    compare it with another non-landmark's, so row_of re-checks exactly
-    and a shared prefix costs time, never a wrong verdict.  The run after
-    a try is read key by key as Python ints, up to the first key of
-    another prefix, and the tries are read one by one, never as a list of
-    Python ints.  Every pass but the sort goes _SLAB keys at a time, and a
+    Indices for which ``is_landmark`` holds are skipped, tested before
+    any row is read, and a row is read only to compare it with another
+    non-landmark's, so row_of re-checks exactly and a shared prefix
+    costs time, never a wrong verdict.  The run after a try is read key
+    by key as Python ints, up to the first key of another prefix, and
+    the tries are read one by one, never as a list of Python ints.  Every pass but the sort goes _SLAB keys at a time, and a
     pass holds at most two slabs of tries, so nothing but the keys grows
     with their number: on keys for every vertex the verifiers peak at 1.0
     to 1.3 times their 8n bytes on the n = 100 and 150 bases and with one
@@ -391,7 +381,7 @@ def _least_equal_pair(keys: np.ndarray, n: int, landmarks, row_of):
         tries = _least_tries(keys, b, low, first)
         for t in map(tries.item, range(tries.size)):
             i, s = t >> shift, t & mask
-            if i in landmarks:
+            if is_landmark(i):
                 continue
             row = None
             prefix = item(s) >> shift
@@ -400,7 +390,7 @@ def _least_equal_pair(keys: np.ndarray, n: int, landmarks, row_of):
                 if j >> shift != prefix:
                     break
                 j &= mask
-                if j in landmarks:
+                if is_landmark(j):
                     continue
                 if row is None:
                     row = row_of(i)
@@ -480,9 +470,9 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     VERTEX_LIMIT vertices are refused before anything is allocated.
     """
     g = W.graph
-    n, high, o, _, _, index = _layout(g)
+    n, high, o, spread, shift, index = _layout(g)
     d1, d2, d3 = g.dims
-    at, landmarks = W._member_table()
+    at = _entries(W.members, spread, shift)
     cross = None
     if n > _SLAB:  # more than one slab of keys: list the vertices to key
         cross = _cross_vertices(at[:, :3] - (0, o[1], o[2]), g.dims, n)
@@ -496,8 +486,8 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     # along the last axis of a 2-D index; at most _SLAB entries an add
     step = _SLAB // 6
     for lo in range(0, len(W), step):
-        np.add.at(table, at[lo:lo + step, :6].ravel(), weights[lo:lo + step].repeat(6))
-    del weights
+        np.add.at(table, at[lo:lo + step].ravel(), weights[lo:lo + step].repeat(6))
+    del at, weights
     p12 = table[o[3]:o[4]].reshape(d1, d2)
     p13 = table[o[4]:o[5]].reshape(d1, d3)
     p23 = table[o[5]:].reshape(d2, d3)
@@ -505,13 +495,16 @@ def is_resolving(W: LandmarkSet) -> Certificate:
     left -= p12  # H1[a1] + H2[a2] - P12[a1, a2]
     right = table[o[2]:o[3]] - p13  # H3[a3] - P13[a1, a3]
 
+    def is_landmark(i):
+        return _vertex_at(g, i) in W
+
     def row_of(i):
         return W._code(_vertex_at(g, i))
 
     if cross is None:  # every vertex, in index order
         keys = np.add(left[:, :, None], right[:, None, :])
         keys -= p23
-        return _certificate(W, _least_equal_pair(keys.reshape(-1), n, landmarks, row_of))
+        return _certificate(W, _least_equal_pair(keys.reshape(-1), n, is_landmark, row_of))
     # each vertex's entries of left, right and p23, a few thousand keys at
     # a time, so that the temporaries stay small beside the keys
     keys = np.empty(cross.size, dtype=np.uint64)
@@ -524,7 +517,7 @@ def is_resolving(W: LandmarkSet) -> Certificate:
         k += right.reshape(-1)[v - (q - a1) * d3]  # a1 d3 + a3
         k -= p23.reshape(-1)[v - a1 * (d2 * d3)]  # a2 d3 + a3
     del cross, v, a1, q
-    return _certificate(W, _least_equal_pair(keys, n, landmarks, row_of))
+    return _certificate(W, _least_equal_pair(keys, n, is_landmark, row_of))
 
 
 def _cross_cells(z, dims, n: int):
@@ -705,14 +698,14 @@ def is_resolving_by_distance(W: LandmarkSet) -> Certificate:
     before anything is allocated.
     """
     g = W.graph
-    n, high, o = _layout(g)[:3]
+    n, high, o, spread, shift, _ = _layout(g)
     words = -(-len(W) // 64)
     if n * words > ORACLE_WORD_LIMIT:
         raise Unsupported(f"{n} vertices x {words} landmark words exceeds the distance "
                           f"oracle's {ORACLE_WORD_LIMIT} word limit")
     words = max(words, 1)  # an empty set's rows are one zero word
     _, d2, d3 = g.dims
-    at, landmarks = W._member_table()
+    at = _entries(W.members, spread, shift)
     # near[k, o[i - 1] + a - 1]: word k of the landmarks whose coordinate i
     # is a; landmark p adds bit p % 64 of word p // 64 to its three rows,
     # where no other landmark sets it.  Word-major, so that the broadcasts
@@ -721,8 +714,12 @@ def is_resolving_by_distance(W: LandmarkSet) -> Certificate:
     for w in range(words):
         block = at[64 * w:64 * w + 64, :3]
         np.add.at(near[w], block.ravel(), _BITS[:len(block)].repeat(3))
+    del at
     near1, near2, near3 = near[:, :o[1]], near[:, o[1]:o[2]], near[:, o[2]:]
     r = _weights(64 * words)[::64]  # the weight of each word's first landmark
+
+    def is_landmark(i):
+        return _vertex_at(g, i) in W
 
     def row_of(i):
         # the landmarks sharing a coordinate with vertex i, 64 to a word
@@ -745,7 +742,7 @@ def is_resolving_by_distance(W: LandmarkSet) -> Certificate:
         k |= np.arange(lo, hi, dtype=np.uint64)
         keys[lo:hi] = k
         lo = hi
-    return _certificate(W, _least_equal_pair(keys, n, landmarks, row_of))
+    return _certificate(W, _least_equal_pair(keys, n, is_landmark, row_of))
 
 
 def _blocks(dims, step: int):

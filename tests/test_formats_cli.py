@@ -13,7 +13,6 @@ import tracemalloc
 import pytest
 
 from hammingdim import (
-    GhgParams,
     LandmarkSet,
     ParseError,
     Unsupported,

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used there or re-exported, and
-neither importing the CLI nor running a search loads multiprocessing."""
+"""Every name a package module, test or demo imports is used there or
+re-exported, and neither importing the CLI nor running a search loads
+multiprocessing."""
 
 import ast
 import json
@@ -11,8 +12,11 @@ import textwrap
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hammingdim"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hammingdim"
 MODULES = sorted(SRC.glob("*.py"))
+# the package, its tests and its demos
+CHECKED = MODULES + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,9 +39,12 @@ def unused_imports(source: str) -> list[str]:
 
 def test_modules_found():
     assert SRC / "resolving.py" in MODULES
+    assert {ROOT / "tests" / "test_imports.py", ROOT / "demos" / "06_files_and_cli.py"} \
+        <= set(CHECKED)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: (
+    p.name if p.parent == SRC else p.relative_to(ROOT).as_posix()))
 def test_every_import_used(path):
     assert unused_imports(path.read_text()) == []
 

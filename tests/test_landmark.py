@@ -9,7 +9,6 @@ import hashlib
 import itertools
 import json
 import random
-import re
 
 import pytest
 

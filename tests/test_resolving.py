@@ -377,7 +377,7 @@ def test_code_verifier_peak_under_half_a_key_array():
     # three axes, 2 to 3 per cent of the graph, as int32 indices deduped
     # before they are keyed, peaks at about 0.13 times the 8|V| bytes of
     # keys for every vertex at n = 100, and under |V| bytes (0.6 |V|) at
-    # n = 150; the member table is a few kB
+    # n = 150; the member entries are a few kB
     for n, bound in ((100, 0.5 * 8), (150, 1)):
         B = metric_basis(n)
         for W, witness in ((B, None),
@@ -429,13 +429,41 @@ def test_complement_rule_above_bfs_limit():
         assert cert.to_json() == is_resolving(W).to_json()
 
 
+def code_classes(W):
+    """(index, label): the zero-based indices of W's non-landmarks in
+    increasing order, which is lexicographic vertex order, and per index
+    a label that two of them share exactly when their codes are equal.
+    A code is taken from the definition, the landmarks that share a
+    coordinate with the vertex, as one bit per landmark over the whole
+    vertex grid, and the rows are compared whole."""
+    dims = W.graph.dims
+    z = np.array(W.members, dtype=np.intp).reshape(-1, 3) - 1
+    # per coordinate t and value a, the landmarks whose coordinate t is a,
+    # with one bit more that no landmark sets, so that no row is empty
+    bits = [np.packbits(np.arange(d)[:, None] == np.append(z[:, t], -1), axis=1)
+            for t, d in enumerate(dims)]
+    rows = bits[0][:, None, None] | bits[1][None, :, None] | bits[2][None, None, :]
+    rows = rows.reshape(-1, rows.shape[-1])
+    free = np.ones(len(rows), dtype=bool)
+    free[np.ravel_multi_index(z.T, dims)] = False
+    index = free.nonzero()[0]
+    rows = rows[index].view(f"V{rows.shape[-1]}").ravel()
+    return index, np.unique(rows, return_inverse=True)[1].reshape(-1)
+
+
 def least_pair_by_codes(W):
     """The lexicographically least pair of non-landmarks with equal codes."""
-    classes: dict = {}
-    for v in W.graph.vertices():
-        if v not in W:
-            classes.setdefault(W.code(v), []).append(v)
-    return min(((vs[0], vs[1]) for vs in classes.values() if len(vs) > 1), default=None)
+    index, label = code_classes(W)
+    # a stable sort by label lists each class in increasing index order;
+    # the least pair is the one of two neighbours in a class whose first
+    # index is least
+    order = np.argsort(label, kind="stable")
+    at = (label[order[1:]] == label[order[:-1]]).nonzero()[0]
+    if not at.size:
+        return None
+    p = at[np.argmin(order[at])]
+    return tuple(tuple(int(c) + 1 for c in np.unravel_index(index[order[q]], W.graph.dims))
+                 for q in (p, p + 1))
 
 
 # On 3x3x3 the least colliding pair (1,1,2), (1,3,2) encloses the pair
@@ -449,7 +477,7 @@ def zero_weights(monkeypatch):
     # every key collides, so verdicts and witnesses rest on the exact re-check:
     # the code verifier's weights are zero, and so is the multiplier that
     # the oracle's keys of one row word take as their hash
-    monkeypatch.setattr(resolving, "_WEIGHTS", np.zeros(4096, dtype=np.uint64))
+    monkeypatch.setattr(resolving, "_weights", lambda m: np.zeros(m, dtype=np.uint64))
     monkeypatch.setattr(resolving, "_GOLDEN", np.uint64(0))
 
 
@@ -461,7 +489,7 @@ def kernel_calls(monkeypatch):
     calls = []
     kernel = resolving._least_equal_pair
 
-    def spy(keys, n, landmarks, row_of):
+    def spy(keys, n, is_landmark, row_of):
         b = resolving._index_bits(n)[1]
         read = []
         calls.append((keys.copy(), keys >> b, read))
@@ -470,7 +498,7 @@ def kernel_calls(monkeypatch):
             read.append(i)
             return row_of(i)
 
-        return kernel(keys, n, landmarks, logged)
+        return kernel(keys, n, is_landmark, logged)
 
     monkeypatch.setattr(resolving, "_least_equal_pair", spy)
     return calls
@@ -557,7 +585,8 @@ def test_least_equal_pair_against_brute_force(case):
     # tries over several passes
     for slab in (resolving._SLAB, 2, 3):
         with mock.patch.object(resolving, "_SLAB", slab):
-            pair = resolving._least_equal_pair(kernel_keys(keys), len(keys), landmarks, row_of)
+            pair = resolving._least_equal_pair(kernel_keys(keys), len(keys),
+                                               landmarks.__contains__, row_of)
         assert pair == want
 
 
@@ -574,7 +603,7 @@ def test_least_equal_pair_prefix_collision_before_witness():
         tried.append(i)
         return rows[i]
 
-    assert resolving._least_equal_pair(kernel_keys(keys), 9, {8}, row_of) == (3, 6)
+    assert resolving._least_equal_pair(kernel_keys(keys), 9, {8}.__contains__, row_of) == (3, 6)
     # rows are read only for kept indices with a later kept index of the
     # same prefix, in index order, and for those later indices: never for
     # 4, 5 and 7, whose prefixes are unique, nor for the landmark 8, nor
@@ -638,19 +667,30 @@ def test_unequal_dims_against_brute_force(case):
     assert is_resolving(W).witness == least_pair_by_codes(W)
 
 
+def owner_grid(z, dims):
+    """Per cell (a2, a3), zero-based, the colour-1 block it covers, one
+    that lies in block (2, a2) | block (3, a3): that block, zero-based,
+    or -1 if it covers several, or -2 if none.  The members' zero-based
+    coordinates are the rows of z, and dims their dimensions.  Counted
+    over every cell, block and member: block a lies in the union when
+    none of its members misses both a2 and a3, and an empty block lies
+    in every union."""
+    d1, d2, d3 = dims
+    misses = np.einsum("wa,wb,wc->abc", z[:, [0]] == np.arange(d1),
+                       z[:, [1]] != np.arange(d2), z[:, [2]] != np.arange(d3), dtype=np.intp)
+    covered = misses == 0
+    return np.where(covered.sum(axis=0) > 1, -1,
+                    np.where(covered.any(axis=0), covered.argmax(axis=0), -2))
+
+
 def cross_cells_by_brute_force(W):
-    """Per cell (a2, a3) that covers some colour-1 block, lies in block
-    (2, a2) | block (3, a3), keyed as a2 d3 + a3 zero-based: the one block
-    it covers, zero-based, or -1 if it covers several."""
-    d1, d2, d3 = W.graph.dims
-    blocks = [[W.block(i, a) for a in range(1, d + 1)] for i, d in enumerate(W.graph.dims, 1)]
-    out = {}
-    for a2, a3 in itertools.product(range(d2), range(d3)):
-        union = blocks[1][a2] | blocks[2][a3]
-        covered = [a for a in range(d1) if blocks[0][a] <= union]
-        if covered:
-            out[a2 * d3 + a3] = covered[0] if len(covered) == 1 else -1
-    return out
+    """Per cell (a2, a3) that covers some colour-1 block, keyed as a2 d3 +
+    a3 zero-based: the one block it covers, zero-based, or -1 if it covers
+    several."""
+    z = np.array(W.members, dtype=np.intp).reshape(-1, 3) - 1
+    owner = owner_grid(z, W.graph.dims).ravel()
+    cells = (owner != -2).nonzero()[0]
+    return dict(zip(cells.tolist(), owner[cells].tolist()))
 
 
 def cross_candidate_sets(rng):
@@ -689,8 +729,8 @@ def cross_candidate_sets(rng):
 
 def zero_based(W):
     """The members' zero-based coordinates, one row each."""
-    at, o = W._member_table()[0], resolving._layout(W.graph)[2]
-    return at[:, :3] - (0, o[1], o[2])
+    _, _, o, spread, shift, _ = resolving._layout(W.graph)
+    return resolving._entries(W.members, spread, shift)[:, :3] - (0, o[1], o[2])
 
 
 # per axis, the coordinates in the order the code verifier hands them to
@@ -746,13 +786,15 @@ def test_cross_candidates_against_brute_force(kernel_calls):
         g = W.graph
         n, (d1, d2, d3) = g.vertex_count(), g.dims
         want_cells = cross_cells_by_brute_force(W)
-        classes: dict = {}
-        for v in g.vertices():
-            if v not in W:
-                classes.setdefault(W.code(v), []).append(v)
-        across = [v for vs in classes.values() for v in vs if any(u[0] != v[0] for u in vs)]
-        for a1, a2, a3 in across:
-            assert want_cells.get((a2 - 1) * d3 + a3 - 1, a1 - 1) != a1 - 1
+        index, label = code_classes(W)
+        a1, cell = np.divmod(index, d2 * d3)
+        # the vertices whose code recurs in another first-coordinate plane
+        least, most = np.full(index.size, d1), np.full(index.size, -1)
+        np.minimum.at(least, label, a1)
+        np.maximum.at(most, label, a1)
+        across = (least[label] != most[label]).nonzero()[0]
+        for a, c in zip(a1[across].tolist(), cell[across].tolist()):
+            assert want_cells.get(c, a) != a
         cover = resolving._cross_cells(zero_based(W), g.dims, math.inf)
         route = "empty block"
         if cover is not None:
@@ -760,7 +802,7 @@ def test_cross_candidates_against_brute_force(kernel_calls):
             assert dict(zip(cells.tolist(), owner.tolist())) == want_cells
             route = "whole lines" if covers(W, n)[0] is None else "candidates"
         routes[route] += 1
-        routes["candidates, across planes"] += route == "candidates" and bool(across)
+        routes["candidates, across planes"] += route == "candidates" and bool(across.size)
         _, cert, _ = code_route(W, kernel_calls)
         want = least_pair_by_codes(W)
         assert cert.witness == want
@@ -784,23 +826,20 @@ def cross_vertices_by_brute_force(W):
     colour-i block, C_i those whose cell covers one other than theirs,
     and M_i those whose cell covers two or more."""
     dims = W.graph.dims
+    z = np.array(W.members, dtype=np.intp).reshape(-1, 3) - 1
+    v = np.indices(dims)  # each vertex's zero-based coordinates
     L, C, M = [], [], []
     for i, order in enumerate(AXIS_ORDERS):
-        owners = cross_cells_by_brute_force(permuted(W, order))
-        L.append(set())
-        C.append(set())
-        M.append(set())
-        for v in itertools.product(*map(range, dims)):
-            owner = owners.get(v[order[1]] * dims[order[2]] + v[order[2]])
-            if owner is not None:
-                L[i].add(v)
-            if owner is not None and owner != v[i]:
-                C[i].add(v)
-            if owner == -1:
-                M[i].add(v)
-    pieces = M + [C[0] & C[1], C[0] & C[2], C[1] & C[2]]
-    return ({(v[0] * dims[1] + v[1]) * dims[2] + v[2] for v in set().union(*pieces)},
-            sum(map(len, M + [L[0] & L[1], L[0] & L[2], L[1] & L[2]])))
+        owner = owner_grid(z[:, order], [dims[t] for t in order])[v[order[1]], v[order[2]]]
+        L.append(owner != -2)
+        C.append(L[i] & (owner != v[i]))
+        M.append(owner == -1)
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    S = M[0] | M[1] | M[2]
+    for i, j in pairs:
+        S |= C[i] & C[j]
+    return (set(S.ravel().nonzero()[0].tolist()),
+            sum(int(x.sum()) for x in M + [L[i] & L[j] for i, j in pairs]))
 
 
 def test_three_axis_candidates_against_brute_force(kernel_calls):
@@ -828,15 +867,11 @@ def test_three_axis_candidates_against_brute_force(kernel_calls):
     for base in itertools.chain(cross_candidate_sets(random.Random(20261021)), spread, bases):
         for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             W = permuted(base, order)
-            g = W.graph
-            n, (_, d2, d3) = g.vertex_count(), g.dims
+            n = W.graph.vertex_count()
             want_s, size = cross_vertices_by_brute_force(W)
-            classes: dict = {}
-            for v in g.vertices():
-                if v not in W:
-                    classes.setdefault(W._code(v), []).append((v[0] - 1) * d2 * d3
-                                                              + (v[1] - 1) * d3 + v[2] - 1)
-            assert all(i in want_s for vs in classes.values() if len(vs) > 1 for i in vs)
+            index, label = code_classes(W)
+            colliding = index[np.bincount(label)[label] > 1]
+            assert set(colliding.tolist()) <= want_s
             want = least_pair_by_codes(W)
             route, cert, made = code_route(W, kernel_calls)
             assert cert.witness == want
@@ -1006,7 +1041,31 @@ def test_oracle_row_segments_bound_memory():
     assert cert.witness == is_resolving(W).witness == ((1, 1, 1), (1, 1, 2))
 
 
-def member_table_cases():
+def test_dense_set_verifiers_bound_memory_and_keep_nothing():
+    # 20,000 random landmarks on 45 x 45 x 45, a fifth of the vertices:
+    # each verifier builds its member entries per call, 48 bytes a member,
+    # and frees them before it allocates its keys; nothing of the call
+    # stays allocated once it returns, on the set or elsewhere.  A member
+    # table kept with the set took the peaks to 7.3 and 7.8 times 8|V|
+    g = hamming_graph(45, 45, 45)
+    n = g.vertex_count()
+    members = [resolving._vertex_at(g, i)
+               for i in random.Random(20261022).sample(range(n), 20000)]
+    certs = []
+    for verify in (is_resolving, is_resolving_by_distance):
+        W = LandmarkSet(g, members)  # a fresh set, so that each call starts bare
+        tracemalloc.start()
+        try:
+            certs.append(verify(W))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * n, (verify.__name__, peak / (8 * n))
+        assert kept < 0.1 * 2**20, (verify.__name__, kept)
+    assert certs[0].to_json() == certs[1].to_json()
+
+
+def agreement_cases():
     """Every n = 3 system, a seeded n = 5 sample, the lift of each, and
     metric_basis(65) less one landmark."""
     systems = [*enumerate_two_basic(3), *enumerate_two_basic(5, budget=40, seed=20261021)]
@@ -1015,8 +1074,8 @@ def member_table_cases():
             LandmarkSet(B.graph, B.members[:40] + B.members[41:])]
 
 
-def test_member_table_shared_and_read_only():
-    for W in member_table_cases():
+def test_verifiers_agree_in_either_order():
+    for W in agreement_cases():
         # each verifier on a set of its own, then both on one set in
         # either order, and on a fresh equal set
         want = [verify(LandmarkSet(W.graph, W.members)).to_json()
@@ -1027,13 +1086,6 @@ def test_member_table_shared_and_read_only():
                 got = [verify(V).to_json()
                        for verify in (is_resolving, is_resolving_by_distance)[::order]]
                 assert got == want
-        table = W._table
-        assert table is W._member_table()  # built once, on first use
-        at, landmarks = table
-        assert isinstance(landmarks, frozenset) and not at.flags.writeable
-        with pytest.raises(ValueError):
-            at[0, 0] = 0
-        assert landmarks == {index_of(W.graph, v) for v in W.members}
 
 
 @given(st.sets(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
